@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 log = logging.getLogger(__name__)
 
@@ -99,9 +100,13 @@ class Molecule:
 
     atoms: list[Atom]
     bonds: list[Bond]
-    rings: list[list[int]] = field(default_factory=list)
     fragment_count: int = 1
     implicit_h: list[int] = field(default_factory=list)
+
+    @cached_property
+    def rings(self) -> list[list[int]]:
+        """A cycle basis, built on first access."""
+        return _cycle_basis(len(self.atoms), self._adjacency)
 
     def neighbors(self, idx: int) -> list[tuple[int, Bond]]:
         return self._adjacency[idx]
@@ -130,6 +135,27 @@ class Molecule:
     def atom_in_ring(self, idx: int) -> bool:
         return idx in self._ring_atoms
 
+    def components(self, atoms) -> list[list[int]]:
+        """Connected components of the subgraph induced by ``atoms``:
+        members sorted, components ordered by smallest member."""
+        members = set(atoms)
+        seen: set[int] = set()
+        out = []
+        for start in sorted(members):
+            if start in seen:
+                continue
+            stack, comp = [start], []
+            seen.add(start)
+            while stack:
+                u = stack.pop()
+                comp.append(u)
+                for v, _ in self._adjacency[u]:
+                    if v in members and v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            out.append(sorted(comp))
+        return out
+
 
 def _build_adjacency(n: int, bonds: list[Bond]) -> list[list[tuple[int, Bond]]]:
     adj: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
@@ -137,25 +163,6 @@ def _build_adjacency(n: int, bonds: list[Bond]) -> list[list[tuple[int, Bond]]]:
         adj[bond.a].append((bond.b, bond))
         adj[bond.b].append((bond.a, bond))
     return adj
-
-
-def _fragments(n: int, adj) -> list[list[int]]:
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        out.append(sorted(comp))
-    return out
 
 
 def _bridges(n: int, adj) -> set[tuple[int, int]]:
@@ -197,21 +204,22 @@ def _cycle_basis(n: int, adj) -> list[list[int]]:
     parent = [-1] * n
     depth = [-1] * n
     tree_edges: set[int] = set()
-    order: list[int] = []
+    order: list[int] = []  # BFS visit order, also the queue
+    head = 0
     for root in range(n):
         if depth[root] != -1:
             continue
         depth[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
+        order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
             for v, bond in adj[u]:
                 if depth[v] == -1:
                     depth[v] = depth[u] + 1
                     parent[v] = u
                     tree_edges.add(id(bond))
-                    queue.append(v)
+                    order.append(v)
     cycles = []
     seen_edges: set[tuple[int, int]] = set()
     for u in order:
@@ -280,7 +288,7 @@ def _implicit_hydrogens(atoms: list[Atom], bonds: list[Bond], adj) -> list[int]:
 
 
 def make_molecule(atoms: list[Atom], bonds: list[Bond]) -> Molecule:
-    """Validate parts and derive rings, fragments and implicit hydrogens."""
+    """Validate parts and derive fragments, ring bonds and implicit hydrogens."""
     n = len(atoms)
     seen_pairs: set[tuple[int, int]] = set()
     for bond in bonds:
@@ -299,15 +307,14 @@ def make_molecule(atoms: list[Atom], bonds: list[Bond]) -> Molecule:
                 f"aromatic bond {key} touches a non-aromatic atom"
             )
     adj = _build_adjacency(n, bonds)
-    implicit = _implicit_hydrogens(atoms, bonds, adj)
-    fragments = _fragments(n, adj)
     mol = Molecule(
         atoms=list(atoms),
         bonds=list(bonds),
-        rings=_cycle_basis(n, adj),
-        fragment_count=len(fragments),
-        implicit_h=implicit,
+        implicit_h=_implicit_hydrogens(atoms, bonds, adj),
     )
+    mol._adjacency = adj
+    mol._fragment_list = mol.components(range(n))
+    mol.fragment_count = len(mol._fragment_list)
     bridge_set = _bridges(n, adj)
     ring_bond_keys = set()
     ring_atoms = set()
@@ -316,10 +323,8 @@ def make_molecule(atoms: list[Atom], bonds: list[Bond]) -> Molecule:
         if key not in bridge_set:
             ring_bond_keys.add(key)
             ring_atoms.update(key)
-    mol._adjacency = adj
     mol._ring_bonds = ring_bond_keys
     mol._ring_atoms = ring_atoms
-    mol._fragment_list = fragments
     return mol
 
 
@@ -635,20 +640,27 @@ def _bond_token(bond: Bond, mol: Molecule) -> str:
 
 
 def _write_fragment(mol: Molecule, ranks: list[int], start: int) -> str:
-    # First pass: recursive DFS in ascending-rank order, classifying tree
+    # First pass: depth-first walk in ascending-rank order, classifying tree
     # bonds vs ring closures. Visit-time marking keeps every ring-closure
     # opening atom strictly earlier in the emitted string than its closer.
+    # Both passes keep explicit stacks, so chain length is not bounded by
+    # the interpreter's recursion limit.
     preorder: list[int] = []
     children: dict[int, list[tuple[int, Bond]]] = {}
     ring_closures: list[tuple[int, int, Bond]] = []  # (open atom, close atom, bond)
     seen_bonds: set[int] = set()
     visited: set[int] = set()
 
-    def classify(u: int) -> None:
+    def visit(u: int):
         visited.add(u)
         preorder.append(u)
         children[u] = []
-        for v, bond in sorted(mol.neighbors(u), key=lambda t: ranks[t[0]]):
+        return u, iter(sorted(mol.neighbors(u), key=lambda t: ranks[t[0]]))
+
+    walk = [visit(start)]
+    while walk:
+        u, pending = walk[-1]
+        for v, bond in pending:
             if id(bond) in seen_bonds:
                 continue
             seen_bonds.add(id(bond))
@@ -656,9 +668,10 @@ def _write_fragment(mol: Molecule, ranks: list[int], start: int) -> str:
                 ring_closures.append((v, u, bond))
             else:
                 children[u].append((v, bond))
-                classify(v)
-
-    classify(start)
+                walk.append(visit(v))
+                break
+        else:
+            walk.pop()
 
     pre_index = {a: i for i, a in enumerate(preorder)}
     opens: dict[int, list[tuple[int, Bond]]] = {}
@@ -676,8 +689,14 @@ def _write_fragment(mol: Molecule, ranks: list[int], start: int) -> str:
         return str(d) if d < 10 else f"%{d:02d}"
 
     out: list[str] = []
-
-    def emit(u: int) -> None:
+    # Second pass: preorder emission from a stack of atoms (ints) and
+    # literal tokens (strs), children pushed in reverse.
+    todo: list[int | str] = [start]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, str):
+            out.append(u)
+            continue
         out.append(_atom_token(mol.atoms[u]))
         # Close digits first so a freed digit may be reopened on this atom.
         for bond in closes.get(u, ()):
@@ -691,17 +710,13 @@ def _write_fragment(mol: Molecule, ranks: list[int], start: int) -> str:
             out.append(_bond_token(bond, mol))
             out.append(digit_token(d))
         kids = children[u]
+        steps: list[int | str] = []
         for v, bond in kids[:-1]:
-            out.append("(")
-            out.append(_bond_token(bond, mol))
-            emit(v)
-            out.append(")")
+            steps += ["(", _bond_token(bond, mol), v, ")"]
         if kids:
             v, bond = kids[-1]
-            out.append(_bond_token(bond, mol))
-            emit(v)
-
-    emit(start)
+            steps += [_bond_token(bond, mol), v]
+        todo.extend(reversed(steps))
     return "".join(out)
 
 

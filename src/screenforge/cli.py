@@ -126,21 +126,13 @@ def cmd_similarity(args) -> int:
     b, _ = _load_records(args.fileB)
     if not a or not b:
         raise InputError("both inputs must contain at least one parseable compound")
-    summary = compare_routes(a, b)
+    summary = compare_routes(a, b, args.metric)
     out = _writer()
+    out.writerow(("id", f"max_{args.metric}", f"mean_{args.metric}"))
+    for item_id, best, mean in zip(summary.ids_a, summary.max_sim, summary.mean_sim):
+        out.writerow((item_id, f"{best:.4f}", f"{mean:.4f}"))
     if args.metric == "tanimoto":
-        out.writerow(("id", "max_tanimoto", "mean_tanimoto"))
-        for i, item_id in enumerate(summary.ids_a):
-            out.writerow(
-                (item_id, f"{summary.tanimoto_max[i]:.4f}", f"{summary.tanimoto_mean[i]:.4f}")
-            )
         print(f"overlap(T >= {summary.cutoff})={summary.overlap}", file=sys.stderr)
-    else:
-        out.writerow(("id", "max_string", "mean_string"))
-        for i, item_id in enumerate(summary.ids_a):
-            out.writerow(
-                (item_id, f"{summary.string_max[i]:.4f}", f"{summary.string_mean[i]:.4f}")
-            )
     return EXIT_OK
 
 
@@ -156,8 +148,7 @@ def cmd_cluster(args) -> int:
         return EXIT_CONFIG_ERROR
     cfg = FingerprintConfig()
     fps = [circular_fingerprint(parse_smiles(r.canonical_smiles), cfg) for r in records]
-    matrix = distance_matrix(fps, ids=[r.id for r in records])
-    assignment = hier_cluster(matrix.distances(), linkage=args.linkage, k=args.clusters)
+    assignment = hier_cluster(distance_matrix(fps), linkage=args.linkage, k=args.clusters)
     reps = set(assignment.representatives)
     out = _writer()
     out.writerow(("id", "cluster", "representative"))

@@ -37,11 +37,6 @@ YES, NO = "Yes", "No"
 
 BIOAVAILABILITY_BUCKETS = (0.11, 0.17, 0.55, 0.85)
 
-# Acceptor rule: amide-like nitrogens (single-bonded to a carbonyl carbon)
-# are not counted. Shared with the pharmacophore feature rules.
-EXCLUDE_AMIDE_N_FROM_HBA = True
-
-
 @dataclass(frozen=True)
 class DescriptorSet:
     mw: float
@@ -85,47 +80,38 @@ def _data_text(name: str) -> str:
     return resources.files("screenforge").joinpath(f"data/{name}").read_text("utf-8")
 
 
+def _table_rows(text: str):
+    """Whitespace-split fields of each line of a constants table; blank
+    lines and ``#`` comments are skipped."""
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line.split()
+
+
+def _keyvalue(text: str) -> dict[str, float]:
+    return {key: float(value) for key, value in _table_rows(text)}
+
+
 @lru_cache(maxsize=None)
 def load_tpsa_table() -> dict[tuple, float]:
     table: dict[tuple, float] = {}
-    for line in _data_text("tpsa_contributions.txt").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for fields in _table_rows(_data_text("tpsa_contributions.txt")):
         element, rest = fields[0], [int(x) for x in fields[1:9]]
         table[(element, *rest)] = float(fields[9])
     return table
 
 
 @lru_cache(maxsize=None)
-def _load_keyvalue(name: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for line in _data_text(name).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, value = line.split()
-        out[key] = float(value)
-    return out
-
-
 def load_logp_table() -> dict[str, float]:
-    return _load_keyvalue("logp_contributions.txt")
+    return _keyvalue(_data_text("logp_contributions.txt"))
 
 
 @lru_cache(maxsize=None)
 def load_admet_thresholds(path: str | None = None) -> dict[str, float]:
     if path is None:
-        return _load_keyvalue("admet_thresholds.txt")
-    out: dict[str, float] = {}
-    for line in Path(path).read_text("utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, value = line.split()
-        out[key] = float(value)
-    return out
+        return _keyvalue(_data_text("admet_thresholds.txt"))
+    return _keyvalue(Path(path).read_text("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +198,13 @@ def tpsa(mol: Molecule) -> float:
 
 
 def is_acceptor(mol: Molecule, idx: int) -> bool:
-    """N/O hydrogen-bond acceptor rule, amide-like N excluded."""
+    """N/O hydrogen-bond acceptor rule. Amide-like nitrogens (single-bonded
+    to a carbonyl carbon) are not counted; the pharmacophore feature rules
+    share this rule."""
     atom = mol.atoms[idx]
     if atom.element not in ("N", "O"):
         return False
-    if atom.element == "N" and EXCLUDE_AMIDE_N_FROM_HBA:
+    if atom.element == "N":
         for j, bond in mol.neighbors(idx):
             if bond.order != SINGLE or mol.atoms[j].element != "C":
                 continue

@@ -204,12 +204,7 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(
             f"input width {X.shape[1]} != model input {model.layer_sizes[0]}"
         )
-    a = X
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        a = z if i == last else _act(z, model.activation)
-    out = a[:, 0]
+    out = _forward_pass(model, X)[0]
     return float(out[0]) if np.ndim(x) == 1 else out
 
 
@@ -370,7 +365,7 @@ def featurize_records(records: list[DatasetRecord], spec: FeatureSpec) -> np.nda
     for record in records:
         try:
             rows.append(featurize_molecule(parse_smiles(record.canonical_smiles), spec))
-        except Exception as exc:
+        except ValueError as exc:
             raise FeaturizationFailure(f"record {record.id}: {exc}") from exc
     return np.stack(rows)
 
@@ -414,7 +409,7 @@ def predict_and_gate(
         try:
             mol = parse_smiles(record.canonical_smiles)
             pic50 = predict_pic50(model, mol)
-        except Exception as exc:
+        except ValueError as exc:
             log.warning("skipping %s: featurization failed (%s)", record.id, exc)
             continue
         out.append(GatedPrediction(record.id, record.name, pic50, pic50 > threshold))

@@ -145,7 +145,7 @@ def detect_features(mol: Molecule) -> list[PharmFeature]:
     for idx, atom in enumerate(mol.atoms):
         if atom.element in ("N", "O") and mol.total_h(idx) > 0:
             feats.append(PharmFeature(HBD, (idx,)))
-        if is_acceptor(mol, idx) and atom.element in ("N", "O"):
+        if is_acceptor(mol, idx):
             feats.append(PharmFeature(HBA, (idx,)))
         if atom.formal_charge < 0:
             feats.append(PharmFeature(NEG_IONIZABLE, (idx,)))
@@ -157,41 +157,15 @@ def detect_features(mol: Molecule) -> list[PharmFeature]:
         feats.append(PharmFeature(NEG_IONIZABLE, (c,)))
 
     # Hydrophobes: components of non-aromatic carbons, 3+ atoms.
-    plain_c = {
-        i for i, a in enumerate(mol.atoms) if a.element == "C" and not a.aromatic
-    }
-    seen: set[int] = set()
-    for start in sorted(plain_c):
-        if start in seen:
-            continue
-        comp, stack = [], [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v, _ in mol.neighbors(u):
-                if v in plain_c and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
+    plain_c = (i for i, a in enumerate(mol.atoms) if a.element == "C" and not a.aromatic)
+    for comp in mol.components(plain_c):
         if len(comp) >= 3:
-            feats.append(PharmFeature(HYDROPHOBE, tuple(sorted(comp))))
+            feats.append(PharmFeature(HYDROPHOBE, tuple(comp)))
 
     # Aromatic ring systems: components of aromatic atoms.
-    aromatic = {i for i, a in enumerate(mol.atoms) if a.aromatic}
-    seen = set()
-    for start in sorted(aromatic):
-        if start in seen:
-            continue
-        comp, stack = [], [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v, _ in mol.neighbors(u):
-                if v in aromatic and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        feats.append(PharmFeature(AROMATIC_RING, tuple(sorted(comp))))
+    aromatic = (i for i, a in enumerate(mol.atoms) if a.aromatic)
+    for comp in mol.components(aromatic):
+        feats.append(PharmFeature(AROMATIC_RING, tuple(comp)))
 
     feats.sort(key=lambda f: (FEATURE_KINDS.index(f.kind), f.anchor))
     return feats
@@ -376,7 +350,7 @@ def screen_by_fit(
     for item_id, name, mol, class_label in library:
         try:
             fit = fit_value(h, mol)
-        except Exception as exc:
+        except ValueError as exc:
             log.warning("skipping %s: feature scoring failed (%s)", item_id, exc)
             continue
         rows.append(

@@ -35,7 +35,7 @@ from .pdenet import (
     predict_pic50,
 )
 from .pharmacophore import Hypothesis, fit_value
-from .simcluster import distance_matrix, hier_cluster, string_similarity
+from .simcluster import _tanimoto_rows, distance_matrix, hier_cluster, string_similarity
 
 log = logging.getLogger(__name__)
 
@@ -263,8 +263,7 @@ def run_screen(
     elif len(actives) >= 2:
         fps = [circular_fingerprint(mol, fp_config) for _, mol, _, _, _ in actives]
         ids = [record.id for record, *_ in actives]
-        matrix = distance_matrix(fps, ids=ids)
-        assignment = hier_cluster(matrix.distances(), linkage=linkage, k=k_eff)
+        assignment = hier_cluster(distance_matrix(fps), linkage=linkage, k=k_eff)
         for item_id, label in zip(ids, assignment.labels):
             cluster_of[item_id] = label
         by_size = sorted(
@@ -331,10 +330,9 @@ def _row_sort_key(row: ReportRow):
 @dataclass(frozen=True)
 class RouteComparison:
     ids_a: list[str]
-    tanimoto_max: list[float]
-    tanimoto_mean: list[float]
-    string_max: list[float]
-    string_mean: list[float]
+    metric: str
+    max_sim: list[float]
+    mean_sim: list[float]
     overlap: int
     cutoff: float
 
@@ -342,45 +340,42 @@ class RouteComparison:
 def compare_routes(
     set_a: list[DatasetRecord],
     set_b: list[DatasetRecord],
+    metric: str = "tanimoto",
     cutoff: float = 0.85,
     fp_config: FingerprintConfig = FingerprintConfig(),
 ) -> RouteComparison:
-    """Cross-set structural similarity: per compound of A, the max/mean
-    Tanimoto and character-sequence similarity against B, plus the count
-    of A compounds whose best Tanimoto reaches the cutoff."""
+    """Cross-set structural similarity in one metric (fingerprint Tanimoto
+    or character-sequence): per compound of A, the max and mean against B,
+    plus the count of A compounds whose max reaches the cutoff."""
     if not set_a or not set_b:
         raise ValueError("both sets must be non-empty")
-    fps_a = np.stack(
-        [
-            circular_fingerprint(parse_smiles(r.canonical_smiles), fp_config).bits
-            for r in set_a
-        ]
-    ).astype(float)
-    fps_b = np.stack(
-        [
-            circular_fingerprint(parse_smiles(r.canonical_smiles), fp_config).bits
-            for r in set_b
-        ]
-    ).astype(float)
-    dots = fps_a @ fps_b.T
-    na = (fps_a * fps_a).sum(axis=1)[:, None]
-    nb = (fps_b * fps_b).sum(axis=1)[None, :]
-    denom = na + nb - dots
-    sims = np.where(denom > 0, dots / np.where(denom == 0, 1, denom), 1.0)
-    string_sims = np.array(
-        [
-            [string_similarity(a.canonical_smiles, b.canonical_smiles) for b in set_b]
-            for a in set_a
-        ]
-    )
-    tmax = sims.max(axis=1)
+
+    def fingerprint_rows(records: list[DatasetRecord]) -> np.ndarray:
+        return np.stack(
+            [
+                circular_fingerprint(parse_smiles(r.canonical_smiles), fp_config).bits
+                for r in records
+            ]
+        ).astype(float)
+
+    if metric == "tanimoto":
+        sims = _tanimoto_rows(fingerprint_rows(set_a), fingerprint_rows(set_b))
+    elif metric == "string":
+        sims = np.array(
+            [
+                [string_similarity(a.canonical_smiles, b.canonical_smiles) for b in set_b]
+                for a in set_a
+            ]
+        )
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    best = sims.max(axis=1)
     return RouteComparison(
         ids_a=[r.id for r in set_a],
-        tanimoto_max=[float(x) for x in tmax],
-        tanimoto_mean=[float(x) for x in sims.mean(axis=1)],
-        string_max=[float(x) for x in string_sims.max(axis=1)],
-        string_mean=[float(x) for x in string_sims.mean(axis=1)],
-        overlap=int(np.sum(tmax >= cutoff)),
+        metric=metric,
+        max_sim=[float(x) for x in best],
+        mean_sim=[float(x) for x in sims.mean(axis=1)],
+        overlap=int(np.sum(best >= cutoff)),
         cutoff=cutoff,
     )
 

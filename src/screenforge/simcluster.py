@@ -2,39 +2,27 @@
 medoid-based diversity picking.
 
 The similarity is the general vector form T(A, B) = A.B / (|A|^2 + |B|^2
-- A.B); on binary vectors it reduces to the Jaccard index. Distances are
-1 - T. Clustering merges greedily under single/complete/average linkage
-with ties broken toward the smallest (i, j) cluster-id pair, so results
-are reproducible run to run.
+- A.B); on binary vectors it reduces to the Jaccard index. One kernel,
+``_tanimoto_rows``, computes it for every row pair of two matrices; the
+single-pair, square and cross-set paths all call it. ``distance_matrix``
+returns the n x n array of distances 1 - T. Clustering merges greedily
+under single/complete/average linkage with ties broken toward the
+smallest (i, j) cluster-id pair, so results are reproducible run to run.
 """
 
 from __future__ import annotations
 
-import csv
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fingerprints import ConfigMismatch, FingerprintVector
 
-log = logging.getLogger(__name__)
-
 LINKAGES = ("single", "complete", "average")
 
 
 class InvalidK(ValueError):
     """Requested cluster count outside [1, n]."""
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    n: int
-    values: np.ndarray
-    ids: tuple[str, ...] | None = None
-
-    def distances(self) -> np.ndarray:
-        return 1.0 - self.values
 
 
 @dataclass(frozen=True)
@@ -48,18 +36,21 @@ class ClusterAssignment:
         return [i for i, lab in enumerate(self.labels) if lab == cluster]
 
 
+def _tanimoto_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """General-vector Tanimoto of every row of ``a`` against every row of
+    ``b`` (an A x B array); a pair of all-zero rows gives 1.0."""
+    dots = a @ b.T
+    denom = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - dots
+    return np.where(denom > 0, dots / np.where(denom == 0, 1, denom), 1.0)
+
+
 def tanimoto_values(a: np.ndarray, b: np.ndarray) -> float:
     """General-vector Tanimoto; both-zero inputs return 1.0 by convention."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ConfigMismatch("vectors have different lengths")
-    dot = float(np.dot(a, b))
-    denom = float(np.dot(a, a)) + float(np.dot(b, b)) - dot
-    if denom == 0.0:
-        log.debug("tanimoto of two zero vectors: returning 1.0 by convention")
-        return 1.0
-    return dot / denom
+    return float(_tanimoto_rows(a[None, :], b[None, :])[0, 0])
 
 
 def tanimoto(a: FingerprintVector, b: FingerprintVector) -> float:
@@ -93,38 +84,12 @@ def _bit_matrix(items: list[FingerprintVector]) -> np.ndarray:
     return np.stack([v.bits for v in items]).astype(np.float64)
 
 
-def similarity_matrix_from_rows(rows: np.ndarray) -> np.ndarray:
-    """Pairwise general-vector Tanimoto over the rows of a matrix."""
-    dots = rows @ rows.T
-    norms = np.diag(dots).copy()
-    denom = norms[:, None] + norms[None, :] - dots
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sims = np.where(denom > 0, dots / np.where(denom == 0, 1, denom), 1.0)
-    sims = (sims + sims.T) / 2.0
-    np.fill_diagonal(sims, 1.0)
-    return sims
-
-
-def distance_matrix(
-    items: list[FingerprintVector], ids: list[str] | None = None
-) -> SimilarityMatrix:
+def distance_matrix(items: list[FingerprintVector]) -> np.ndarray:
+    """Pairwise Tanimoto distances 1 - T as an n x n array."""
     if len(items) < 2:
         raise ValueError("need at least 2 items")
-    sims = similarity_matrix_from_rows(_bit_matrix(items))
-    return SimilarityMatrix(
-        n=len(items),
-        values=sims,
-        ids=tuple(ids) if ids is not None else None,
-    )
-
-
-def export_matrix_csv(matrix: SimilarityMatrix, path: str) -> None:
-    ids = matrix.ids or tuple(str(i) for i in range(matrix.n))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("id", *ids))
-        for name, row in zip(ids, matrix.values):
-            writer.writerow((name, *(f"{x:.6f}" for x in row)))
+    rows = _bit_matrix(items)
+    return 1.0 - _tanimoto_rows(rows, rows)
 
 
 def hier_cluster(dist: np.ndarray, linkage: str = "average", k: int = 1) -> ClusterAssignment:

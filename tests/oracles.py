@@ -147,3 +147,72 @@ def least_squares_oracle(xs, ys):
         return 0.0, my
     slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / var
     return slope, my - slope * mx
+
+
+def canonical_smiles_oracle(mol: Molecule) -> str:
+    """Canonical SMILES written by the recursive two-pass fragment writer
+    that the library's explicit-stack writer replaced."""
+    from screenforge.chem_graph import _atom_token, _bond_token, canonical_ranks
+
+    ranks = canonical_ranks(mol)
+
+    def write(start: int) -> str:
+        preorder, children, ring_closures = [], {}, []
+        seen_bonds, visited = set(), set()
+
+        def classify(u):
+            visited.add(u)
+            preorder.append(u)
+            children[u] = []
+            for v, bond in sorted(mol.neighbors(u), key=lambda t: ranks[t[0]]):
+                if id(bond) in seen_bonds:
+                    continue
+                seen_bonds.add(id(bond))
+                if v in visited:
+                    ring_closures.append((v, u, bond))
+                else:
+                    children[u].append((v, bond))
+                    classify(v)
+
+        classify(start)
+        pre_index = {a: i for i, a in enumerate(preorder)}
+        opens, closes = {}, {}
+        for open_atom, close_atom, bond in sorted(
+            ring_closures, key=lambda t: (pre_index[t[0]], pre_index[t[1]])
+        ):
+            opens.setdefault(open_atom, []).append(bond)
+            closes.setdefault(close_atom, []).append(bond)
+        digit_of, free_digits, out = {}, list(range(1, 100)), []
+
+        def digit_token(d):
+            return str(d) if d < 10 else f"%{d:02d}"
+
+        def emit(u):
+            out.append(_atom_token(mol.atoms[u]))
+            for bond in closes.get(u, ()):
+                d = digit_of.pop(id(bond))
+                free_digits.append(d)
+                free_digits.sort()
+                out.append(digit_token(d))
+            for bond in opens.get(u, ()):
+                d = free_digits.pop(0)
+                digit_of[id(bond)] = d
+                out.append(_bond_token(bond, mol) + digit_token(d))
+            kids = children[u]
+            for v, bond in kids[:-1]:
+                out.append("(" + _bond_token(bond, mol))
+                emit(v)
+                out.append(")")
+            if kids:
+                v, bond = kids[-1]
+                out.append(_bond_token(bond, mol))
+                emit(v)
+
+        emit(start)
+        return "".join(out)
+
+    pieces = [
+        write(min(frag, key=lambda i: ranks[i]))
+        for frag in mol.components(range(len(mol.atoms)))
+    ]
+    return ".".join(sorted(pieces))

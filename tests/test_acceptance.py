@@ -194,7 +194,7 @@ def test_c08_clustering_recovery():
 
     blob1 = [vec(set(range(20)) | {30 + i}) for i in range(5)]
     blob2 = [vec(set(range(40, 60)) | {i}) for i in range(5)]
-    d = distance_matrix(blob1 + blob2).distances()
+    d = distance_matrix(blob1 + blob2)
     within = max(
         d[i][j] for i in range(5) for j in range(5) if i != j
     )

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_isomorphic
+from oracles import brute_force_isomorphic, canonical_smiles_oracle
 from screenforge.chem_graph import (
     Atom,
     Bond,
@@ -126,6 +126,21 @@ class TestParsing:
             pass  # typed errors are the contract; anything else fails the test
 
 
+class TestGraphQueries:
+    def test_components_sorted_and_ordered_by_smallest_member(self):
+        mol = parse_smiles("OCC(N)c1ccccc1.CC")
+        assert mol.components(range(len(mol.atoms))) == [list(range(10)), [10, 11]]
+        plain_c = [i for i, a in enumerate(mol.atoms) if a.element == "C" and not a.aromatic]
+        assert mol.components(reversed(plain_c)) == [[1, 2], [10, 11]]
+        assert mol.components([]) == []
+
+    def test_ring_count_is_the_cyclomatic_number(self, corpus):
+        for name, _, mol in corpus:
+            assert len(mol.rings) == len(mol.bonds) - len(mol.atoms) + mol.fragment_count, name
+            for ring in mol.rings:
+                assert all(mol.bond_between(a, b) for a, b in zip(ring, ring[1:] + ring[:1]))
+
+
 class TestCanonical:
     def test_atom_order_independence(self):
         assert canonical_smiles(parse_smiles("OCC")) == canonical_smiles(parse_smiles("CCO"))
@@ -156,6 +171,15 @@ class TestCanonical:
                 order = list(range(n))
                 rng.shuffle(order)
                 assert canonical_smiles(renumbered(mol, order)) == reference, name
+
+    def test_matches_recursive_writer_oracle(self, corpus, rng):
+        for name, _, mol in corpus:
+            assert canonical_smiles(mol) == canonical_smiles_oracle(mol), name
+            for _ in range(3):
+                order = list(range(len(mol.atoms)))
+                rng.shuffle(order)
+                other = renumbered(mol, order)
+                assert canonical_smiles(other) == canonical_smiles_oracle(other), name
 
     def test_hydrogen_conservation(self, corpus):
         for name, _, mol in corpus:

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from oracles import mlp_forward_oracle
+from screenforge import pdenet
 from screenforge.chem_graph import parse_smiles
 from screenforge.pdenet import (
     ACTIVE_LABEL_PIC50,
     DatasetRecord,
     FeatureSpec,
+    FeaturizationFailure,
     LengthMismatch,
     MlpModel,
     NonPositiveIC50,
@@ -21,6 +23,7 @@ from screenforge.pdenet import (
     backprop,
     evaluate,
     featurize_molecule,
+    featurize_records,
     fit_norm_stats,
     forward,
     ic50_to_pic50,
@@ -379,6 +382,15 @@ class TestGate:
         assert [p.id for p in out] == ["ok"]
         assert any("broken" in r.message for r in caplog.records)
 
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        def boom(mol, spec):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(pdenet, "featurize_molecule", boom)
+        records = [DatasetRecord(id="ok", smiles="CC", canonical_smiles="CC")]
+        with pytest.raises(RuntimeError):
+            predict_and_gate(gate_model(), records)
+
 
 class TestEvaluate:
     def test_perfect_predictor(self):
@@ -441,6 +453,20 @@ class TestPersistence:
 
 
 class TestFeaturize:
+    def test_row_errors_become_featurization_failures(self):
+        records = [DatasetRecord(id="broken", smiles="C", canonical_smiles="C1CC")]
+        with pytest.raises(FeaturizationFailure, match="broken"):
+            featurize_records(records, FeatureSpec())
+
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        def boom(mol, spec):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(pdenet, "featurize_molecule", boom)
+        records = [DatasetRecord(id="ok", smiles="CC", canonical_smiles="CC")]
+        with pytest.raises(RuntimeError):
+            featurize_records(records, FeatureSpec())
+
     def test_width_and_descriptor_tail(self):
         spec = FeatureSpec()
         x = featurize_molecule(parse_smiles("CCO"), spec)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from oracles import fit_value_oracle, least_squares_oracle
+from screenforge import pharmacophore
 from screenforge.chem_graph import parse_smiles, renumbered
 from screenforge.pharmacophore import (
     COMPLEXITY_LAMBDA,
@@ -291,6 +292,21 @@ class TestScreenByFit:
 
     def test_empty_library(self):
         assert screen_by_fit(self.hypothesis_and_library(), []) == []
+
+    def test_value_errors_skipped_other_errors_propagate(self, monkeypatch):
+        h = self.hypothesis_and_library()
+        library = [("a", None, parse_smiles("Oc1ccccc1"), None)]
+
+        def fails_with(exc):
+            def fit(hypothesis, mol):
+                raise exc
+            return fit
+
+        monkeypatch.setattr(pharmacophore, "fit_value", fails_with(ValueError("bad row")))
+        assert screen_by_fit(h, library) == []
+        monkeypatch.setattr(pharmacophore, "fit_value", fails_with(RuntimeError("bug")))
+        with pytest.raises(RuntimeError):
+            screen_by_fit(h, library)
 
     def test_seed_molecule_ranks_first(self, corpus):
         h = self.hypothesis_and_library()

@@ -17,6 +17,7 @@ from screenforge.screenctl import (
     run_screen,
     source_for,
 )
+from screenforge.simcluster import distance_matrix, string_similarity, tanimoto_values
 
 
 def constant_model(value: float, target: str = "PDE4") -> MlpModel:
@@ -78,6 +79,14 @@ class TestIngestSmi:
         records, stats = ingest(source_for(str(path)))
         assert stats.duplicates_removed == 1
         assert [r.name for r in records] == ["a", "c"]  # first occurrence kept
+
+    def test_long_chain_does_not_abort_batch(self, tmp_path):
+        path = tmp_path / "lib.smi"
+        path.write_text("C" * 1200 + " chain\nCCO ethanol\n")
+        records, stats = ingest(source_for(str(path)))
+        assert [r.name for r in records] == ["chain", "ethanol"]
+        assert records[0].canonical_smiles == "C" * 1200
+        assert stats.parse_errors == 0
 
     def test_conservation_invariant(self, tmp_path):
         path = tmp_path / "lib.smi"
@@ -150,15 +159,15 @@ class TestCompareRoutes:
     def test_identical_sets(self):
         a = self.records(["CCO", "c1ccccc1", "CCN"])
         summary = compare_routes(a, a)
-        assert summary.tanimoto_max == [1.0, 1.0, 1.0]
-        assert summary.string_max == [1.0, 1.0, 1.0]
+        assert summary.max_sim == [1.0, 1.0, 1.0]
+        assert compare_routes(a, a, "string").max_sim == [1.0, 1.0, 1.0]
         assert summary.overlap == 3
 
     def test_disjoint_fingerprints(self):
         a = self.records(["CCCCCC"])
         b = self.records(["O=S(=O)(O)O"])  # shares no environments with hexane
         summary = compare_routes(a, b)
-        assert summary.tanimoto_max == [0.0]
+        assert summary.max_sim == [0.0]
         assert summary.overlap == 0
 
     def test_matches_pairwise_oracle(self):
@@ -174,12 +183,37 @@ class TestCompareRoutes:
                 )
                 for rb in b
             ]
-            assert summary.tanimoto_max[i] == pytest.approx(max(sims), abs=1e-12)
-            assert summary.tanimoto_mean[i] == pytest.approx(sum(sims) / len(sims), abs=1e-12)
+            assert summary.max_sim[i] == pytest.approx(max(sims), abs=1e-12)
+            assert summary.mean_sim[i] == pytest.approx(sum(sims) / len(sims), abs=1e-12)
+
+    def test_tanimoto_paths_agree_bitwise(self, corpus):
+        records = self.records([smiles for _, smiles, _ in corpus])
+        cfg = FingerprintConfig()
+        fps = [circular_fingerprint(parse_smiles(r.canonical_smiles), cfg) for r in records]
+        pairwise = np.array([[tanimoto_values(a.bits, b.bits) for b in fps] for a in fps])
+        assert np.array_equal(distance_matrix(fps), 1.0 - pairwise)
+        summary = compare_routes(records[:12], records)
+        assert summary.max_sim == [float(x) for x in pairwise[:12].max(axis=1)]
+        assert summary.mean_sim == [float(x) for x in pairwise[:12].mean(axis=1)]
+
+    def test_string_metric_matches_pairwise_loop(self):
+        a = self.records(["CCO", "c1ccccc1O", "CC(=O)N"])
+        b = self.records(["CCN", "c1ccccc1", "OCCO", "CCCCCl"])
+        summary = compare_routes(a, b, "string")
+        assert summary.metric == "string"
+        for i, ra in enumerate(a):
+            sims = [string_similarity(ra.canonical_smiles, rb.canonical_smiles) for rb in b]
+            assert max(sims) < 1.0
+            assert summary.max_sim[i] == max(sims)
+            assert summary.mean_sim[i] == pytest.approx(sum(sims) / len(sims), abs=1e-12)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             compare_routes([], self.records(["C"]))
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError):
+            compare_routes(self.records(["C"]), self.records(["C"]), "cosine")
 
 
 class TestRunScreen:

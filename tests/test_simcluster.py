@@ -8,7 +8,6 @@ from screenforge.fingerprints import ConfigMismatch, FingerprintConfig, Fingerpr
 from screenforge.simcluster import (
     InvalidK,
     distance_matrix,
-    export_matrix_csv,
     hier_cluster,
     medoid_representatives,
     string_similarity,
@@ -88,25 +87,25 @@ class TestStringSimilarity:
 
 class TestDistanceMatrix:
     def test_identical_items(self):
-        m = distance_matrix([_vec({1, 2}), _vec({1, 2})])
-        assert m.values[0, 1] == 1.0
-        assert m.distances()[0, 1] == 0.0
+        d = distance_matrix([_vec({1, 2}), _vec({1, 2})])
+        assert 1.0 - d[0, 1] == 1.0
+        assert d[0, 1] == 0.0
 
     def test_shape_and_diagonal(self):
         items = [_vec({i}) for i in range(5)]
-        m = distance_matrix(items)
-        assert m.values.shape == (5, 5)
-        assert np.all(np.diag(m.values) == 1.0)
-        assert np.max(np.abs(m.values - m.values.T)) < 1e-12
-        assert np.all((m.values >= 0) & (m.values <= 1))
+        sims = 1.0 - distance_matrix(items)
+        assert sims.shape == (5, 5)
+        assert np.all(np.diag(sims) == 1.0)
+        assert np.max(np.abs(sims - sims.T)) < 1e-12
+        assert np.all((sims >= 0) & (sims <= 1))
 
     def test_matches_per_pair_oracle(self, rng):
         items = [
             _vec({i for i in range(64) if rng.random() < 0.4}) for _ in range(3)
         ]
-        m = distance_matrix(items)
+        sims = 1.0 - distance_matrix(items)
         for i, j in itertools.combinations(range(3), 2):
-            assert m.values[i, j] == pytest.approx(
+            assert sims[i, j] == pytest.approx(
                 tanimoto_set_oracle(items[i].bits, items[j].bits), abs=1e-12
             )
 
@@ -118,19 +117,11 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             distance_matrix([_vec({1})])
 
-    def test_csv_export(self, tmp_path):
-        m = distance_matrix([_vec({1}), _vec({2})], ids=["a", "b"])
-        out = tmp_path / "m.csv"
-        export_matrix_csv(m, str(out))
-        lines = out.read_text().splitlines()
-        assert lines[0] == "id,a,b"
-        assert lines[1].startswith("a,1.000000,")
-
 
 def two_blob_fixture():
     blob1 = [_vec(set(range(20)) | {30 + i}) for i in range(5)]
     blob2 = [_vec(set(range(40, 60)) | {i}) for i in range(5)]
-    return distance_matrix(blob1 + blob2).distances()
+    return distance_matrix(blob1 + blob2)
 
 
 class TestHierCluster:
