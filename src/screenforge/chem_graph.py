@@ -13,11 +13,8 @@ perception or kekulization pass.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-
-log = logging.getLogger(__name__)
 
 # Abridged standard atomic weights (g/mol).
 ATOMIC_WEIGHTS = {
@@ -131,9 +128,6 @@ class Molecule:
 
     def ring_bonds(self) -> set[tuple[int, int]]:
         return self._ring_bonds
-
-    def atom_in_ring(self, idx: int) -> bool:
-        return idx in self._ring_atoms
 
     def components(self, atoms) -> list[list[int]]:
         """Connected components of the subgraph induced by ``atoms``:
@@ -316,15 +310,8 @@ def make_molecule(atoms: list[Atom], bonds: list[Bond]) -> Molecule:
     mol._fragment_list = mol.components(range(n))
     mol.fragment_count = len(mol._fragment_list)
     bridge_set = _bridges(n, adj)
-    ring_bond_keys = set()
-    ring_atoms = set()
-    for bond in bonds:
-        key = (min(bond.a, bond.b), max(bond.a, bond.b))
-        if key not in bridge_set:
-            ring_bond_keys.add(key)
-            ring_atoms.update(key)
-    mol._ring_bonds = ring_bond_keys
-    mol._ring_atoms = ring_atoms
+    keys = ((min(bond.a, bond.b), max(bond.a, bond.b)) for bond in bonds)
+    mol._ring_bonds = {key for key in keys if key not in bridge_set}
     return mol
 
 

@@ -24,7 +24,6 @@ from .fingerprints import FingerprintConfig, circular_fingerprint
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
-TARGETS = ("PDE4", "PDE7", "XO", "custom")
 DEFAULT_GATE_THRESHOLD = 5.7
 # Label derivation for sources without an explicit active column; distinct
 # from the screening gate and configurable.

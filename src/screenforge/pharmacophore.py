@@ -49,10 +49,6 @@ class InsufficientTraining(ValueError):
     pass
 
 
-class DegenerateRegression(Exception):
-    """All training fits equal; regression collapses to the mean."""
-
-
 @dataclass(frozen=True)
 class PharmFeature:
     kind: str

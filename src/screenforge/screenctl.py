@@ -200,10 +200,6 @@ class ScreeningReport:
     rows: list[ReportRow]
 
 
-class EmptyActiveSet(Exception):
-    """No compound passed the activity gate; the report has zero rows."""
-
-
 def run_screen(
     records: list[DatasetRecord],
     models: dict[str, MlpModel],

@@ -5,9 +5,15 @@ The similarity is the general vector form T(A, B) = A.B / (|A|^2 + |B|^2
 - A.B); on binary vectors it reduces to the Jaccard index. One kernel,
 ``_tanimoto_rows``, computes it for every row pair of two matrices; the
 single-pair, square and cross-set paths all call it. ``distance_matrix``
-returns the n x n array of distances 1 - T. Clustering merges greedily
-under single/complete/average linkage with ties broken toward the
-smallest (i, j) cluster-id pair, so results are reproducible run to run.
+returns the n x n array of distances 1 - T.
+
+Clustering merges greedily under single/complete/average linkage, exactly
+and deterministically: equal distances merge the smallest (i, j) cluster-id
+pair first. The pair search is Müllner's nearest-neighbour list
+(arXiv:1109.2378): each row caches its nearest active column to the right,
+and a merge rescans only the rows whose neighbour it merged. That is O(n^2)
+on typical inputs, O(n^3) at worst. A non-finite off-diagonal distance
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -62,33 +68,28 @@ def tanimoto(a: FingerprintVector, b: FingerprintVector) -> float:
 
 
 def string_similarity(a: str, b: str) -> float:
-    """Normalized longest-common-subsequence ratio 2*LCS/(|a|+|b|)."""
+    """Normalized longest-common-subsequence ratio 2*LCS/(|a|+|b|), with
+    the bit-parallel LCS length of Hyyrö (2004): one bit per char of ``a``."""
     if not a or not b:
         raise ValueError("string similarity needs non-empty strings")
-    if a == b:
-        return 1.0
-    prev = [0] * (len(b) + 1)
-    for ca in a:
-        cur = [0]
-        for j, cb in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if ca == cb else max(prev[j], cur[-1]))
-        prev = cur
-    return 2.0 * prev[-1] / (len(a) + len(b))
-
-
-def _bit_matrix(items: list[FingerprintVector]) -> np.ndarray:
-    cfg = items[0].config
-    for v in items[1:]:
-        if v.config != cfg:
-            raise ConfigMismatch("all fingerprints must share one config")
-    return np.stack([v.bits for v in items]).astype(np.float64)
+    masks: dict[str, int] = {}
+    for pos, ch in enumerate(a):
+        masks[ch] = masks.get(ch, 0) | (1 << pos)
+    full = (1 << len(a)) - 1
+    v = full
+    for ch in b:
+        u = v & masks.get(ch, 0)
+        v = ((v + u) | (v - u)) & full
+    return 2.0 * (len(a) - v.bit_count()) / (len(a) + len(b))
 
 
 def distance_matrix(items: list[FingerprintVector]) -> np.ndarray:
     """Pairwise Tanimoto distances 1 - T as an n x n array."""
     if len(items) < 2:
         raise ValueError("need at least 2 items")
-    rows = _bit_matrix(items)
+    if any(v.config != items[0].config for v in items[1:]):
+        raise ConfigMismatch("all fingerprints must share one config")
+    rows = np.stack([v.bits for v in items]).astype(np.float64)
     return 1.0 - _tanimoto_rows(rows, rows)
 
 
@@ -106,17 +107,29 @@ def hier_cluster(dist: np.ndarray, linkage: str = "average", k: int = 1) -> Clus
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}")
 
-    work = dist.copy().astype(float)
+    work = np.array(dist)
+    np.fill_diagonal(work, 0.0)
+    if not np.isfinite(work).all():
+        raise ValueError("distance matrix has non-finite off-diagonal entries")
     np.fill_diagonal(work, np.inf)
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=float)
-    members: list[list[int]] = [[i] for i in range(n)]
+    owner = np.arange(n)  # each item's cluster id: its smallest member index
+    # nn[r] is the first argmin of work[r, r+1:] over active columns and
+    # best[r] its value; inactive rows and the last row keep best = inf.
+    nn = np.full(n, n)
+    best = np.full(n, np.inf)
 
+    def scan(r: int) -> None:
+        row = np.where(active[r + 1 :], work[r, r + 1 :], np.inf)
+        c = int(np.argmin(row))
+        nn[r], best[r] = r + 1 + c, row[c]
+
+    for r in range(n - 1):
+        scan(r)
     for _ in range(n - k):
-        masked = np.where(active[:, None] & active[None, :], work, np.inf)
-        masked[np.tril_indices(n)] = np.inf
-        flat = int(np.argmin(masked))  # first occurrence = smallest (i, j)
-        i, j = divmod(flat, n)
+        i = int(np.argmin(best))  # first occurrence = smallest (i, j)
+        j = int(nn[i])
         if linkage == "single":
             merged = np.minimum(work[i], work[j])
         elif linkage == "complete":
@@ -125,20 +138,26 @@ def hier_cluster(dist: np.ndarray, linkage: str = "average", k: int = 1) -> Clus
             merged = (sizes[i] * work[i] + sizes[j] * work[j]) / (sizes[i] + sizes[j])
         work[i], work[:, i] = merged, merged
         work[i, i] = np.inf
-        active[j] = False
+        active[j], best[j] = False, np.inf
         sizes[i] += sizes[j]
-        members[i].extend(members[j])
+        owner[owner == j] = i
 
-    clusters = sorted((min(m), m) for idx, m in enumerate(members) if active[idx])
-    labels = [0] * n
-    ordered_members: list[list[int]] = []
-    for cluster_id, (_, member_list) in enumerate(clusters):
-        ordered_members.append(sorted(member_list))
-        for item in member_list:
-            labels[item] = cluster_id
-    representatives = _medoids(ordered_members, dist)
+        stale = np.flatnonzero(active & ((nn == i) | (nn == j)))  # row i too
+        # In rows r < i only column i changed: the cached neighbour moves to
+        # i when i is now strictly closer, or as close and earlier.
+        col, head = work[:i, i], best[:i]
+        closer = active[:i] & ((col < head) | ((col == head) & (nn[:i] > i)))
+        nn[:i][closer], head[closer] = i, col[closer]
+        for r in stale:
+            scan(int(r))
+
+    roots, labels = np.unique(owner, return_inverse=True)
+    clusters = [np.flatnonzero(owner == c).tolist() for c in roots]
     return ClusterAssignment(
-        labels=tuple(labels), k=k, linkage=linkage, representatives=tuple(representatives)
+        labels=tuple(labels.tolist()),
+        k=k,
+        linkage=linkage,
+        representatives=tuple(_medoids(clusters, dist)),
     )
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from screenforge.chem_graph import Molecule
 
 
@@ -216,3 +218,61 @@ def canonical_smiles_oracle(mol: Molecule) -> str:
         for frag in mol.components(range(len(mol.atoms)))
     ]
     return ".".join(sorted(pieces))
+
+
+def hier_cluster_oracle(dist, linkage="average", k=1):
+    """Agglomerative clustering by a full argmin over every active pair at
+    each merge (O(n^3)): the scan the library's nearest-neighbour list
+    replaced. Same tie rule: the smallest (i, j) among equal distances."""
+    from screenforge.simcluster import ClusterAssignment, _medoids
+
+    dist = np.asarray(dist, dtype=float)
+    n = dist.shape[0]
+    work = dist.copy().astype(float)
+    np.fill_diagonal(work, np.inf)
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=float)
+    members = [[i] for i in range(n)]
+
+    for _ in range(n - k):
+        masked = np.where(active[:, None] & active[None, :], work, np.inf)
+        masked[np.tril_indices(n)] = np.inf
+        flat = int(np.argmin(masked))  # first occurrence = smallest (i, j)
+        i, j = divmod(flat, n)
+        if linkage == "single":
+            merged = np.minimum(work[i], work[j])
+        elif linkage == "complete":
+            merged = np.maximum(work[i], work[j])
+        else:
+            merged = (sizes[i] * work[i] + sizes[j] * work[j]) / (sizes[i] + sizes[j])
+        work[i], work[:, i] = merged, merged
+        work[i, i] = np.inf
+        active[j] = False
+        sizes[i] += sizes[j]
+        members[i].extend(members[j])
+
+    clusters = sorted((min(m), m) for idx, m in enumerate(members) if active[idx])
+    labels = [0] * n
+    ordered_members = []
+    for cluster_id, (_, member_list) in enumerate(clusters):
+        ordered_members.append(sorted(member_list))
+        for item in member_list:
+            labels[item] = cluster_id
+    return ClusterAssignment(
+        labels=tuple(labels),
+        k=k,
+        linkage=linkage,
+        representatives=tuple(_medoids(ordered_members, dist)),
+    )
+
+
+def string_similarity_oracle(a: str, b: str) -> float:
+    """2*LCS/(|a|+|b|) with the LCS length from the O(|a||b|) dynamic
+    programming table."""
+    prev = [0] * (len(b) + 1)
+    for ca in a:
+        cur = [0]
+        for j, cb in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if ca == cb else max(prev[j], cur[-1]))
+        prev = cur
+    return 2.0 * prev[-1] / (len(a) + len(b))

@@ -3,8 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import tanimoto_formula_oracle, tanimoto_set_oracle
-from screenforge.fingerprints import ConfigMismatch, FingerprintConfig, FingerprintVector
+from oracles import (
+    hier_cluster_oracle,
+    string_similarity_oracle,
+    tanimoto_formula_oracle,
+    tanimoto_set_oracle,
+)
+from screenforge.fingerprints import (
+    ConfigMismatch,
+    FingerprintConfig,
+    FingerprintVector,
+    circular_fingerprint,
+)
 from screenforge.simcluster import (
     InvalidK,
     distance_matrix,
@@ -84,6 +94,26 @@ class TestStringSimilarity:
         with pytest.raises(ValueError):
             string_similarity("", "C")
 
+    def test_matches_dp_oracle_on_corpus_pairs(self, corpus):
+        smiles = [smi for _, smi, _ in corpus]
+        for a, b in itertools.combinations(smiles, 2):
+            assert string_similarity(a, b) == string_similarity_oracle(a, b)
+
+    def test_matches_dp_oracle_on_random_strings(self, rng):
+        alphabets = ("CNO()=[]@+-123c", "ab", "αβγ漢字é🙂C")
+        for trial in range(300):
+            alphabet = alphabets[trial % len(alphabets)]
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 90)))
+            b = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 90)))
+            assert string_similarity(a, b) == string_similarity_oracle(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [("C", "C"), ("C", "N"), ("C", "CCC"), ("NCN", "C"), ("é", "é"), ("漢", "字漢字")],
+    )
+    def test_single_character_and_equal_cases(self, a, b):
+        assert string_similarity(a, b) == string_similarity_oracle(a, b)
+
 
 class TestDistanceMatrix:
     def test_identical_items(self):
@@ -150,6 +180,20 @@ class TestHierCluster:
         with pytest.raises(InvalidK):
             hier_cluster(d, "average", 11)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_distances_rejected(self, bad):
+        all_bad = np.full((3, 3), bad)
+        np.fill_diagonal(all_bad, 0.0)
+        one_lower = np.array([[0.0, 0.5, 0.2], [0.5, 0.0, 0.7], [0.2, bad, 0.0]])
+        for d in (all_bad, one_lower):
+            for linkage in ("single", "complete", "average"):
+                with pytest.raises(ValueError, match="non-finite"):
+                    hier_cluster(d, linkage, 1)
+
+    def test_non_finite_diagonal_is_ignored_by_merging(self):
+        d = np.array([[np.inf, 0.4], [0.4, np.inf]])
+        assert hier_cluster(d, "average", 1).labels == (0, 0)
+
     def test_determinism(self):
         d = two_blob_fixture()
         a = hier_cluster(d, "average", 3)
@@ -189,6 +233,49 @@ class TestHierCluster:
                     groups.setdefault(lab, set()).add(idx)
                 return {frozenset(g) for g in groups.values()}
             assert partition(ours.labels) == partition(theirs)
+
+
+def _corpus_bits(corpus):
+    cfg = FingerprintConfig()
+    return np.stack([circular_fingerprint(mol, cfg).bits for _, _, mol in corpus])
+
+
+def _tanimoto_distances(bits):
+    cfg = FingerprintConfig(nbits=bits.shape[1])
+    return distance_matrix([FingerprintVector(row, cfg) for row in bits])
+
+
+class TestHierClusterMatchesOracle:
+    """The nearest-neighbour-list search against the full per-merge scan."""
+
+    def test_tie_heavy_integer_matrices(self):
+        gen = np.random.default_rng(20240810)
+        for trial in range(120):
+            n = int(gen.integers(2, 31))
+            d = gen.integers(0, 4, (n, n)).astype(float)
+            if trial % 2 == 0:
+                d = np.triu(d, 1) + np.triu(d, 1).T
+            for linkage in ("single", "complete", "average"):
+                k = int(gen.integers(1, n + 1))
+                assert hier_cluster(d, linkage, k) == hier_cluster_oracle(d, linkage, k)
+
+    @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
+    def test_corpus_fingerprints_every_k(self, corpus, linkage):
+        d = _tanimoto_distances(_corpus_bits(corpus))
+        for k in range(1, d.shape[0] + 1):
+            assert hier_cluster(d, linkage, k) == hier_cluster_oracle(d, linkage, k)
+
+    def test_duplicated_rows_force_zero_distance_runs(self, corpus):
+        gen = np.random.default_rng(7)
+        base = _corpus_bits(corpus)
+        pairs = gen.integers(0, len(base), (300, 2))
+        unions = base[pairs[:, 0]] | base[pairs[:, 1]]
+        rows = np.concatenate([base, unions])
+        rows = np.concatenate([rows, rows[gen.integers(0, len(rows), 400 - len(rows))]])
+        d = _tanimoto_distances(rows[gen.permutation(400)])
+        assert np.count_nonzero(np.triu(d == 0.0, 1)) >= 45
+        for linkage in ("single", "complete", "average"):
+            assert hier_cluster(d, linkage, 34) == hier_cluster_oracle(d, linkage, 34)
 
 
 class TestMedoids:
