@@ -14,7 +14,6 @@ perception or kekulization pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 # Abridged standard atomic weights (g/mol).
 ATOMIC_WEIGHTS = {
@@ -93,17 +92,37 @@ class Bond:
 
 @dataclass
 class Molecule:
-    """Attributed molecular graph. Treat as immutable after construction."""
+    """Attributed molecular graph. Treat as immutable after construction.
+
+    Derived values (ring data, fingerprints, descriptors, pharmacophore
+    features and path tables) are computed once, on first request, and
+    live as long as the molecule.
+    """
 
     atoms: list[Atom]
     bonds: list[Bond]
     fragment_count: int = 1
     implicit_h: list[int] = field(default_factory=list)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
+    def derived(self, compute, *args):
+        """``compute(self, *args)``, computed on the first request for that
+        function and those arguments and returned from the memo after."""
+        key = (compute, *args)
+        if key not in self._memo:
+            self._memo[key] = compute(self, *args)
+        return self._memo[key]
+
+    @property
     def rings(self) -> list[list[int]]:
         """A cycle basis, built on first access."""
-        return _cycle_basis(len(self.atoms), self._adjacency)
+        return self.derived(_cycle_basis)
+
+    @property
+    def ring_bonds(self) -> frozenset[tuple[int, int]]:
+        """Bonds on some cycle, as (low, high) atom pairs, built on first
+        access."""
+        return self.derived(_ring_bonds)
 
     def neighbors(self, idx: int) -> list[tuple[int, Bond]]:
         return self._adjacency[idx]
@@ -125,9 +144,6 @@ class Molecule:
             if k == j:
                 return bond
         return None
-
-    def ring_bonds(self) -> set[tuple[int, int]]:
-        return self._ring_bonds
 
     def components(self, atoms) -> list[list[int]]:
         """Connected components of the subgraph induced by ``atoms``:
@@ -159,42 +175,10 @@ def _build_adjacency(n: int, bonds: list[Bond]) -> list[list[tuple[int, Bond]]]:
     return adj
 
 
-def _bridges(n: int, adj) -> set[tuple[int, int]]:
-    """Bridge edges via iterative Tarjan lowlink; non-bridges lie on cycles."""
-    disc = [-1] * n
-    low = [0] * n
-    bridges: set[tuple[int, int]] = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
-        while stack:
-            u, parent_edge, i = stack.pop()
-            if i == 0:
-                disc[u] = low[u] = timer
-                timer += 1
-            if i < len(adj[u]):
-                stack.append((u, parent_edge, i + 1))
-                v, bond = adj[u][i]
-                if disc[v] == -1:
-                    stack.append((v, id(bond), 0))
-                elif id(bond) != parent_edge:
-                    low[u] = min(low[u], disc[v])
-            else:
-                for v, bond in adj[u]:
-                    if id(bond) == parent_edge:
-                        continue
-                    if disc[v] > disc[u]:  # tree child
-                        low[u] = min(low[u], low[v])
-                        if low[v] > disc[u]:
-                            bridges.add((min(u, v), max(u, v)))
-    return bridges
-
-
-def _cycle_basis(n: int, adj) -> list[list[int]]:
+def _cycle_basis(mol: Molecule) -> list[list[int]]:
     """Fundamental cycles from a BFS spanning forest (a cycle basis,
     not necessarily the smallest set of smallest rings)."""
+    n, adj = len(mol.atoms), mol._adjacency
     parent = [-1] * n
     depth = [-1] * n
     tree_edges: set[int] = set()
@@ -236,6 +220,16 @@ def _cycle_basis(n: int, adj) -> list[list[int]]:
                 right.append(pv)
             cycles.append(left + right[-2::-1])
     return cycles
+
+
+def _ring_bonds(mol: Molecule) -> frozenset[tuple[int, int]]:
+    # The non-bridge edges, as each of them lies on some basis cycle. The
+    # basis itself is not kept: rotatable_bonds reads only the edge set.
+    return frozenset(
+        (min(u, v), max(u, v))
+        for ring in _cycle_basis(mol)
+        for u, v in zip(ring, ring[1:] + ring[:1])
+    )
 
 
 def _implicit_hydrogens(atoms: list[Atom], bonds: list[Bond], adj) -> list[int]:
@@ -282,7 +276,7 @@ def _implicit_hydrogens(atoms: list[Atom], bonds: list[Bond], adj) -> list[int]:
 
 
 def make_molecule(atoms: list[Atom], bonds: list[Bond]) -> Molecule:
-    """Validate parts and derive fragments, ring bonds and implicit hydrogens."""
+    """Validate parts and derive fragments and implicit hydrogens."""
     n = len(atoms)
     seen_pairs: set[tuple[int, int]] = set()
     for bond in bonds:
@@ -309,9 +303,6 @@ def make_molecule(atoms: list[Atom], bonds: list[Bond]) -> Molecule:
     mol._adjacency = adj
     mol._fragment_list = mol.components(range(n))
     mol.fragment_count = len(mol._fragment_list)
-    bridge_set = _bridges(n, adj)
-    keys = ((min(bond.a, bond.b), max(bond.a, bond.b)) for bond in bonds)
-    mol._ring_bonds = {key for key in keys if key not in bridge_set}
     return mol
 
 

@@ -222,10 +222,11 @@ def cmd_pharm_train(args) -> int:
 def cmd_pharm_screen(args) -> int:
     records, _ = _load_records(args.file)
     hypothesis = load_hypothesis(args.hypothesis)
-    library = [
+    # A generator, so each molecule and its path table go once it is scored.
+    library = (
         (r.id, r.name, parse_smiles(r.canonical_smiles), r.class_label)
         for r in records
-    ]
+    )
     rows = screen_by_fit(hypothesis, library)
     out = _writer()
     has_classes = any(r.class_label for r in rows)

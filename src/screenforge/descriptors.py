@@ -229,7 +229,7 @@ def hbd_hba(mol: Molecule) -> tuple[int, int]:
 def rotatable_bonds(mol: Molecule) -> int:
     """Single non-ring bonds between heavy atoms that each carry another
     heavy neighbor. Amide bonds are not special-cased."""
-    ring = mol.ring_bonds()
+    ring = mol.ring_bonds
 
     def heavy_degree(i: int) -> int:
         return sum(1 for j, _ in mol.neighbors(i) if mol.atoms[j].element != "H")
@@ -316,6 +316,10 @@ def wlogp(mol: Molecule) -> float:
 
 def compute_descriptors(mol: Molecule) -> DescriptorSet:
     """Full descriptor set over the largest fragment of the molecule."""
+    return mol.derived(_compute_descriptors)
+
+
+def _compute_descriptors(mol: Molecule) -> DescriptorSet:
     frag = largest_fragment(mol)
     hbd, hba = hbd_hba(frag)
     return DescriptorSet(

@@ -68,7 +68,11 @@ def circular_fingerprint(
     mol: Molecule, cfg: FingerprintConfig = FingerprintConfig()
 ) -> FingerprintVector:
     """Hash atom environments of radius 0..cfg.radius over the largest
-    fragment into a binary vector."""
+    fragment into a binary vector; its bits are read-only."""
+    return mol.derived(_circular_fingerprint, cfg)
+
+
+def _circular_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
     frag = largest_fragment(mol)
     seed = cfg.hash_seed
     ids = [
@@ -97,6 +101,7 @@ def circular_fingerprint(
         ids = new_ids
         for env_id in ids:
             bits[env_id % cfg.nbits] = 1
+    bits.flags.writeable = False
     return FingerprintVector(bits=bits, config=cfg)
 
 

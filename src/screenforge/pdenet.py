@@ -163,8 +163,9 @@ class MlpModel:
 def init_model(
     layer_sizes: list[int], activation: str = "relu", seed: int = 0, target: str = "custom"
 ) -> MlpModel:
-    """Scaled-uniform weight init (half-width 1/sqrt(fan_in)), zero biases,
-    zeroed optimizer state; byte-identical for a fixed seed."""
+    """Scaled-uniform weight init (half-width 1/sqrt(fan_in)) and zero
+    biases; byte-identical for a fixed seed. The optimizer state is left
+    unset: ``adam_step`` zero-initializes it on the first step."""
     if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
         raise ValueError("layer_sizes needs at least input and output sizes >= 1")
     rng = np.random.default_rng(seed)
@@ -173,17 +174,12 @@ def init_model(
         scale = 1.0 / math.sqrt(fan_in)
         weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    adam = AdamState(
-        m=[np.zeros_like(p) for w, b in zip(weights, biases) for p in (w, b)],
-        v=[np.zeros_like(p) for w, b in zip(weights, biases) for p in (w, b)],
-    )
     return MlpModel(
         layer_sizes=list(layer_sizes),
         weights=weights,
         biases=biases,
         activation=activation,
         target=target,
-        adam_state=adam,
     )
 
 

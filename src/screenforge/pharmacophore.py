@@ -22,6 +22,7 @@ import itertools
 import json
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .chem_graph import DOUBLE, SINGLE, Molecule
@@ -135,8 +136,12 @@ def _is_basic_nitrogen(mol: Molecule, idx: int) -> bool:
     return True
 
 
-def detect_features(mol: Molecule) -> list[PharmFeature]:
+def detect_features(mol: Molecule) -> tuple[PharmFeature, ...]:
     """Rule-table feature extraction; deterministic order (kind, anchor)."""
+    return mol.derived(_detect_features)
+
+
+def _detect_features(mol: Molecule) -> tuple[PharmFeature, ...]:
     feats: list[PharmFeature] = []
     for idx, atom in enumerate(mol.atoms):
         if atom.element in ("N", "O") and mol.total_h(idx) > 0:
@@ -164,10 +169,10 @@ def detect_features(mol: Molecule) -> list[PharmFeature]:
         feats.append(PharmFeature(AROMATIC_RING, tuple(comp)))
 
     feats.sort(key=lambda f: (FEATURE_KINDS.index(f.kind), f.anchor))
-    return feats
+    return tuple(feats)
 
 
-def _all_pairs_path_lengths(mol: Molecule) -> list[list[float]]:
+def _all_pairs_path_lengths(mol: Molecule) -> tuple[tuple[float, ...], ...]:
     n = len(mol.atoms)
     dist = [[math.inf] * n for _ in range(n)]
     for src in range(n):
@@ -181,13 +186,13 @@ def _all_pairs_path_lengths(mol: Molecule) -> list[list[float]]:
                 if dist[src][v] == math.inf:
                     dist[src][v] = dist[src][u] + 1
                     queue.append(v)
-    return dist
+    return tuple(map(tuple, dist))
 
 
-def feature_distance(mol: Molecule, a: PharmFeature, b: PharmFeature,
-                     path_lengths=None) -> float:
-    """Shortest bond-path distance between the two anchor sets."""
-    table = path_lengths or _all_pairs_path_lengths(mol)
+def feature_distance(mol: Molecule, a: PharmFeature, b: PharmFeature) -> float:
+    """Shortest bond-path distance between the two anchor sets, read from
+    the molecule's all-pairs path table (built on first use)."""
+    table = mol.derived(_all_pairs_path_lengths)
     return min(table[i][j] for i in a.anchor for j in b.anchor)
 
 
@@ -218,13 +223,12 @@ def generate_hypotheses(
         raise InsufficientTraining(
             f"most active molecule exposes only {len(feats)} features"
         )
-    table = _all_pairs_path_lengths(seed_mol)
     candidates: list[Hypothesis] = []
     for size in range(MIN_FEATURES, min(5, len(feats)) + 1):
         for combo in itertools.combinations(range(len(feats)), size):
             constraints = {}
             for ai, bi in itertools.combinations(range(size), 2):
-                d = feature_distance(seed_mol, feats[combo[ai]], feats[combo[bi]], table)
+                d = feature_distance(seed_mol, feats[combo[ai]], feats[combo[bi]])
                 constraints[(ai, bi)] = (d, tolerance)
             candidates.append(
                 Hypothesis(
@@ -252,7 +256,6 @@ def fit_value(h: Hypothesis, mol: Molecule) -> float:
     for kind, slots in slots_by_kind.items():
         if len(by_kind.get(kind, ())) < len(slots):
             return 0.0
-    table = _all_pairs_path_lengths(mol)
     n = len(h.features)
     weights = [w for _, w in h.features]
 
@@ -269,7 +272,7 @@ def fit_value(h: Hypothesis, mol: Molecule) -> float:
                 assignment[slot] = feat
         score = 0.0
         for (i, j), (constraint, tol) in h.pair_constraints.items():
-            d = feature_distance(mol, assignment[i], assignment[j], table)
+            d = feature_distance(mol, assignment[i], assignment[j])
             if math.isinf(d) and math.isinf(constraint):
                 dev = 0.0  # both pairs disconnected: treated as matching
             elif math.isinf(d) or math.isinf(constraint):
@@ -337,7 +340,7 @@ class ScreenRow:
 
 
 def screen_by_fit(
-    h: Hypothesis, library: list[tuple[str, str | None, Molecule, str | None]]
+    h: Hypothesis, library: Iterable[tuple[str, str | None, Molecule, str | None]]
 ) -> list[ScreenRow]:
     """Score a library (id, name, molecule, class label) and rank by fit
     descending, ties by id. Molecules whose feature detection fails are

@@ -227,7 +227,7 @@ def run_screen(
     seed = default_seed() if seed is None else seed
     targets = sorted(models)
 
-    scored = []
+    actives = []  # (record, mol, pic50s, fit); inactive molecules are dropped
     for record in records:
         try:
             mol = parse_smiles(record.canonical_smiles)
@@ -244,9 +244,9 @@ def run_screen(
                 raise ValueError("hypothesis lacks a fit regression")
             pic50s = {"hypothesis": predicted}
             active = predicted > threshold
-        scored.append((record, mol, pic50s, fit, active))
+        if active:
+            actives.append((record, mol, pic50s, fit))
 
-    actives = [item for item in scored if item[4]]
     k_eff = min(clusters, len(actives))
     p_eff = min(picks, k_eff)
 
@@ -257,7 +257,7 @@ def run_screen(
         if p_eff >= 1:
             representative_ids.add(actives[0][0].id)
     elif len(actives) >= 2:
-        fps = [circular_fingerprint(mol, fp_config) for _, mol, _, _, _ in actives]
+        fps = [circular_fingerprint(mol, fp_config) for _, mol, _, _ in actives]
         ids = [record.id for record, *_ in actives]
         assignment = hier_cluster(distance_matrix(fps), linkage=linkage, k=k_eff)
         for item_id, label in zip(ids, assignment.labels):
@@ -270,7 +270,7 @@ def run_screen(
             representative_ids.add(ids[assignment.representatives[c]])
 
     rows = []
-    for record, mol, pic50s, fit, _active in actives:
+    for record, mol, pic50s, fit in actives:
         desc = compute_descriptors(mol)
         rows.append(
             ReportRow(

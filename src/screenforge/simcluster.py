@@ -164,7 +164,8 @@ def hier_cluster(dist: np.ndarray, linkage: str = "average", k: int = 1) -> Clus
 def _medoids(clusters: list[list[int]], dist: np.ndarray) -> list[int]:
     out = []
     for member_list in clusters:
-        sub = dist[np.ix_(member_list, member_list)]
+        sub = dist[np.ix_(member_list, member_list)]  # a copy
+        np.fill_diagonal(sub, 0.0)  # as in merging, the diagonal is ignored
         totals = sub.sum(axis=1)
         out.append(member_list[int(np.argmin(totals))])  # ties -> lowest id
     return out

@@ -276,3 +276,40 @@ def string_similarity_oracle(a: str, b: str) -> float:
             cur.append(prev[j - 1] + 1 if ca == cb else max(prev[j], cur[-1]))
         prev = cur
     return 2.0 * prev[-1] / (len(a) + len(b))
+
+
+def ring_bonds_oracle(mol: Molecule) -> set[tuple[int, int]]:
+    """Non-bridge bonds as (low, high) atom pairs, via iterative Tarjan
+    lowlink: a bond lies on a cycle exactly when it is not a bridge."""
+    n = len(mol.atoms)
+    disc = [-1] * n
+    low = [0] * n
+    bridges: set[tuple[int, int]] = set()
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
+        while stack:
+            u, parent_edge, i = stack.pop()
+            if i == 0:
+                disc[u] = low[u] = timer
+                timer += 1
+            nbrs = mol.neighbors(u)
+            if i < len(nbrs):
+                stack.append((u, parent_edge, i + 1))
+                v, bond = nbrs[i]
+                if disc[v] == -1:
+                    stack.append((v, id(bond), 0))
+                elif id(bond) != parent_edge:
+                    low[u] = min(low[u], disc[v])
+            else:
+                for v, bond in nbrs:
+                    if id(bond) == parent_edge:
+                        continue
+                    if disc[v] > disc[u]:  # tree child
+                        low[u] = min(low[u], low[v])
+                        if low[v] > disc[u]:
+                            bridges.add((min(u, v), max(u, v)))
+    keys = {(min(b.a, b.b), max(b.a, b.b)) for b in mol.bonds}
+    return keys - bridges

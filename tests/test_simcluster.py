@@ -301,6 +301,16 @@ class TestMedoids:
         a = hier_cluster(d, "average", 1)
         assert medoid_representatives(a, d) == [0]
 
+    @pytest.mark.parametrize("member, bad", [(1, np.nan), (2, np.inf), (2, 5.0)])
+    def test_diagonal_is_ignored(self, member, bad):
+        # Off the diagonal the totals are 1.0, 1.0 and 0.2, so member 2 is
+        # the medoid whatever the diagonal holds.
+        d = np.array([[0.0, 0.9, 0.1], [0.9, 0.0, 0.1], [0.1, 0.1, 0.0]])
+        d[member, member] = bad
+        a = hier_cluster(d, "average", 1)
+        assert a.representatives == (2,)
+        assert medoid_representatives(a, d) == [2]
+
     def test_funnel_contract(self):
         # k clusters then one representative each yields exactly k items
         d = two_blob_fixture()
