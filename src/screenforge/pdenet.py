@@ -476,7 +476,7 @@ def save_model(model: MlpModel, path: str) -> None:
         "train_meta": model.train_meta,
     }
     with open(path, "w") as handle:
-        json.dump(doc, handle)
+        handle.write(json.dumps(doc))  # json.dump never uses the C encoder
 
 
 def load_model(path: str) -> MlpModel:

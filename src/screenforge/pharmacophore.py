@@ -12,8 +12,17 @@ molecule as
 
 where dev is |observed path distance - constraint|. The pair weights sum
 to the feature weights, so a perfect self-match scores exactly
-sum(weights). Assignment search is exact (brute force) for the supported
-3-6 feature range.
+sum(weights).
+
+The fit is the exact best mapping, found by depth-first branch and bound:
+slots are fixed fewest candidates first, each trying first the candidates
+that add the most, so the first complete mapping is the greedy one. A
+branch is cut when its terms plus a bound on the rest (per open slot, its
+best sum of terms against the fixed slots, after Gilmore and Lawler; per
+pair of open slots, its best term) fall short of the best fit so far by
+more than 1e-9 times the weight sum, a margin that covers float rounding.
+Mappings left are scored in pair_constraints order, so the fit is the same
+float as exhaustive search.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import add
 
 from .chem_graph import DOUBLE, SINGLE, Molecule
 from .descriptors import is_acceptor
@@ -243,45 +253,90 @@ def generate_hypotheses(
     return candidates
 
 
+def _feature_distances(mol: Molecule) -> tuple[tuple[float, ...], ...]:
+    """feature_distance of every two features, in detect_features order."""
+    feats = mol.derived(_detect_features)
+    return tuple(tuple(feature_distance(mol, a, b) for b in feats) for a in feats)
+
+
+def _pair_term(d: float, constraint: float, tol: float, w_pair: float) -> float:
+    if math.isinf(d) or math.isinf(constraint):
+        # both infinite is a match (dev 0); one alone drops the term
+        return w_pair if d == constraint else 0.0
+    return w_pair * max(0.0, 1.0 - abs(d - constraint) / (tol + 1.0))
+
+
 def fit_value(h: Hypothesis, mol: Molecule) -> float:
     """Best injective kind-respecting mapping of hypothesis features onto
-    molecule features; 0 when no kind-complete mapping exists."""
-    mol_feats = detect_features(mol)
-    by_kind: dict[str, list[PharmFeature]] = {}
-    for f in mol_feats:
-        by_kind.setdefault(f.kind, []).append(f)
-    slots_by_kind: dict[str, list[int]] = {}
-    for slot, (kind, _w) in enumerate(h.features):
-        slots_by_kind.setdefault(kind, []).append(slot)
-    for kind, slots in slots_by_kind.items():
-        if len(by_kind.get(kind, ())) < len(slots):
-            return 0.0
-    n = len(h.features)
-    weights = [w for _, w in h.features]
-
-    kinds = sorted(slots_by_kind)
-    per_kind_choices = [
-        itertools.permutations(by_kind[kind], len(slots_by_kind[kind]))
-        for kind in kinds
+    molecule features (see module docstring); 0 if none is kind-complete."""
+    feats = detect_features(mol)
+    kinds = [kind for kind, _w in h.features]
+    cands = [[f for f, feat in enumerate(feats) if feat.kind == kind] for kind in kinds]
+    if any(len(c) < kinds.count(kind) for c, kind in zip(cands, kinds)):
+        return 0.0
+    n = len(kinds)
+    order = sorted(range(n), key=lambda s: len(cands[s]))
+    depth = {s: k for k, s in enumerate(order)}
+    dist = mol.derived(_feature_distances)
+    levels = set().union(*dist)
+    # terms[p] = (e, l, table) for the p-th pair, e the slot fixed first:
+    # table[a][b] is the pair's term when e takes its a-th candidate and l
+    # its b-th, or -inf when both would take the same feature.
+    terms = []
+    for (i, j), (constraint, tol) in h.pair_constraints.items():
+        w_pair = (h.features[i][1] + h.features[j][1]) / (n - 1)
+        term = {d: _pair_term(d, constraint, tol, w_pair) for d in levels}
+        e, l = sorted((i, j), key=depth.__getitem__)
+        terms.append((e, l, [
+            [term[dist[f][g]] if f != g or e == l else -math.inf for g in cands[l]]
+            for f in cands[e]
+        ]))
+    # A pair (s, s) adds one term to every mapping; open_max[k] bounds the
+    # pairs within order[k:], later[k] lists those from order[k] to them.
+    unary = sum(table[0][0] for e, l, table in terms if e == l)
+    open_max = [
+        sum(max(map(max, table)) for e, l, table in terms if e != l and depth[e] >= k)
+        for k in range(n)
     ]
+    later = [
+        [(depth[l] - k - 1, table) for e, l, table in terms if e == s != l]
+        for k, s in enumerate(order)
+    ]
+    slack = 1e-9 * sum(w for _kind, w in h.features)  # the rounding margin
+    pos = [0] * n
+    used = [False] * len(feats)
     best = 0.0
-    for choice in itertools.product(*per_kind_choices):
-        assignment: dict[int, PharmFeature] = {}
-        for kind, picked in zip(kinds, choice):
-            for slot, feat in zip(slots_by_kind[kind], picked):
-                assignment[slot] = feat
-        score = 0.0
-        for (i, j), (constraint, tol) in h.pair_constraints.items():
-            d = feature_distance(mol, assignment[i], assignment[j])
-            if math.isinf(d) and math.isinf(constraint):
-                dev = 0.0  # both pairs disconnected: treated as matching
-            elif math.isinf(d) or math.isinf(constraint):
-                continue  # term contributes 0
-            else:
-                dev = abs(d - constraint)
-            w_pair = (weights[i] + weights[j]) / (n - 1)
-            score += w_pair * max(0.0, 1.0 - dev / (tol + 1.0))
-        best = max(best, score)
+
+    def search(k: int, partial: float, gains: list[list[float]]) -> None:
+        # partial sums the terms among the slots fixed so far; gains[t][b] is
+        # what slot order[k + t] adds to it by taking its b-th candidate.
+        nonlocal best
+        s, gain = order[k], gains[0]
+        for a in sorted(range(len(gain)), key=gain.__getitem__, reverse=True):
+            f = cands[s][a]
+            if used[f]:
+                continue
+            fixed = partial + gain[a]
+            pos[s] = a
+            if k == n - 1:
+                if fixed + slack >= best:
+                    score = 0.0
+                    for e, l, table in terms:
+                        score += table[pos[e]][pos[l]]
+                    best = max(best, score)
+                continue
+            rest = gains[1:]
+            for t, table in later[k]:
+                rest[t] = list(map(add, rest[t], table[a]))
+            # a bound of exactly 0 leaves only zero terms, which cannot beat best
+            upper = fixed + sum(map(max, rest)) + open_max[k + 1]
+            if upper + slack < best or upper == 0.0:
+                continue
+            used[f] = True
+            search(k + 1, fixed, rest)
+            used[f] = False
+
+    search(0, unary, [[0.0] * len(cands[s]) for s in order])
     return best
 
 

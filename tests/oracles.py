@@ -139,6 +139,51 @@ def fit_value_oracle(hypothesis, mol: Molecule) -> float:
     return best if found_complete else 0.0
 
 
+def fit_value_product_oracle(h, mol: Molecule) -> float:
+    """The exhaustive search ``fit_value`` used before branch and bound: the
+    product of per-kind permutations, each assignment scored in
+    ``h.pair_constraints`` order."""
+    from screenforge.pharmacophore import PharmFeature, detect_features, feature_distance
+
+    mol_feats = detect_features(mol)
+    by_kind: dict[str, list[PharmFeature]] = {}
+    for f in mol_feats:
+        by_kind.setdefault(f.kind, []).append(f)
+    slots_by_kind: dict[str, list[int]] = {}
+    for slot, (kind, _w) in enumerate(h.features):
+        slots_by_kind.setdefault(kind, []).append(slot)
+    for kind, slots in slots_by_kind.items():
+        if len(by_kind.get(kind, ())) < len(slots):
+            return 0.0
+    n = len(h.features)
+    weights = [w for _, w in h.features]
+
+    kinds = sorted(slots_by_kind)
+    per_kind_choices = [
+        itertools.permutations(by_kind[kind], len(slots_by_kind[kind]))
+        for kind in kinds
+    ]
+    best = 0.0
+    for choice in itertools.product(*per_kind_choices):
+        assignment: dict[int, PharmFeature] = {}
+        for kind, picked in zip(kinds, choice):
+            for slot, feat in zip(slots_by_kind[kind], picked):
+                assignment[slot] = feat
+        score = 0.0
+        for (i, j), (constraint, tol) in h.pair_constraints.items():
+            d = feature_distance(mol, assignment[i], assignment[j])
+            if math.isinf(d) and math.isinf(constraint):
+                dev = 0.0  # both pairs disconnected: treated as matching
+            elif math.isinf(d) or math.isinf(constraint):
+                continue  # term contributes 0
+            else:
+                dev = abs(d - constraint)
+            w_pair = (weights[i] + weights[j]) / (n - 1)
+            score += w_pair * max(0.0, 1.0 - dev / (tol + 1.0))
+        best = max(best, score)
+    return best
+
+
 def least_squares_oracle(xs, ys):
     """Closed-form 1-D least squares (slope, intercept)."""
     n = len(xs)

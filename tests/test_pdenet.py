@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -430,6 +431,27 @@ class TestPersistence:
         assert forward(loaded, x) == pytest.approx(forward(model, x), abs=1e-12)
         assert loaded.target == "PDE4"
         assert loaded.train_meta["seed"] == 12
+
+    def test_trained_model_bytes_equal_json_dump(self, tmp_path):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(40, 6))
+        y = X @ np.linspace(-1.0, 1.0, 6) + 6.0
+        stats = fit_norm_stats(X)
+        model, _ = train(
+            init_model([6, 5, 1], "tanh", seed=5, target="PDE7"),
+            (stats.apply(X), y), None, TrainConfig(epochs=5, batch_size=8, seed=5),
+        )
+        model.feature_spec = FeatureSpec()
+        model.norm_stats = stats
+        model.train_meta = {"seed": 5, "epochs": 5, "lr": 1e-3, "batch_size": 8}
+        path = tmp_path / "m.json"
+        save_model(model, str(path))
+        written = path.read_text()
+        doc = json.loads(written)  # floats round-trip exactly
+        expected = io.StringIO()
+        json.dump(doc, expected)
+        assert written == expected.getvalue()
+        assert doc["weights"][0][0][0] == float(model.weights[0][0][0])
 
     def test_version_validated(self, tmp_path):
         model = init_model([2, 1], seed=0)

@@ -1,14 +1,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import fit_value_oracle, least_squares_oracle
+from oracles import fit_value_oracle, fit_value_product_oracle, least_squares_oracle
 from screenforge import pharmacophore
 from screenforge.chem_graph import parse_smiles, renumbered
 from screenforge.pharmacophore import (
     COMPLEXITY_LAMBDA,
     DEFAULT_MAX_CANDIDATES,
     GEN_PARAMS,
+    MAX_FEATURES,
+    MIN_FEATURES,
     Hypothesis,
     HypothesisCosts,
     InsufficientTraining,
@@ -396,3 +400,178 @@ class TestFeatureDistance:
         hbd = next(f for f in feats if f.kind == "HBD")
         hyd = next(f for f in feats if f.kind == "Hydrophobe")
         assert math.isinf(feature_distance(mol, hbd, hyd))
+
+
+def seed_hypothesis(seed_smiles, picks, weights=None, tolerance=1):
+    """A hypothesis on the given features of a seed molecule, with that
+    molecule's distances as constraints, as generate_hypotheses builds it."""
+    seed = parse_smiles(seed_smiles)
+    feats = [detect_features(seed)[i] for i in picks]
+    weights = weights or [1.0] * len(picks)
+    return Hypothesis(
+        features=[(f.kind, w) for f, w in zip(feats, weights)],
+        pair_constraints={
+            (i, j): (feature_distance(seed, feats[i], feats[j]), tolerance)
+            for i in range(len(feats))
+            for j in range(i + 1, len(feats))
+        },
+    )
+
+
+def kind_indices(smiles, kind):
+    return [i for i, f in enumerate(detect_features(parse_smiles(smiles))) if f.kind == kind]
+
+
+# Polyols and glycosides with 10-16 features of one kind: a donor and an
+# acceptor per hydroxyl, an acceptor per ring or ether oxygen.
+SAME_KIND_HEAVY = [
+    "OCC(O)C(O)C(O)C(O)C(O)C(O)C(O)C(O)CO",
+    "OCC1OC(OCC2OC(O)C(O)C(O)C2O)C(O)C(O)C1O",
+    "OCC1OC(OCC(O)C(O)C(O)C(O)CO)C(O)C(O)C1O",
+    "OCC1OC(Oc2ccccc2)C(O)C(OC2OC(CO)C(O)C(O)C2O)C1O",
+    "OCC1OC(OC2C(O)C(O)C(O)OC2CO)C(O)C(O)C1OC1OC(CO)C(O)C(O)C1O",
+]
+GLYCEROL_GLUCOSIDE = "OCC1OC(OCC(O)CO)C(O)C(O)C1O"
+
+
+def chain_polyol(hydroxyls):
+    return "OC" + "C(O)" * (hydroxyls - 2) + "CO"
+
+
+class TestBranchAndBoundExactness:
+    def test_same_kind_heavy_molecules_match_product_search(self):
+        hbd = kind_indices(GLYCEROL_GLUCOSIDE, "HBD")
+        hba = kind_indices(GLYCEROL_GLUCOSIDE, "HBA")
+        hyd = kind_indices(GLYCEROL_GLUCOSIDE, "Hydrophobe")
+        hypotheses = [
+            seed_hypothesis(GLYCEROL_GLUCOSIDE, hbd[:3] + hyd[:1]),
+            seed_hypothesis(GLYCEROL_GLUCOSIDE, hbd[1:3] + hba[-2:], tolerance=0),
+            seed_hypothesis(GLYCEROL_GLUCOSIDE, [hba[0], hba[3], hba[5], hbd[4]],
+                            weights=[1.5, 0.25, 2.0, 0.75]),
+        ]
+        for smiles in SAME_KIND_HEAVY:
+            mol = parse_smiles(smiles)
+            counts = [len(kind_indices(smiles, k)) for k in ("HBD", "HBA")]
+            assert 10 <= max(counts) <= 20
+            for h in hypotheses:
+                assert fit_value(h, mol) == fit_value_product_oracle(h, mol), smiles
+
+    def test_five_donor_hypothesis_on_twelve_hydroxyl_chain(self):
+        seed = chain_polyol(6)
+        h = seed_hypothesis(seed, kind_indices(seed, "HBD")[:5])
+        mol = parse_smiles(chain_polyol(12))
+        assert len(kind_indices(chain_polyol(12), "HBD")) == 12
+        fit = fit_value(h, mol)
+        assert fit == fit_value_product_oracle(h, mol)
+        assert fit == 5.0  # the seed's five donors recur along the chain
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_hypotheses_on_corpus_match_oracle(self, small_corpus, data):
+        name, mol = data.draw(st.sampled_from(small_corpus))
+        # slots take the kinds of distinct features while there are enough
+        kinds = [f.kind for f in data.draw(st.permutations(detect_features(mol)))]
+        n = data.draw(st.integers(MIN_FEATURES, MAX_FEATURES))
+        kinds += [data.draw(st.sampled_from(kinds)) for _ in range(n - len(kinds))]
+        features = [
+            (kind, data.draw(st.floats(0.01, 10.0, allow_nan=False))) for kind in kinds[:n]
+        ]
+        constraints = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if not data.draw(st.booleans(), label="keep pair") and constraints:
+                    continue
+                key = (j, i) if data.draw(st.booleans(), label="flip") else (i, j)
+                distance = data.draw(st.one_of(
+                    st.integers(0, 10).map(float), st.just(math.inf),
+                    st.floats(0.0, 10.0, allow_nan=False),
+                ))
+                tolerance = data.draw(st.one_of(
+                    st.just(0), st.integers(0, 3), st.floats(0.0, 4.0, allow_nan=False),
+                ))
+                constraints[key] = (distance, tolerance)
+        h = Hypothesis(features=features, pair_constraints=constraints)
+        assert fit_value(h, mol) == fit_value_oracle(h, mol), name
+
+
+    # Twin slots: the same kind and weight, and the same constraints to every
+    # other slot. Mirror-image mappings then add equal terms in another
+    # order, their sums can differ in the last bit, and the fit is the larger.
+    @pytest.mark.parametrize("smiles, features, constraints", [
+        ("Oc1ccc(O)cc1CCO",
+         [("HBA", 0.1829515912230873), ("HBA", 0.1829515912230873),
+          ("HBA", 2.1035667643576463), ("HBD", 0.5275017095450029)],
+         {(0, 1): (5.0, 2), (0, 2): (6.0, 1 / 3), (0, 3): (6.0, 1 / 3),
+          (1, 2): (6.0, 1 / 3), (1, 3): (6.0, 1 / 3), (2, 3): (2.0, 2)}),
+        ("OCC(O)C(O)C(O)CO",
+         [("HBA", 1.7481122674286405), ("HBA", 1.7481122674286405),
+          ("Hydrophobe", 1.7035721229837937), ("HBA", 0.9049289098889239),
+          ("HBD", 0.2203969791797042)],
+         {(0, 1): (5.0, 2), (0, 2): (2.0, 0.5), (0, 3): (6.0, 0.5), (0, 4): (4.0, 1 / 3),
+          (1, 2): (2.0, 0.5), (1, 3): (6.0, 0.5), (1, 4): (4.0, 1 / 3),
+          (2, 3): (5.0, 1), (2, 4): (2.0, 0), (3, 4): (3.0, 3)}),
+    ])
+    def test_twin_slots_take_the_larger_rounding(self, smiles, features, constraints):
+        h = Hypothesis(features=features, pair_constraints=constraints)
+        mol = parse_smiles(smiles)
+        assert fit_value(h, mol) == fit_value_product_oracle(h, mol)
+
+
+@pytest.fixture(scope="module")
+def small_corpus(corpus):
+    """Corpus molecules with 1 to 8 features, where the all-permutations
+    oracle stays fast."""
+    return [(name, mol) for name, _, mol in corpus if 0 < len(detect_features(mol)) <= 8]
+
+
+class TestFitEdgeCases:
+    def test_salt_infinite_constraints(self):
+        mol = parse_smiles("OCCC.NCCC")  # two fragments, a hydrophobe each
+        both = Hypothesis(
+            features=[("HBD", 1.0), ("Hydrophobe", 1.0), ("Hydrophobe", 1.0)],
+            pair_constraints={(0, 1): (1.0, 0), (0, 2): (math.inf, 0), (1, 2): (math.inf, 0)},
+        )
+        # the donor next to one hydrophobe, the other in the other fragment:
+        # both infinite pairs score as matches
+        assert fit_value(both, mol) == 3.0
+        one = Hypothesis(
+            features=both.features,
+            pair_constraints={(0, 1): (math.inf, 0), (0, 2): (math.inf, 0), (1, 2): (math.inf, 0)},
+        )
+        # no donor is cut off from both hydrophobes, so one pair has a finite
+        # distance against an infinite constraint and drops out
+        assert fit_value(one, mol) == 2.0
+        for h in (both, one):
+            assert fit_value(h, mol) == fit_value_product_oracle(h, mol)
+            assert fit_value(h, mol) == fit_value_oracle(h, mol)
+
+    def test_loaded_hypothesis_with_unequal_weights(self, tmp_path):
+        weights = [2.0, 0.5, 1.5, 0.75]
+        picks = kind_indices(GLYCEROL_GLUCOSIDE, "HBD")[:2] + kind_indices(
+            GLYCEROL_GLUCOSIDE, "HBA")[:2]
+        path = tmp_path / "h.json"
+        save_hypothesis(seed_hypothesis(GLYCEROL_GLUCOSIDE, picks, weights), str(path))
+        h = load_hypothesis(str(path))
+        assert [w for _, w in h.features] == weights
+        assert fit_value(h, parse_smiles(GLYCEROL_GLUCOSIDE)) == sum(weights)
+        for smiles in SAME_KIND_HEAVY[:3] + ["OCC(O)CO", "OCCO"]:
+            mol = parse_smiles(smiles)
+            assert fit_value(h, mol) == fit_value_product_oracle(h, mol), smiles
+
+    def test_kind_with_too_few_features_scores_zero(self):
+        h = Hypothesis(
+            features=[("HBD", 1.0), ("HBD", 1.0), ("AromaticRing", 1.0)],
+            pair_constraints={(0, 1): (3.0, 1), (0, 2): (1.0, 1), (1, 2): (4.0, 1)},
+        )
+        for smiles in ("Oc1ccccc1", "OCCCO", "OCC(O)CO"):  # one donor, or no ring
+            fit = fit_value(h, parse_smiles(smiles))
+            assert fit == 0.0 and type(fit) is float, smiles
+
+    @pytest.mark.parametrize("weights", [
+        [1.0, 1.0, 1.0], [2.0, 0.5, 1.5], [1.0] * 5, [1.0, 2.0, 0.5, 1.5, 3.0],
+    ])
+    def test_seed_self_match_scores_sum_of_weights(self, weights):
+        picks = (kind_indices(GLYCEROL_GLUCOSIDE, "HBD")[:3]
+                 + kind_indices(GLYCEROL_GLUCOSIDE, "HBA")[4:6])[:len(weights)]
+        h = seed_hypothesis(GLYCEROL_GLUCOSIDE, picks, weights)
+        assert fit_value(h, parse_smiles(GLYCEROL_GLUCOSIDE)) == sum(weights)
