@@ -9,6 +9,10 @@ interpreted; bond direction markers are normalized away on writing.
 
 Aromaticity is taken from the input flags as written; there is no
 perception or kekulization pass.
+
+Atoms are frozen, so the parser gives every plain organic-subset or
+aromatic atom one shared instance per symbol; bonds stay distinct
+objects, because the writer and the cycle basis key them by ``id``.
 """
 
 from __future__ import annotations
@@ -131,7 +135,10 @@ class Molecule:
         """Hydrogens on an atom: implicit or pinned, plus [H] neighbors."""
         atom = self.atoms[idx]
         own = atom.explicit_h if atom.explicit_h is not None else self.implicit_h[idx]
-        return own + sum(1 for j, _ in self._adjacency[idx] if self.atoms[j].element == "H")
+        for j, _ in self._adjacency[idx]:
+            if self.atoms[j].element == "H":
+                own += 1
+        return own
 
     def heavy_atom_count(self) -> int:
         return sum(1 for a in self.atoms if a.element != "H")
@@ -165,14 +172,6 @@ class Molecule:
                         stack.append(v)
             out.append(sorted(comp))
         return out
-
-
-def _build_adjacency(n: int, bonds: list[Bond]) -> list[list[tuple[int, Bond]]]:
-    adj: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
-    for bond in bonds:
-        adj[bond.a].append((bond.b, bond))
-        adj[bond.b].append((bond.a, bond))
-    return adj
 
 
 def _cycle_basis(mol: Molecule) -> list[list[int]]:
@@ -279,22 +278,21 @@ def make_molecule(atoms: list[Atom], bonds: list[Bond]) -> Molecule:
     """Validate parts and derive fragments and implicit hydrogens."""
     n = len(atoms)
     seen_pairs: set[tuple[int, int]] = set()
+    adj: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
     for bond in bonds:
-        if bond.a == bond.b:
-            raise SmilesSyntaxError(f"bond between atom {bond.a} and itself")
-        if not (0 <= bond.a < n and 0 <= bond.b < n):
+        a, b = bond.a, bond.b
+        if a == b:
+            raise SmilesSyntaxError(f"bond between atom {a} and itself")
+        if not (0 <= a < n and 0 <= b < n):
             raise SmilesSyntaxError("bond endpoint out of range")
-        key = (min(bond.a, bond.b), max(bond.a, bond.b))
+        key = (a, b) if a < b else (b, a)
         if key in seen_pairs:
             raise SmilesSyntaxError(f"duplicate bond between atoms {key}")
         seen_pairs.add(key)
-        if bond.order == AROMATIC and not (
-            atoms[bond.a].aromatic and atoms[bond.b].aromatic
-        ):
-            raise SmilesSyntaxError(
-                f"aromatic bond {key} touches a non-aromatic atom"
-            )
-    adj = _build_adjacency(n, bonds)
+        if bond.order == AROMATIC and not (atoms[a].aromatic and atoms[b].aromatic):
+            raise SmilesSyntaxError(f"aromatic bond {key} touches a non-aromatic atom")
+        adj[a].append((b, bond))
+        adj[b].append((a, bond))
     mol = Molecule(
         atoms=list(atoms),
         bonds=list(bonds),
@@ -309,6 +307,11 @@ def make_molecule(atoms: list[Atom], bonds: list[Bond]) -> Molecule:
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
+
+# One shared instance per organic-subset and aromatic token; Atom is frozen.
+_SUBSET_ATOMS = {sym: Atom(sym) for sym in ORGANIC_SUBSET} | {
+    sym: Atom(sym.upper(), aromatic=True) for sym in AROMATIC_ORGANIC
+}
 
 _BOND_CHARS = {
     "-": (SINGLE, None), "=": (DOUBLE, None), "#": (TRIPLE, None),
@@ -424,9 +427,15 @@ def parse_smiles(text: str) -> Molecule:
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        # Two-letter symbols first; at the end of the text the slice is ch.
+        atom = _SUBSET_ATOMS.get(text[i:i + 2]) or _SUBSET_ATOMS.get(ch)
+        if atom is not None:
+            i += len(atom.element)
+        elif ch == "[":
+            atom, i = _parse_bracket(text, i)
+        elif ch.isspace():
             raise SmilesSyntaxError(f"whitespace inside SMILES at column {i}")
-        if ch == "(":
+        elif ch == "(":
             if prev is None:
                 raise SmilesSyntaxError("branch opened before any atom")
             if pending is not None:
@@ -434,7 +443,7 @@ def parse_smiles(text: str) -> Molecule:
             branch_stack.append(prev)
             i += 1
             continue
-        if ch == ")":
+        elif ch == ")":
             if not branch_stack:
                 raise UnbalancedParenthesis(f"unmatched ')' at column {i}")
             if pending is not None:
@@ -442,13 +451,13 @@ def parse_smiles(text: str) -> Molecule:
             prev = branch_stack.pop()
             i += 1
             continue
-        if ch == ".":
+        elif ch == ".":
             if pending is not None or branch_stack:
                 raise SmilesSyntaxError("misplaced fragment separator '.'")
             prev = None
             i += 1
             continue
-        if ch in _BOND_CHARS:
+        elif ch in _BOND_CHARS:
             if pending is not None:
                 raise SmilesSyntaxError(f"two bond symbols in a row at column {i}")
             if prev is None:
@@ -456,35 +465,20 @@ def parse_smiles(text: str) -> Molecule:
             pending = _BOND_CHARS[ch]
             i += 1
             continue
-        if ch.isdigit():
+        elif ch.isdigit():
             close_ring(int(ch))
             i += 1
             continue
-        if ch == "%":
+        elif ch == "%":
             if i + 2 >= n or not (text[i + 1].isdigit() and text[i + 2].isdigit()):
                 raise SmilesSyntaxError(f"'%' needs two digits at column {i}")
             close_ring(int(text[i + 1:i + 3]))
             i += 3
             continue
-        if ch == "[":
-            atom, i = _parse_bracket(text, i)
+        elif ch.isalpha():
+            raise UnknownElement(f"element '{ch}' not in the organic subset at column {i}")
         else:
-            atom = None
-            for sym in ORGANIC_SUBSET:
-                if text.startswith(sym, i):
-                    atom = Atom(sym)
-                    i += len(sym)
-                    break
-            if atom is None:
-                if ch in AROMATIC_ORGANIC:
-                    atom = Atom(ch.upper(), aromatic=True)
-                    i += 1
-                elif ch.isalpha():
-                    raise UnknownElement(
-                        f"element '{ch}' not in the organic subset at column {i}"
-                    )
-                else:
-                    raise SmilesSyntaxError(f"unexpected character {ch!r} at column {i}")
+            raise SmilesSyntaxError(f"unexpected character {ch!r} at column {i}")
         atoms.append(atom)
         idx = len(atoms) - 1
         if prev is not None:
@@ -512,59 +506,95 @@ def parse_smiles(text: str) -> Molecule:
 
 def _initial_invariants(mol: Molecule) -> list[tuple]:
     return [
-        (
-            a.element,
-            a.formal_charge,
-            a.isotope or 0,
-            a.aromatic,
-            mol.degree(i),
-            mol.total_h(i),
-        )
-        for i, a in enumerate(mol.atoms)
+        (a.element, a.formal_charge, a.isotope or 0, a.aromatic, len(nb), mol.total_h(i))
+        for i, (a, nb) in enumerate(zip(mol.atoms, mol._adjacency))
     ]
 
 
-def _dense_ranks(keys: list) -> list[int]:
-    order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-    return [order[k] for k in keys]
+_BOND_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
 
 
 def canonical_ranks(mol: Molecule) -> list[int]:
     """Canonical atom ranks via iterative neighborhood-invariant refinement.
 
-    Ties that survive refinement are split one atom at a time (lowest
-    current rank class, lowest original index) and refinement re-runs, so
+    Atoms are split into classes by their initial invariants, then by the
+    sorted (bond, class) pairs of their neighbours, in synchronous rounds
+    until no class splits. Ties that survive are split one atom at a time
+    (lowest class, lowest original index) and refinement re-runs, so
     equivalent atoms of symmetric molecules stay interchangeable while the
     emitted string is unique.
+
+    Refinement is incremental and gives the same ranks as re-keying every
+    atom each round. A class is labelled by its start offset in sorted
+    order, a monotone relabelling of dense ranks, so every key compares as
+    before, and a split moves no other class's label. Two class-mates with
+    no neighbour in a newly split-off piece have equal neighbour counts
+    into every class, so they cannot part; a round re-keys only the
+    neighbours of split pieces, and class-mates it does not reach share
+    one key. The largest piece of a split need not be followed (Hopcroft):
+    equal counts into the old class and into the other pieces give equal
+    counts into it.
     """
     n = len(mol.atoms)
-    ranks = _dense_ranks(_initial_invariants(mol))
+    invariants = _initial_invariants(mol)
+    # (bond code * n, neighbour): code * n + label orders as (code, label).
+    nbrs = [[(_BOND_CODE[b.order] * n, j) for j, b in mol.neighbors(i)] for i in range(n)]
+    label = [0] * n
+    classes: dict[int, list[int]] = {}  # start offset -> members
+    start = 0
+    order = sorted(range(n), key=invariants.__getitem__)
+    for pos, i in enumerate(order):
+        if pos and invariants[i] != invariants[order[pos - 1]]:
+            start = pos
+        label[i] = start
+        classes.setdefault(start, []).append(i)
 
-    def refine(ranks: list[int]) -> list[int]:
-        while True:
-            keys = []
-            for i in range(n):
-                nbrs = sorted(
-                    (BOND_ORDER_VALUE[b.order] if b.order != AROMATIC else 4, ranks[j])
-                    for j, b in mol.neighbors(i)
-                )
-                keys.append((ranks[i], tuple(nbrs)))
-            new = _dense_ranks(keys)
-            if new == ranks:
-                return ranks
-            ranks = new
+    def key(i: int) -> tuple[int, ...]:
+        return tuple(sorted([c + label[j] for c, j in nbrs[i]]))
 
-    ranks = refine(ranks)
-    while len(set(ranks)) < n:
-        counts: dict[int, list[int]] = {}
-        for i, r in enumerate(ranks):
-            counts.setdefault(r, []).append(i)
-        tied_rank = min(r for r, members in counts.items() if len(members) > 1)
-        chosen = min(counts[tied_rank])
-        ranks = [r * 2 for r in ranks]
-        ranks[chosen] -= 1
-        ranks = refine(_dense_ranks(ranks))
-    return ranks
+    touched = range(n)
+    first_tied = 0
+    while True:
+        while touched:
+            hits: dict[int, list[int]] = {}
+            for i in touched:
+                if len(classes[label[i]]) > 1:
+                    hits.setdefault(label[i], []).append(i)
+            splits = []
+            for s, hit in hits.items():
+                groups: dict[tuple[int, ...], list[int]] = {}
+                for i in hit:
+                    groups.setdefault(key(i), []).append(i)
+                members = classes[s]
+                if len(hit) < len(members):
+                    hit_set = set(hit)
+                    rest = [i for i in members if i not in hit_set]
+                    groups.setdefault(key(rest[0]), []).extend(rest)
+                if len(groups) > 1:
+                    splits.append((s, [groups[k] for k in sorted(groups)]))
+            # Labels change only after every key of the round is taken.
+            touched = set()
+            for s, pieces in splits:
+                largest = max(pieces, key=len)
+                for piece in pieces:
+                    classes[s] = piece
+                    for i in piece:
+                        label[i] = s
+                    if piece is not largest:
+                        for i in piece:
+                            touched.update([j for _, j in nbrs[i]])
+                    s += len(piece)
+        while first_tied < n and len(classes[first_tied]) == 1:
+            first_tied += 1
+        if first_tied == n:
+            return label  # every class is one atom: offsets are dense ranks
+        tied = classes[first_tied]
+        chosen = min(tied)
+        classes[first_tied] = [chosen]
+        classes[first_tied + 1] = [i for i in tied if i != chosen]
+        for i in classes[first_tied + 1]:
+            label[i] = first_tied + 1
+        touched = {j for _, j in nbrs[chosen]}
 
 
 _ORGANIC_WRITABLE = set(ORGANIC_SUBSET)
@@ -618,47 +648,46 @@ def _bond_token(bond: Bond, mol: Molecule) -> str:
 
 
 def _write_fragment(mol: Molecule, ranks: list[int], start: int) -> str:
-    # First pass: depth-first walk in ascending-rank order, classifying tree
-    # bonds vs ring closures. Visit-time marking keeps every ring-closure
-    # opening atom strictly earlier in the emitted string than its closer.
-    # Both passes keep explicit stacks, so chain length is not bounded by
+    # First pass: depth-first walk in ascending-rank order. An edge to an
+    # unvisited atom is a tree bond; an edge back to an earlier atom other
+    # than the parent is a ring closure, opened on that earlier atom, so
+    # every opening atom comes strictly before its closer in the string.
+    # The walk keeps an explicit stack, so chain length is not bounded by
     # the interpreter's recursion limit.
-    preorder: list[int] = []
-    children: dict[int, list[tuple[int, Bond]]] = {}
-    ring_closures: list[tuple[int, int, Bond]] = []  # (open atom, close atom, bond)
-    seen_bonds: set[int] = set()
-    visited: set[int] = set()
-
-    def visit(u: int):
-        visited.add(u)
-        preorder.append(u)
-        children[u] = []
-        return u, iter(sorted(mol.neighbors(u), key=lambda t: ranks[t[0]]))
-
-    walk = [visit(start)]
+    adj = mol._adjacency
+    position = {start: 0}  # atom -> preorder position
+    preorder = [start]
+    # Per position, the text before the atom: ")" when it follows a
+    # sibling's branch, "(" when a later sibling follows it, its tree bond.
+    lead: list[list[str]] = [[""]]
+    last_child: dict[int, int] = {}  # atom -> position of its latest child
+    ring_closures: list[tuple[int, int, Bond]] = []  # (open, close position, bond)
+    walk = [(start, -1, iter(sorted([(ranks[v], v, b) for v, b in adj[start]])))]
     while walk:
-        u, pending = walk[-1]
-        for v, bond in pending:
-            if id(bond) in seen_bonds:
-                continue
-            seen_bonds.add(id(bond))
-            if v in visited:
-                ring_closures.append((v, u, bond))
-            else:
-                children[u].append((v, bond))
-                walk.append(visit(v))
+        u, parent, pending = walk[-1]
+        for _, v, bond in pending:
+            if v not in position:
+                here = len(preorder)
+                position[v] = here
+                preorder.append(v)
+                if u in last_child:
+                    lead[last_child[u]].insert(-1, "(")
+                    lead.append([")", _bond_token(bond, mol)])
+                else:
+                    lead.append([_bond_token(bond, mol)])
+                last_child[u] = here
+                walk.append((v, u, iter(sorted([(ranks[w], w, b) for w, b in adj[v]]))))
                 break
+            if v != parent and position[v] < position[u]:
+                ring_closures.append((position[v], position[u], bond))
         else:
             walk.pop()
 
-    pre_index = {a: i for i, a in enumerate(preorder)}
-    opens: dict[int, list[tuple[int, Bond]]] = {}
+    opens: dict[int, list[Bond]] = {}
     closes: dict[int, list[Bond]] = {}
-    for open_atom, close_atom, bond in sorted(
-        ring_closures, key=lambda t: (pre_index[t[0]], pre_index[t[1]])
-    ):
-        opens.setdefault(open_atom, []).append((close_atom, bond))
-        closes.setdefault(close_atom, []).append(bond)
+    for open_at, close_at, bond in sorted(ring_closures, key=lambda t: t[:2]):
+        opens.setdefault(open_at, []).append(bond)
+        closes.setdefault(close_at, []).append(bond)
 
     digit_of: dict[int, int] = {}
     free_digits = list(range(1, 100))
@@ -666,35 +695,24 @@ def _write_fragment(mol: Molecule, ranks: list[int], start: int) -> str:
     def digit_token(d: int) -> str:
         return str(d) if d < 10 else f"%{d:02d}"
 
+    # Second pass: emission in preorder.
     out: list[str] = []
-    # Second pass: preorder emission from a stack of atoms (ints) and
-    # literal tokens (strs), children pushed in reverse.
-    todo: list[int | str] = [start]
-    while todo:
-        u = todo.pop()
-        if isinstance(u, str):
-            out.append(u)
-            continue
+    for here, u in enumerate(preorder):
+        out.extend(lead[here])
         out.append(_atom_token(mol.atoms[u]))
         # Close digits first so a freed digit may be reopened on this atom.
-        for bond in closes.get(u, ()):
+        for bond in closes.get(here, ()):
             d = digit_of.pop(id(bond))
             free_digits.append(d)
             free_digits.sort()
             out.append(digit_token(d))
-        for _close_atom, bond in opens.get(u, ()):
+        for bond in opens.get(here, ()):
+            if not free_digits:
+                raise SmilesError("more than 99 ring closures open at once")
             d = free_digits.pop(0)
             digit_of[id(bond)] = d
             out.append(_bond_token(bond, mol))
             out.append(digit_token(d))
-        kids = children[u]
-        steps: list[int | str] = []
-        for v, bond in kids[:-1]:
-            steps += ["(", _bond_token(bond, mol), v, ")"]
-        if kids:
-            v, bond = kids[-1]
-            steps += [_bond_token(bond, mol), v]
-        todo.extend(reversed(steps))
     return "".join(out)
 
 

@@ -456,7 +456,7 @@ def save_model(model: MlpModel, path: str) -> None:
         "target": model.target,
         "layer_sizes": model.layer_sizes,
         "activation": model.activation,
-        "weights": [w.tolist() for w in model.weights],
+        "weights": None,  # written row by row below
         "biases": [b.tolist() for b in model.biases],
         "feature_config": None
         if model.feature_spec is None
@@ -475,48 +475,75 @@ def save_model(model: MlpModel, path: str) -> None:
         },
         "train_meta": model.train_meta,
     }
+    # The bytes of json.dumps(doc), which takes the C encoder (json.dump
+    # never does), but one weight row per call, so neither the text nor the
+    # nested lists of the largest layer are held whole.
     with open(path, "w") as handle:
-        handle.write(json.dumps(doc))  # json.dump never uses the C encoder
+        for n, (key, value) in enumerate(doc.items()):
+            handle.write(("{" if n == 0 else ", ") + json.dumps(key) + ": ")
+            if key != "weights":
+                handle.write(json.dumps(value))
+                continue
+            handle.write("[")
+            for layer, w in enumerate(model.weights):
+                handle.write(", [" if layer else "[")
+                for r, row in enumerate(w):
+                    handle.write((", " if r else "") + json.dumps(row.tolist()))
+                handle.write("]")
+            handle.write("]")
+        handle.write("}")
 
 
 def load_model(path: str) -> MlpModel:
+    """Read a model file; a malformed one raises ValueError."""
     with open(path) as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError("model file is not a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {doc.get('format_version')}")
-    sizes = list(doc["layer_sizes"])
-    weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
-    biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
+    try:
+        sizes = list(doc["layer_sizes"])
+        weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
+        biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
+        activation, target = doc["activation"], doc["target"]
+        spec = None
+        if doc.get("feature_config"):
+            fc = doc["feature_config"]
+            spec = FeatureSpec(
+                fingerprint=FingerprintConfig(
+                    radius=fc["radius"], nbits=fc["nbits"], hash_seed=fc["hash_seed"]
+                ),
+                descriptors=tuple(fc["descriptors"]),
+            )
+        stats = None
+        if doc.get("norm_stats"):
+            ns = doc["norm_stats"]
+            stats = NormStats(
+                mean=np.asarray(ns["mean"], dtype=float),
+                std=np.asarray(ns["std"], dtype=float),
+                kept=np.asarray(ns["kept"], dtype=int),
+            )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed model file: missing or bad field {exc}") from exc
+    if activation not in ("relu", "tanh"):
+        raise ValueError(f"unsupported activation {activation!r}")
     if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
         raise ValueError("layer count mismatch in model file")
     for idx, (w, b) in enumerate(zip(weights, biases)):
         if w.shape != (sizes[idx + 1], sizes[idx]) or b.shape != (sizes[idx + 1],):
             raise ValueError(f"bad shape for layer {idx}: {w.shape}/{b.shape}")
-    spec = None
-    if doc.get("feature_config"):
-        fc = doc["feature_config"]
-        spec = FeatureSpec(
-            fingerprint=FingerprintConfig(
-                radius=fc["radius"], nbits=fc["nbits"], hash_seed=fc["hash_seed"]
-            ),
-            descriptors=tuple(fc["descriptors"]),
-        )
-    stats = None
-    if doc.get("norm_stats"):
-        ns = doc["norm_stats"]
-        stats = NormStats(
-            mean=np.asarray(ns["mean"], dtype=float),
-            std=np.asarray(ns["std"], dtype=float),
-            kept=np.asarray(ns["kept"], dtype=int),
-        )
+    if stats is not None:
         if stats.kept.size != sizes[0]:
             raise ValueError("normalization width != model input width")
+        if spec is not None and not all(0 <= k < spec.width() for k in stats.kept.tolist()):
+            raise ValueError(f"norm_stats.kept index outside [0, {spec.width()})")
     return MlpModel(
         layer_sizes=sizes,
         weights=weights,
         biases=biases,
-        activation=doc["activation"],
-        target=doc["target"],
+        activation=activation,
+        target=target,
         feature_spec=spec,
         norm_stats=stats,
         train_meta=doc.get("train_meta", {}),

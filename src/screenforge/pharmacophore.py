@@ -473,30 +473,40 @@ def save_hypothesis(h: Hypothesis, path: str) -> None:
 
 
 def load_hypothesis(path: str) -> Hypothesis:
+    """Read a hypothesis file; a malformed one raises ValueError."""
     with open(path) as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError("hypothesis file is not a JSON object")
     if doc.get("format_version") != HYPOTHESIS_FORMAT_VERSION:
         raise ValueError(
             f"unsupported hypothesis format_version {doc.get('format_version')}"
         )
-    h = Hypothesis(
-        features=[(f["kind"], f["weight"]) for f in doc["features"]],
-        pair_constraints={
-            (c["i"], c["j"]): (c["distance"], c["tolerance"])
-            for c in doc["pair_constraints"]
-        },
-        gen_params=doc.get("gen_params", dict(GEN_PARAMS)),
-        enumeration_index=doc.get("enumeration_index", 0),
-        seed_smiles=doc.get("seed_smiles"),
-    )
-    if doc.get("fit_regression"):
-        h.fit_regression = (
-            doc["fit_regression"]["slope"],
-            doc["fit_regression"]["intercept"],
+    try:
+        h = Hypothesis(
+            features=[(f["kind"], f["weight"]) for f in doc["features"]],
+            pair_constraints={
+                (c["i"], c["j"]): (c["distance"], c["tolerance"])
+                for c in doc["pair_constraints"]
+            },
+            gen_params=doc.get("gen_params", dict(GEN_PARAMS)),
+            enumeration_index=doc.get("enumeration_index", 0),
+            seed_smiles=doc.get("seed_smiles"),
         )
-    if doc.get("costs"):
-        h.costs = HypothesisCosts(
-            null_cost=doc["costs"]["null_cost"],
-            total_cost=doc["costs"]["total_cost"],
-        )
+        if doc.get("fit_regression"):
+            h.fit_regression = (
+                doc["fit_regression"]["slope"],
+                doc["fit_regression"]["intercept"],
+            )
+        if doc.get("costs"):
+            h.costs = HypothesisCosts(
+                null_cost=doc["costs"]["null_cost"],
+                total_cost=doc["costs"]["total_cost"],
+            )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed hypothesis file: missing or bad field {exc}") from exc
+    n = len(h.features)
+    for pair in h.pair_constraints:
+        if not all(isinstance(k, int) and 0 <= k < n for k in pair):
+            raise ValueError(f"pair constraint {pair} outside the {n} features")
     return h

@@ -12,7 +12,23 @@ import math
 
 import numpy as np
 
-from screenforge.chem_graph import Molecule
+from screenforge.chem_graph import (
+    AROMATIC,
+    AROMATIC_ORGANIC,
+    BOND_ORDER_VALUE,
+    ORGANIC_SUBSET,
+    SINGLE,
+    Atom,
+    Bond,
+    Molecule,
+    SmilesSyntaxError,
+    UnbalancedParenthesis,
+    UnclosedRing,
+    UnknownElement,
+    _BOND_CHARS,
+    _parse_bracket,
+    make_molecule,
+)
 
 
 def _atom_key(mol: Molecule, i: int):
@@ -358,3 +374,188 @@ def ring_bonds_oracle(mol: Molecule) -> set[tuple[int, int]]:
                             bridges.add((min(u, v), max(u, v)))
     keys = {(min(b.a, b.b), max(b.a, b.b)) for b in mol.bonds}
     return keys - bridges
+
+
+def parse_smiles_oracle(text: str) -> Molecule:
+    """The character-by-character parser the library's table-driven one
+    replaced: ten ``startswith`` probes and a new :class:`Atom` per atom.
+
+    Raises UnclosedRing, UnbalancedParenthesis, UnknownElement,
+    ValenceViolation or SmilesSyntaxError on malformed input.
+    """
+    if not isinstance(text, str) or not text.strip():
+        raise SmilesSyntaxError("empty SMILES string")
+    text = text.strip()
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    prev: int | None = None
+    pending: tuple[str, str | None] | None = None
+    branch_stack: list[int | None] = []
+    # ring number -> (atom index, pending bond at opening)
+    open_rings: dict[int, tuple[int, tuple[str, str | None] | None]] = {}
+
+    def add_bond(i: int, j: int, spec: tuple[str, str | None] | None) -> None:
+        if spec is None:
+            both_aromatic = atoms[i].aromatic and atoms[j].aromatic
+            order, direction = (AROMATIC, None) if both_aromatic else (SINGLE, None)
+        else:
+            order, direction = spec
+        bonds.append(Bond(i, j, order, direction))
+
+    def close_ring(num: int) -> None:
+        nonlocal pending
+        if prev is None:
+            raise SmilesSyntaxError(f"ring digit {num} before any atom")
+        if num in open_rings:
+            other, opening_spec = open_rings.pop(num)
+            if other == prev:
+                raise SmilesSyntaxError(f"ring {num} closed on its opening atom")
+            if opening_spec is not None and pending is not None and opening_spec != pending:
+                raise SmilesSyntaxError(f"conflicting bond symbols on ring {num}")
+            add_bond(other, prev, opening_spec if opening_spec is not None else pending)
+        else:
+            open_rings[num] = (prev, pending)
+        pending = None
+
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            raise SmilesSyntaxError(f"whitespace inside SMILES at column {i}")
+        if ch == "(":
+            if prev is None:
+                raise SmilesSyntaxError("branch opened before any atom")
+            if pending is not None:
+                raise SmilesSyntaxError("bond symbol immediately before '('")
+            branch_stack.append(prev)
+            i += 1
+            continue
+        if ch == ")":
+            if not branch_stack:
+                raise UnbalancedParenthesis(f"unmatched ')' at column {i}")
+            if pending is not None:
+                raise SmilesSyntaxError("dangling bond symbol before ')'")
+            prev = branch_stack.pop()
+            i += 1
+            continue
+        if ch == ".":
+            if pending is not None or branch_stack:
+                raise SmilesSyntaxError("misplaced fragment separator '.'")
+            prev = None
+            i += 1
+            continue
+        if ch in _BOND_CHARS:
+            if pending is not None:
+                raise SmilesSyntaxError(f"two bond symbols in a row at column {i}")
+            if prev is None:
+                raise SmilesSyntaxError(f"bond symbol before any atom at column {i}")
+            pending = _BOND_CHARS[ch]
+            i += 1
+            continue
+        if ch.isdigit():
+            close_ring(int(ch))
+            i += 1
+            continue
+        if ch == "%":
+            if i + 2 >= n or not (text[i + 1].isdigit() and text[i + 2].isdigit()):
+                raise SmilesSyntaxError(f"'%' needs two digits at column {i}")
+            close_ring(int(text[i + 1:i + 3]))
+            i += 3
+            continue
+        if ch == "[":
+            atom, i = _parse_bracket(text, i)
+        else:
+            atom = None
+            for sym in ORGANIC_SUBSET:
+                if text.startswith(sym, i):
+                    atom = Atom(sym)
+                    i += len(sym)
+                    break
+            if atom is None:
+                if ch in AROMATIC_ORGANIC:
+                    atom = Atom(ch.upper(), aromatic=True)
+                    i += 1
+                elif ch.isalpha():
+                    raise UnknownElement(
+                        f"element '{ch}' not in the organic subset at column {i}"
+                    )
+                else:
+                    raise SmilesSyntaxError(f"unexpected character {ch!r} at column {i}")
+        atoms.append(atom)
+        idx = len(atoms) - 1
+        if prev is not None:
+            add_bond(prev, idx, pending)
+        elif pending is not None:
+            raise SmilesSyntaxError("bond symbol before first atom of a fragment")
+        pending = None
+        prev = idx
+
+    if pending is not None:
+        raise SmilesSyntaxError("dangling bond symbol at end of input")
+    if branch_stack:
+        raise UnbalancedParenthesis(f"{len(branch_stack)} unclosed '('")
+    if open_rings:
+        nums = sorted(open_rings)
+        raise UnclosedRing(f"unmatched ring closure digit(s): {nums}")
+    if not atoms:
+        raise SmilesSyntaxError("no atoms in SMILES")
+    return make_molecule(atoms, bonds)
+
+
+def _initial_invariants(mol: Molecule) -> list[tuple]:
+    return [
+        (
+            a.element,
+            a.formal_charge,
+            a.isotope or 0,
+            a.aromatic,
+            mol.degree(i),
+            mol.total_h(i),
+        )
+        for i, a in enumerate(mol.atoms)
+    ]
+
+
+def _dense_ranks(keys: list) -> list[int]:
+    order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+    return [order[k] for k in keys]
+
+
+def canonical_ranks_oracle(mol: Molecule) -> list[int]:
+    """Canonical atom ranks by full synchronous rounds that re-key every
+    atom, the refinement the library's incremental one replaced.
+
+    Ties that survive refinement are split one atom at a time (lowest
+    current rank class, lowest original index) and refinement re-runs, so
+    equivalent atoms of symmetric molecules stay interchangeable while the
+    emitted string is unique.
+    """
+    n = len(mol.atoms)
+    ranks = _dense_ranks(_initial_invariants(mol))
+
+    def refine(ranks: list[int]) -> list[int]:
+        while True:
+            keys = []
+            for i in range(n):
+                nbrs = sorted(
+                    (BOND_ORDER_VALUE[b.order] if b.order != AROMATIC else 4, ranks[j])
+                    for j, b in mol.neighbors(i)
+                )
+                keys.append((ranks[i], tuple(nbrs)))
+            new = _dense_ranks(keys)
+            if new == ranks:
+                return ranks
+            ranks = new
+
+    ranks = refine(ranks)
+    while len(set(ranks)) < n:
+        counts: dict[int, list[int]] = {}
+        for i, r in enumerate(ranks):
+            counts.setdefault(r, []).append(i)
+        tied_rank = min(r for r, members in counts.items() if len(members) > 1)
+        chosen = min(counts[tied_rank])
+        ranks = [r * 2 for r in ranks]
+        ranks[chosen] -= 1
+        ranks = refine(_dense_ranks(ranks))
+    return ranks

@@ -1,0 +1,247 @@
+"""Property tests on adversarial SMILES: long chains, deep branch nesting,
+many ring-closure digits with ``%nn`` reuse, salts and large bracket
+hydrogen counts.
+
+The table-driven parser and the incremental canonical ranks are checked
+against the implementations they replaced, kept in ``oracles.py``.
+"""
+
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import canonical_ranks_oracle, parse_smiles_oracle
+from test_canonical_random import random_molecule
+from screenforge.chem_graph import (
+    Atom,
+    Bond,
+    SmilesError,
+    canonical_ranks,
+    canonical_smiles,
+    make_molecule,
+    parse_smiles,
+    renumbered,
+)
+from screenforge.cli import main
+from screenforge.screenctl import ingest, source_for
+
+CHAIN_ATOMS = ["C", "C", "C", "N", "O", "S", "Cl", "Br", "c", "n"]
+
+
+def ring_token(num: int) -> str:
+    return str(num) if num < 10 else f"%{num:02d}"
+
+
+@st.composite
+def long_chains(draw):
+    atoms = draw(st.lists(st.sampled_from(CHAIN_ATOMS), min_size=1, max_size=300))
+    bonds = draw(st.lists(st.sampled_from(["", "", "", "=", "#"]),
+                          min_size=len(atoms), max_size=len(atoms)))
+    return atoms[0] + "".join(b + a for b, a in zip(bonds, atoms[1:]))
+
+
+@st.composite
+def deep_branches(draw):
+    depth = draw(st.integers(1, 250))
+    tail = draw(st.sampled_from(["C", "O", "N", "Cl", "c"]))
+    return "C(" * depth + tail + ")C" * depth
+
+
+@st.composite
+def ring_digit_heavy(draw):
+    """A carbon chain that opens up to dozens of rings, closes some, then
+    reopens freed numbers (lowest first, so ``%nn`` numbers are reused)
+    before closing the rest. Closures land at least two atoms after their
+    opening, so most strings parse."""
+    free = list(range(1, 100))
+    opened: list[tuple[int, int]] = []  # (ring number, opening atom)
+    out = []
+    n_atoms = draw(st.integers(4, 160))
+    for k in range(n_atoms):
+        out.append("C")
+        phase = 4 * k // n_atoms  # open, close, reopen, close
+        closable = [r for r in opened if r[1] <= k - 2]
+        if phase in (1, 3) and closable:
+            ring = closable[draw(st.integers(0, len(closable) - 1))]
+            opened.remove(ring)
+            free.append(ring[0])
+            free.sort()
+            out.append(ring_token(ring[0]))
+        elif phase in (0, 2) and free and draw(st.booleans()):
+            num = free.pop(0)
+            opened.append((num, k))
+            out.append(ring_token(num))
+    if draw(st.booleans()):
+        for num, at in opened:
+            if at <= n_atoms - 3:
+                out.append("C" + ring_token(num))
+    return "".join(out)
+
+
+SALT_PARTS = ["[Na+]", "[K+]", "[Cl-]", "[Br-]", "[O-]C(=O)C", "OC(=O)c1ccccc1",
+              "[NH4+]", "[Ca+2]", "O", "CCO", "[Mg++]", "c1ccncc1"]
+
+
+@st.composite
+def salts(draw):
+    return ".".join(draw(st.lists(st.sampled_from(SALT_PARTS), min_size=1, max_size=12)))
+
+
+@st.composite
+def bracket_hydrogens(draw):
+    count = draw(st.one_of(st.integers(0, 12), st.integers(10**3, 10**9)))
+    isotope = draw(st.sampled_from(["", "13", "999999"]))
+    element = draw(st.sampled_from(["C", "N", "O", "S", "c"]))
+    charge = draw(st.sampled_from(["", "+", "-", "+2", "--"]))
+    atom = f"[{isotope}{element}H{count}{charge}]"
+    return draw(st.sampled_from([atom, f"C{atom}C", f"{atom}.{atom}", f"OC({atom})=O"]))
+
+
+ADVERSARIAL = st.one_of(long_chains(), deep_branches(), ring_digit_heavy(), salts(),
+                        bracket_hydrogens())
+SMILES_ALPHABET = "CcNnOoSsPpBbFlIrHK[]()=#:/\\.@+-%0123456789"
+
+
+def same_outcome(text: str) -> None:
+    """The parser builds the oracle's molecule or raises its error class."""
+    try:
+        expected = parse_smiles_oracle(text)
+    except Exception as exc:  # any class: the parser must raise the same one
+        with pytest.raises(type(exc)):
+            parse_smiles(text)
+        return
+    got = parse_smiles(text)
+    assert got == expected
+    assert got.fragment_count == expected.fragment_count
+
+
+def ladder(rungs: int):
+    """Two carbon rails of ``rungs`` atoms joined rung by rung."""
+    bonds = [Bond(i, rungs + i) for i in range(rungs)]
+    bonds += [Bond(i, i + 1) for i in range(rungs - 1)]
+    bonds += [Bond(rungs + i, rungs + i + 1) for i in range(rungs - 1)]
+    return make_molecule([Atom("C")] * (2 * rungs), bonds)
+
+
+def ladder_smiles(rungs: int) -> str:
+    """The ladder walked rung, rail, rung, ...: each rail bond off the walk
+    is a ring opened on an even position and closed three atoms later."""
+    out = []
+    for p in range(2 * rungs):
+        out.append("C")
+        if p % 2 and p >= 3:
+            out.append(str(1 + (p - 3) // 2 % 2))
+        if p % 2 == 0 and p <= 2 * rungs - 4:
+            out.append(str(1 + p // 2 % 2))
+    return "".join(out)
+
+
+class TestParserMatchesOracle:
+    @given(st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=256))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_ascii(self, text):
+        same_outcome(text)
+
+    @given(st.text(st.sampled_from(SMILES_ALPHABET), max_size=80))
+    @settings(max_examples=400, deadline=None)
+    def test_fuzzed_smiles_alphabet(self, text):
+        same_outcome(text)
+
+    @given(ADVERSARIAL)
+    @settings(max_examples=200, deadline=None)
+    def test_adversarial(self, text):
+        same_outcome(text)
+
+    def test_organic_atoms_are_shared(self):
+        mol = parse_smiles("CCl.ClC")
+        assert mol.atoms[0] is mol.atoms[3]
+        assert mol.atoms[1] is mol.atoms[2]
+        assert mol.bonds[0] is not mol.bonds[1]
+
+
+class TestIngest:
+    @given(ADVERSARIAL)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_a_single_row_never_aborts_the_batch(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lib.smi"
+            path.write_text(f"{text} odd\nCCO ethanol\n")
+            records, stats = ingest(source_for(str(path)))
+        assert stats.read == 2
+        assert stats.read == stats.parsed + stats.parse_errors
+        assert len(records) == stats.parsed - stats.duplicates_removed
+        assert all(error.startswith("line 1:") for error in stats.errors)
+        assert "CCO" in [r.canonical_smiles for r in records]  # kept, or kept first
+
+    def test_ladder_with_more_than_99_open_rings_is_a_row_error(self, tmp_path, capsys):
+        # 199 rungs: the canonical walk holds 100 ring closures open at once,
+        # though the input needs only two ring digits.
+        text = ladder_smiles(199)
+        assert canonical_smiles(parse_smiles(ladder_smiles(30))) == canonical_smiles(ladder(30))
+        with pytest.raises(SmilesError, match="more than 99"):
+            canonical_smiles(parse_smiles(text))
+        path = tmp_path / "lib.smi"
+        path.write_text(f"{text} ladder\nCCO ethanol\n")
+        assert main(["parse", str(path)]) == 0
+        out = capsys.readouterr()
+        assert out.out.splitlines()[1:] == ["2,ethanol,CCO,C2H6O"]
+        assert "more than 99 ring closures" in out.err
+
+
+class TestCanonicalSmiles:
+    @given(ADVERSARIAL, st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_idempotent_and_invariant_under_renumbering(self, text, rng):
+        try:
+            mol = parse_smiles(text)
+            canonical = canonical_smiles(mol)
+        except SmilesError:
+            assume(False)
+        assert canonical_smiles(parse_smiles(canonical)) == canonical
+        order = list(range(len(mol.atoms)))
+        rng.shuffle(order)
+        assert canonical_smiles(renumbered(mol, order)) == canonical
+
+
+CAGES = [
+    "C12C3C4C1C5C2C3C45",  # cubane
+    "C12C3C1C1C2C31",  # prismane
+    "C1C2CC3CC1CC(C2)C3",  # adamantane
+    "C1CC2CCC1CC2",  # bicyclo[2.2.2]octane
+    "C12C3C4C5C1C1C2C3C4C51",  # pentaprismane
+    "C1CCCCCCCCCCCCCCCCCCCCCCC1",
+    "c1ccc2cc3ccccc3cc2c1",
+    "C(C)(C)(C)C.C(C)(C)(C)C",
+    "C12C3C4C1C5C2C3C45.C12C3C4C1C5C2C3C45",
+]
+
+
+class TestRanksMatchOracle:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_random_graph_generator(self, rng):
+        mol = random_molecule(rng)
+        assert canonical_ranks(mol) == canonical_ranks_oracle(mol)
+        order = list(range(len(mol.atoms)))
+        rng.shuffle(order)
+        other = renumbered(mol, order)
+        assert canonical_ranks(other) == canonical_ranks_oracle(other)
+
+    @pytest.mark.parametrize("smiles", CAGES)
+    def test_symmetric_cages(self, smiles):
+        mol = parse_smiles(smiles)
+        rng = random.Random(smiles)
+        for _ in range(5):
+            assert canonical_ranks(mol) == canonical_ranks_oracle(mol)
+            order = list(range(len(mol.atoms)))
+            rng.shuffle(order)
+            mol = renumbered(mol, order)
+
+    def test_ladder(self):
+        mol = ladder(30)
+        assert canonical_ranks(mol) == canonical_ranks_oracle(mol)

@@ -212,3 +212,66 @@ class TestUsageErrors:
             main(["--version"])
         assert exc.value.code == 0
         assert "screenforge" in capsys.readouterr().out
+
+
+def three_feature_hypothesis() -> dict:
+    return {
+        "format_version": 1,
+        "features": [
+            {"kind": "HBD", "weight": 1.0},
+            {"kind": "HBA", "weight": 1.0},
+            {"kind": "AromaticRing", "weight": 1.0},
+        ],
+        "pair_constraints": [
+            {"i": 0, "j": 1, "distance": 3.0, "tolerance": 1.0},
+            {"i": 1, "j": 2, "distance": 4.0, "tolerance": 1.0},
+        ],
+    }
+
+
+class TestMalformedInputFiles:
+    """A malformed hypothesis or model file is a config error (exit 4),
+    never a traceback."""
+
+    def pharm_screen(self, library, tmp_path, doc) -> int:
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        return main(["pharm", "screen", str(library), "--hypothesis", str(path)])
+
+    def predict(self, library, tmp_path, doc) -> int:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        return main(["predict", str(library), "--model", str(path)])
+
+    def model_doc(self, tmp_path) -> dict:
+        path = tmp_path / "const.json"
+        save_model(constant_model(6.0), str(path))
+        return json.loads(path.read_text())
+
+    def test_well_formed_files_pass(self, library, tmp_path, capsys):
+        assert self.pharm_screen(library, tmp_path, three_feature_hypothesis()) == 0
+        assert self.predict(library, tmp_path, self.model_doc(tmp_path)) == 0
+
+    def test_pair_index_outside_feature_list(self, library, tmp_path, capsys):
+        doc = three_feature_hypothesis()
+        doc["pair_constraints"].append({"i": 0, "j": 7, "distance": 2.0, "tolerance": 1.0})
+        assert self.pharm_screen(library, tmp_path, doc) == 4
+        assert "outside the 3 features" in capsys.readouterr().err
+
+    def test_feature_without_kind(self, library, tmp_path, capsys):
+        doc = three_feature_hypothesis()
+        del doc["features"][1]["kind"]
+        assert self.pharm_screen(library, tmp_path, doc) == 4
+        assert "'kind'" in capsys.readouterr().err
+
+    def test_model_without_activation(self, library, tmp_path, capsys):
+        doc = self.model_doc(tmp_path)
+        del doc["activation"]
+        assert self.predict(library, tmp_path, doc) == 4
+        assert "'activation'" in capsys.readouterr().err
+
+    def test_kept_index_outside_feature_width(self, library, tmp_path, capsys):
+        doc = self.model_doc(tmp_path)
+        doc["norm_stats"]["kept"] = [99999]
+        assert self.predict(library, tmp_path, doc) == 4
+        assert "kept index outside" in capsys.readouterr().err

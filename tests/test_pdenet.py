@@ -453,6 +453,22 @@ class TestPersistence:
         assert written == expected.getvalue()
         assert doc["weights"][0][0][0] == float(model.weights[0][0][0])
 
+    def test_three_layer_tanh_model_bytes_equal_json_dump(self, tmp_path):
+        model = init_model([7, 5, 3, 1], "tanh", seed=8, target="PDE4")
+        model.feature_spec = FeatureSpec()
+        model.norm_stats = NormStats(mean=np.zeros(7), std=np.ones(7), kept=np.arange(7))
+        assert model.train_meta == {}
+        path = tmp_path / "m.json"
+        save_model(model, str(path))
+        written = path.read_text()
+        doc = json.loads(written)
+        expected = io.StringIO()
+        json.dump(doc, expected)
+        assert written == expected.getvalue()
+        assert [np.array(w).shape for w in doc["weights"]] == [(5, 7), (3, 5), (1, 3)]
+        assert doc["weights"] == [w.tolist() for w in model.weights]
+        assert doc["activation"] == "tanh" and doc["train_meta"] == {}
+
     def test_version_validated(self, tmp_path):
         model = init_model([2, 1], seed=0)
         path = tmp_path / "m.json"
