@@ -736,8 +736,13 @@ def canonical_smiles(mol: Molecule) -> str:
 # ---------------------------------------------------------------------------
 
 def element_counts(mol: Molecule) -> dict[str, int]:
+    return _element_counts(mol, range(len(mol.atoms)))
+
+
+def _element_counts(mol: Molecule, indices) -> dict[str, int]:
     counts: dict[str, int] = {}
-    for i, atom in enumerate(mol.atoms):
+    for i in indices:
+        atom = mol.atoms[i]
         counts[atom.element] = counts.get(atom.element, 0) + 1
         h = atom.explicit_h if atom.explicit_h is not None else mol.implicit_h[i]
         if h:
@@ -761,40 +766,34 @@ def molecular_formula(mol: Molecule) -> str:
     )
 
 
-def fragment_molecules(mol: Molecule) -> list[Molecule]:
-    """Split a molecule into its connected components, original order kept."""
-    out = []
-    for frag in mol._fragment_list:
-        index_map = {old: new for new, old in enumerate(frag)}
-        atoms = [mol.atoms[i] for i in frag]
-        bonds = [
-            replace(b, a=index_map[b.a], b=index_map[b.b])
-            for b in mol.bonds
-            if b.a in index_map and b.b in index_map
-        ]
-        out.append(make_molecule(atoms, bonds))
-    return out
-
-
 def largest_fragment(mol: Molecule) -> Molecule:
-    """Connected component with the most heavy atoms.
+    """Connected component with the most heavy atoms, as a molecule of its
+    own, built once per molecule (a single fragment is the molecule itself).
 
     Ties break toward higher total mass (hydrogens included), then the
     fragment containing the lowest original atom index.
     """
     if mol.fragment_count == 1:
         return mol
-    frags = fragment_molecules(mol)
-    firsts = [frag_atoms[0] for frag_atoms in mol._fragment_list]
+    return mol.derived(_largest_fragment)
 
-    def mass(m: Molecule) -> float:
-        return sum(ATOMIC_WEIGHTS[e] * c for e, c in element_counts(m).items())
 
-    best = max(
-        range(len(frags)),
-        key=lambda i: (frags[i].heavy_atom_count(), mass(frags[i]), -firsts[i]),
-    )
-    return frags[best]
+def _largest_fragment(mol: Molecule) -> Molecule:
+    def rank(frag: list[int]):
+        # A component keeps every bond of its atoms, so these counts, and the
+        # order of the mass sum, equal those of the built fragment.
+        heavy = sum(1 for i in frag if mol.atoms[i].element != "H")
+        counts = _element_counts(mol, frag)
+        return heavy, sum(ATOMIC_WEIGHTS[e] * c for e, c in counts.items()), -frag[0]
+
+    frag = max(mol._fragment_list, key=rank)
+    index_map = {old: new for new, old in enumerate(frag)}
+    bonds = [
+        replace(b, a=index_map[b.a], b=index_map[b.b])
+        for b in mol.bonds
+        if b.a in index_map
+    ]
+    return make_molecule([mol.atoms[i] for i in frag], bonds)
 
 
 def renumbered(mol: Molecule, order: list[int]) -> Molecule:

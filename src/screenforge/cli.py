@@ -16,7 +16,6 @@ from .descriptors import admet_flags, compute_descriptors
 from .fingerprints import FingerprintConfig, circular_fingerprint, to_hex
 from .pdenet import (
     DEFAULT_GATE_THRESHOLD,
-    FeatureSpec,
     TrainConfig,
     load_model,
     predict_and_gate,
@@ -37,6 +36,7 @@ from .screenctl import (
     EXIT_EMPTY_ACTIVE_SET,
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    OVERLAP_CUTOFF,
     compare_routes,
     default_seed,
     derive_seed,
@@ -132,7 +132,7 @@ def cmd_similarity(args) -> int:
     for item_id, best, mean in zip(summary.ids_a, summary.max_sim, summary.mean_sim):
         out.writerow((item_id, f"{best:.4f}", f"{mean:.4f}"))
     if args.metric == "tanimoto":
-        print(f"overlap(T >= {summary.cutoff})={summary.overlap}", file=sys.stderr)
+        print(f"overlap(T >= {OVERLAP_CUTOFF})={summary.overlap}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -146,8 +146,7 @@ def cmd_cluster(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG_ERROR
-    cfg = FingerprintConfig()
-    fps = [circular_fingerprint(parse_smiles(r.canonical_smiles), cfg) for r in records]
+    fps = [circular_fingerprint(parse_smiles(r.canonical_smiles)) for r in records]
     assignment = hier_cluster(distance_matrix(fps), linkage=args.linkage, k=args.clusters)
     reps = set(assignment.representatives)
     out = _writer()
@@ -171,7 +170,7 @@ def cmd_train(args) -> int:
         hidden_layers=hidden,
         seed=derive_seed(seed, "train"),
     )
-    model, curve, result = train_pipeline(labeled, cfg, FeatureSpec(), args.target)
+    model, curve, result = train_pipeline(labeled, cfg, args.target)
     save_model(model, args.out)
     print(
         f"trained target={args.target} records={len(labeled)} "
@@ -263,12 +262,6 @@ def cmd_screen(args) -> int:
         model = load_model(path)
         models[model.target] = model
     hypothesis = load_hypothesis(args.hypothesis) if args.hypothesis else None
-    if not models and hypothesis is None:
-        print("error: supply at least one --model or a --hypothesis", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    if args.picks > args.clusters:
-        print("error: --picks must not exceed --clusters", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     seed = args.seed if args.seed is not None else default_seed()
     report = run_screen(
         records,
@@ -376,10 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (SmilesError, ValueError) as exc:

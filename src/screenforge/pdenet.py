@@ -25,8 +25,14 @@ log = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
 DEFAULT_GATE_THRESHOLD = 5.7
+# Fixed training constants: the Adam moment decays and denominator guard,
+# the train/test fractions of the split (the rest is the validation
+# holdout) and the hidden-layer activation of newly trained models.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+TRAIN_FRAC, TEST_FRAC = 0.78, 0.12
+TRAIN_ACTIVATION = "relu"
 # Label derivation for sources without an explicit active column; distinct
-# from the screening gate and configurable.
+# from the screening gate.
 ACTIVE_LABEL_PIC50 = 6.0
 DESCRIPTOR_FEATURES = ("mw", "tpsa", "wlogp", "hbd", "hba", "rotatable_bonds", "heavy_atoms")
 
@@ -71,6 +77,10 @@ class DatasetRecord:
     class_label: str | None = None
 
     def __post_init__(self):
+        for name in ("ic50_nm", "pic50"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"record {self.id}: {name} {value} is not finite")
         if self.ic50_nm is not None:
             derived = ic50_to_pic50(self.ic50_nm)
             if self.pic50 is None:
@@ -90,29 +100,26 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 200
     hidden_layers: tuple[int, ...] = (256, 64)
-    activation: str = "relu"
     dropout_rate: float = 0.0
     seed: int = 0
-    train_frac: float = 0.78
-    test_frac: float = 0.12
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("bad optimizer settings")
         if any(w < 1 for w in self.hidden_layers):
             raise ValueError("hidden widths must be >= 1")
-        if self.activation not in ("relu", "tanh"):
-            raise ValueError("activation must be relu or tanh")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.train_frac + self.test_frac > 1 + 1e-12:
-            raise ValueError("train_frac + test_frac must not exceed 1")
 
 
 @dataclass(frozen=True)
 class FeatureSpec:
     fingerprint: FingerprintConfig = FingerprintConfig()
     descriptors: tuple[str, ...] = DESCRIPTOR_FEATURES
+
+    def __post_init__(self):
+        if not all(d in DESCRIPTOR_FEATURES for d in self.descriptors):
+            raise ValueError(f"descriptors {self.descriptors!r} outside {DESCRIPTOR_FEATURES}")
 
     def width(self) -> int:
         return self.fingerprint.nbits + len(self.descriptors)
@@ -261,14 +268,7 @@ def backprop(model: MlpModel, X: np.ndarray, y: np.ndarray,
     return grads, loss
 
 
-def adam_step(
-    model: MlpModel,
-    gradients: list[np.ndarray],
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> MlpModel:
+def adam_step(model: MlpModel, gradients: list[np.ndarray], lr: float) -> MlpModel:
     """Bias-corrected first/second-moment update, in place; returns model."""
     params = model.parameter_list()
     state = model.adam_state
@@ -286,11 +286,11 @@ def adam_step(
     state.t += 1
     t = state.t
     for i, (g, p) in enumerate(zip(gradients, params)):
-        state.m[i] = beta1 * state.m[i] + (1 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1 - beta2) * g * g
-        m_hat = state.m[i] / (1 - beta1**t)
-        v_hat = state.v[i] / (1 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1 - ADAM_BETA2) * g * g
+        m_hat = state.m[i] / (1 - ADAM_BETA1**t)
+        v_hat = state.v[i] / (1 - ADAM_BETA2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return model
 
 
@@ -326,7 +326,7 @@ def train(
 
 
 def split_dataset(records: list, cfg: TrainConfig) -> tuple[list, list, list]:
-    """Seeded shuffle, then floor(train_frac*n) / floor(test_frac*n) /
+    """Seeded shuffle, then floor(TRAIN_FRAC*n) / floor(TEST_FRAC*n) /
     remainder. The 1e-9 nudge keeps two-decimal fractions exact against
     float rounding."""
     n = len(records)
@@ -334,8 +334,8 @@ def split_dataset(records: list, cfg: TrainConfig) -> tuple[list, list, list]:
         raise TooFewRecords(f"need at least 10 records, got {n}")
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(n)
-    n_train = int(math.floor(cfg.train_frac * n + 1e-9))
-    n_test = int(math.floor(cfg.test_frac * n + 1e-9))
+    n_train = int(math.floor(TRAIN_FRAC * n + 1e-9))
+    n_test = int(math.floor(TEST_FRAC * n + 1e-9))
     shuffled = [records[i] for i in order]
     return (
         shuffled[:n_train],
@@ -419,12 +419,7 @@ class EvalResult:
     confusion: dict[str, int]  # tp/fp/fn/tn at the activity gate
 
 
-def evaluate(
-    model: MlpModel,
-    X: np.ndarray,
-    y: np.ndarray,
-    threshold: float = DEFAULT_GATE_THRESHOLD,
-) -> EvalResult:
+def evaluate(model: MlpModel, X: np.ndarray, y: np.ndarray) -> EvalResult:
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise LengthMismatch("empty test set")
@@ -436,7 +431,7 @@ def evaluate(
         r2 = 1.0 if ss_res == 0 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    pa, aa = pred > threshold, y > threshold
+    pa, aa = pred > DEFAULT_GATE_THRESHOLD, y > DEFAULT_GATE_THRESHOLD
     confusion = {
         "tp": int(np.sum(pa & aa)),
         "fp": int(np.sum(pa & ~aa)),
@@ -528,14 +523,23 @@ def load_model(path: str) -> MlpModel:
         raise ValueError(f"malformed model file: missing or bad field {exc}") from exc
     if activation not in ("relu", "tanh"):
         raise ValueError(f"unsupported activation {activation!r}")
+    if not isinstance(target, str):
+        raise ValueError(f"model target {target!r} is not a string")
     if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
         raise ValueError("layer count mismatch in model file")
     for idx, (w, b) in enumerate(zip(weights, biases)):
         if w.shape != (sizes[idx + 1], sizes[idx]) or b.shape != (sizes[idx + 1],):
             raise ValueError(f"bad shape for layer {idx}: {w.shape}/{b.shape}")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"non-finite weight or bias in layer {idx}")
     if stats is not None:
         if stats.kept.size != sizes[0]:
             raise ValueError("normalization width != model input width")
+        if not stats.mean.shape == stats.std.shape == stats.kept.shape:
+            raise ValueError("norm_stats mean, std and kept differ in length")
+        if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()
+                and (stats.std > 0).all()):
+            raise ValueError("norm_stats mean must be finite and std finite and positive")
         if spec is not None and not all(0 <= k < spec.width() for k in stats.kept.tolist()):
             raise ValueError(f"norm_stats.kept index outside [0, {spec.width()})")
     return MlpModel(
@@ -551,16 +555,13 @@ def load_model(path: str) -> MlpModel:
 
 
 def train_pipeline(
-    records: list[DatasetRecord],
-    cfg: TrainConfig,
-    spec: FeatureSpec | None = None,
-    target: str = "custom",
+    records: list[DatasetRecord], cfg: TrainConfig, target: str = "custom"
 ) -> tuple[MlpModel, LossCurve, EvalResult]:
-    """Records-to-model orchestration: split, featurize, normalize, train,
-    and evaluate on the held-out test partition."""
+    """Records-to-model orchestration: split, featurize (default FeatureSpec),
+    normalize, train, and evaluate on the held-out test partition."""
     labeled = [r for r in records if r.pic50 is not None]
     train_recs, test_recs, holdout_recs = split_dataset(labeled, cfg)
-    spec = spec or FeatureSpec()
+    spec = FeatureSpec()
     X_train = featurize_records(train_recs, spec)
     stats = fit_norm_stats(X_train)
     Xn_train = stats.apply(X_train)
@@ -572,7 +573,7 @@ def train_pipeline(
             np.array([r.pic50 for r in holdout_recs]),
         )
     sizes = [int(stats.kept.size), *cfg.hidden_layers, 1]
-    model = init_model(sizes, cfg.activation, cfg.seed, target)
+    model = init_model(sizes, TRAIN_ACTIVATION, cfg.seed, target)
     model.feature_spec = spec
     model.norm_stats = stats
     model.train_meta = {

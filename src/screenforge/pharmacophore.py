@@ -48,7 +48,8 @@ FEATURE_KINDS = (HBD, HBA, HYDROPHOBE, AROMATIC_RING, NEG_IONIZABLE, POS_IONIZAB
 HYPOTHESIS_FORMAT_VERSION = 1
 MIN_FEATURES, MAX_FEATURES = 3, 6
 DEFAULT_MAX_CANDIDATES = 255
-DEFAULT_TOLERANCE = 1
+# Tolerance of every pair constraint a generated hypothesis gets.
+PAIR_TOLERANCE = 1
 # Complexity penalty weight in the total cost.
 COMPLEXITY_LAMBDA = 0.1
 # Generation parameters recorded verbatim on every hypothesis; topological
@@ -92,9 +93,10 @@ class Hypothesis:
                 f"feature count {len(self.features)} outside "
                 f"[{MIN_FEATURES}, {MAX_FEATURES}]"
             )
-        if any(w <= 0 for _, w in self.features):
+        # written so that a NaN fails the test too
+        if not all(w > 0 for _, w in self.features):
             raise ValueError("feature weights must be positive")
-        if any(t < 0 for _, t in self.pair_constraints.values()):
+        if not all(t >= 0 for _, t in self.pair_constraints.values()):
             raise ValueError("tolerances must be non-negative")
 
     def predict_pic50(self, fit: float) -> float | None:
@@ -213,13 +215,12 @@ def feature_distance(mol: Molecule, a: PharmFeature, b: PharmFeature) -> float:
 def generate_hypotheses(
     training: list[tuple[Molecule, float]],
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    tolerance: float = DEFAULT_TOLERANCE,
     seed_smiles: str | None = None,
 ) -> list[Hypothesis]:
     """Enumerate 3-5 feature subsets of the most-active molecule's features.
 
-    Pair constraints come from that molecule's bond-path distances with the
-    given tolerance. Enumeration order is subset size ascending, then
+    Pair constraints come from that molecule's bond-path distances with
+    tolerance PAIR_TOLERANCE. Enumeration order is subset size ascending, then
     lexicographic by feature index; the candidate cap keeps that prefix.
     """
     labeled = [(m, p) for m, p in training if p is not None]
@@ -239,7 +240,7 @@ def generate_hypotheses(
             constraints = {}
             for ai, bi in itertools.combinations(range(size), 2):
                 d = feature_distance(seed_mol, feats[combo[ai]], feats[combo[bi]])
-                constraints[(ai, bi)] = (d, tolerance)
+                constraints[(ai, bi)] = (d, PAIR_TOLERANCE)
             candidates.append(
                 Hypothesis(
                     features=[(feats[i].kind, 1.0) for i in combo],
@@ -506,7 +507,13 @@ def load_hypothesis(path: str) -> Hypothesis:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed hypothesis file: missing or bad field {exc}") from exc
     n = len(h.features)
-    for pair in h.pair_constraints:
+    for pair, (distance, _tol) in h.pair_constraints.items():
         if not all(isinstance(k, int) and 0 <= k < n for k in pair):
             raise ValueError(f"pair constraint {pair} outside the {n} features")
+        if not isinstance(distance, (int, float)) or math.isnan(distance):
+            raise ValueError(f"pair constraint {pair} distance {distance!r} is not a number")
+    if h.fit_regression is not None and not all(
+        isinstance(x, (int, float)) and math.isfinite(x) for x in h.fit_regression
+    ):
+        raise ValueError(f"fit_regression {h.fit_regression!r} is not a pair of finite numbers")
     return h

@@ -50,6 +50,10 @@ EXIT_CONFIG_ERROR = 4
 CSV_ROLES = ("id", "name", "smiles", "ic50_nm", "pic50", "class", "target")
 DEFAULT_COLUMN_MAP = {role: role for role in CSV_ROLES}
 
+# A compound of set A overlaps set B when its best Tanimoto against B
+# reaches this value.
+OVERLAP_CUTOFF = 0.85
+
 
 def default_seed() -> int:
     env = os.environ.get(SEED_ENV_VAR)
@@ -190,7 +194,6 @@ class ReportRow:
     cluster_id: int | None
     representative: bool
     admet: AdmetFlags
-    active: bool
 
 
 @dataclass
@@ -208,7 +211,6 @@ def run_screen(
     picks: int = 16,
     threshold: float = DEFAULT_GATE_THRESHOLD,
     linkage: str = "average",
-    fp_config: FingerprintConfig = FingerprintConfig(),
     seed: int | None = None,
     admet_constants: str | None = None,
 ) -> ScreeningReport:
@@ -257,7 +259,7 @@ def run_screen(
         if p_eff >= 1:
             representative_ids.add(actives[0][0].id)
     elif len(actives) >= 2:
-        fps = [circular_fingerprint(mol, fp_config) for _, mol, _, _ in actives]
+        fps = [circular_fingerprint(mol) for _, mol, _, _ in actives]
         ids = [record.id for record, *_ in actives]
         assignment = hier_cluster(distance_matrix(fps), linkage=linkage, k=k_eff)
         for item_id, label in zip(ids, assignment.labels):
@@ -284,7 +286,6 @@ def run_screen(
                 cluster_id=cluster_of.get(record.id),
                 representative=record.id in representative_ids,
                 admet=admet_flags(desc, admet_constants),
-                active=True,
             )
         )
     rows.sort(key=_row_sort_key)
@@ -293,7 +294,7 @@ def run_screen(
     header = {
         "toolchain": f"screenforge {__version__}",
         "seed": str(seed),
-        "fingerprint": fp_config.tag(),
+        "fingerprint": FingerprintConfig().tag(),
         "threshold": repr(threshold),
         "linkage": linkage,
         "clusters_requested": str(clusters),
@@ -330,26 +331,23 @@ class RouteComparison:
     max_sim: list[float]
     mean_sim: list[float]
     overlap: int
-    cutoff: float
 
 
 def compare_routes(
     set_a: list[DatasetRecord],
     set_b: list[DatasetRecord],
     metric: str = "tanimoto",
-    cutoff: float = 0.85,
-    fp_config: FingerprintConfig = FingerprintConfig(),
 ) -> RouteComparison:
     """Cross-set structural similarity in one metric (fingerprint Tanimoto
     or character-sequence): per compound of A, the max and mean against B,
-    plus the count of A compounds whose max reaches the cutoff."""
+    plus the count of A compounds whose max reaches OVERLAP_CUTOFF."""
     if not set_a or not set_b:
         raise ValueError("both sets must be non-empty")
 
     def fingerprint_rows(records: list[DatasetRecord]) -> np.ndarray:
         return np.stack(
             [
-                circular_fingerprint(parse_smiles(r.canonical_smiles), fp_config).bits
+                circular_fingerprint(parse_smiles(r.canonical_smiles)).bits
                 for r in records
             ]
         ).astype(float)
@@ -371,8 +369,7 @@ def compare_routes(
         metric=metric,
         max_sim=[float(x) for x in best],
         mean_sim=[float(x) for x in sims.mean(axis=1)],
-        overlap=int(np.sum(best >= cutoff)),
-        cutoff=cutoff,
+        overlap=int(np.sum(best >= OVERLAP_CUTOFF)),
     )
 
 
@@ -417,7 +414,7 @@ def _row_values(row: ReportRow, report: ScreeningReport) -> list[str]:
         row.admet.bbb_permeant,
         row.admet.pgp_substrate,
         f"{row.admet.bioavailability_score:.2f}",
-        "true" if row.active else "false",
+        "true",  # the report keeps active rows only
     ]
 
 

@@ -35,7 +35,6 @@ class InvalidK(ValueError):
 class ClusterAssignment:
     labels: tuple[int, ...]
     k: int
-    linkage: str
     representatives: tuple[int, ...]
 
     def members(self, cluster: int) -> list[int]:
@@ -156,7 +155,6 @@ def hier_cluster(dist: np.ndarray, linkage: str = "average", k: int = 1) -> Clus
     return ClusterAssignment(
         labels=tuple(labels.tolist()),
         k=k,
-        linkage=linkage,
         representatives=tuple(_medoids(clusters, dist)),
     )
 

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from screenforge.chem_graph import (
     AROMATIC,
     AROMATIC_ORGANIC,
+    ATOMIC_WEIGHTS,
     BOND_ORDER_VALUE,
     ORGANIC_SUBSET,
     SINGLE,
@@ -27,6 +29,7 @@ from screenforge.chem_graph import (
     UnknownElement,
     _BOND_CHARS,
     _parse_bracket,
+    element_counts,
     make_molecule,
 )
 
@@ -322,7 +325,6 @@ def hier_cluster_oracle(dist, linkage="average", k=1):
     return ClusterAssignment(
         labels=tuple(labels),
         k=k,
-        linkage=linkage,
         representatives=tuple(_medoids(ordered_members, dist)),
     )
 
@@ -337,6 +339,27 @@ def string_similarity_oracle(a: str, b: str) -> float:
             cur.append(prev[j - 1] + 1 if ca == cb else max(prev[j], cur[-1]))
         prev = cur
     return 2.0 * prev[-1] / (len(a) + len(b))
+
+
+def largest_fragment_oracle(mol: Molecule) -> Molecule:
+    """The largest fragment picked the way the library once did: build every
+    fragment as a molecule, then take the most heavy atoms, then the highest
+    mass summed over the built fragment's element counts, then the lowest
+    first atom index."""
+    frags = []
+    for frag in mol.components(range(len(mol.atoms))):
+        index_map = {old: new for new, old in enumerate(frag)}
+        bonds = [
+            replace(b, a=index_map[b.a], b=index_map[b.b])
+            for b in mol.bonds
+            if b.a in index_map and b.b in index_map
+        ]
+        frags.append((frag[0], make_molecule([mol.atoms[i] for i in frag], bonds)))
+
+    def mass(m: Molecule) -> float:
+        return sum(ATOMIC_WEIGHTS[e] * c for e, c in element_counts(m).items())
+
+    return max(frags, key=lambda f: (f[1].heavy_atom_count(), mass(f[1]), -f[0]))[1]
 
 
 def ring_bonds_oracle(mol: Molecule) -> set[tuple[int, int]]:

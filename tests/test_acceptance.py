@@ -152,7 +152,7 @@ def test_c05_optimizer_sanity():
     net, curve = train(
         net, (X, y), None,
         TrainConfig(learning_rate=0.02, batch_size=32, epochs=2000,
-                    hidden_layers=(32,), activation="relu", seed=5),
+                    hidden_layers=(32,), seed=5),
     )
     overfit = curve.train_mse[-1] < 1e-4
     descent = curve.train_mse[-1] < curve.train_mse[0]

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_isomorphic, canonical_smiles_oracle
+from oracles import brute_force_isomorphic, canonical_smiles_oracle, largest_fragment_oracle
 from screenforge.chem_graph import (
     Atom,
     Bond,
@@ -230,6 +230,16 @@ class TestLargestFragment:
     def test_mass_tie_broken_by_lowest_index(self):
         frag = largest_fragment(parse_smiles("C.C"))
         assert molecular_formula(frag) == "CH4"
+
+    def test_equals_building_every_fragment(self, corpus, rng):
+        smiles = [smi for _, smi, _ in corpus]
+        salts = ["C.N", "C.C", "CC.CO.NC", "[Na+].[Cl-]", "O.[H]O[H].[2H]O[2H]",
+                 "[NH4+].[O-]C(=O)c1ccccc1.[NH4+]", "c1ccccc1.C1CCCCC1.C=CC=CC=C"]
+        salts += [".".join(rng.sample(smiles, rng.randint(2, 4))) for _ in range(150)]
+        salts += [smi for smi in smiles if "." in smi]
+        for smi in salts:
+            frag = largest_fragment(parse_smiles(smi))
+            assert frag == largest_fragment_oracle(parse_smiles(smi)), smi
 
 
 class TestSmiFormat:

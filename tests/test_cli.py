@@ -243,6 +243,12 @@ class TestMalformedInputFiles:
         path.write_text(json.dumps(doc))
         return main(["predict", str(library), "--model", str(path)])
 
+    def screen(self, library, tmp_path, doc) -> int:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        return main(["screen", str(library), "--model", str(path), "--clusters", "2",
+                     "--picks", "1", "--out", str(tmp_path / "r.csv")])
+
     def model_doc(self, tmp_path) -> dict:
         path = tmp_path / "const.json"
         save_model(constant_model(6.0), str(path))
@@ -275,3 +281,77 @@ class TestMalformedInputFiles:
         doc["norm_stats"]["kept"] = [99999]
         assert self.predict(library, tmp_path, doc) == 4
         assert "kept index outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("distance", [None, "3.0"])
+    def test_pair_distance_not_a_number(self, library, tmp_path, capsys, distance):
+        doc = three_feature_hypothesis()
+        doc["pair_constraints"][1]["distance"] = distance
+        assert self.pharm_screen(library, tmp_path, doc) == 4
+        assert "distance" in capsys.readouterr().err
+
+    def test_fit_slope_not_a_number(self, library, tmp_path, capsys):
+        doc = three_feature_hypothesis()
+        doc["fit_regression"] = {"slope": "0.5", "intercept": 4.0}
+        assert self.pharm_screen(library, tmp_path, doc) == 4
+        assert "fit_regression" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("descriptors", [["mw", "logp"], ["mw", 7], "mw"])
+    def test_descriptor_outside_descriptor_set(self, library, tmp_path, capsys, descriptors):
+        doc = self.model_doc(tmp_path)
+        doc["feature_config"]["descriptors"] = descriptors
+        assert self.predict(library, tmp_path, doc) == 4
+        assert "outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("radius", 1.5), ("hash_seed", "0")])
+    def test_fingerprint_setting_not_an_integer(self, library, tmp_path, capsys, field, value):
+        doc = self.model_doc(tmp_path)
+        doc["feature_config"][field] = value
+        assert self.predict(library, tmp_path, doc) == 4
+        assert "must be integers" in capsys.readouterr().err
+
+    def test_target_not_a_string(self, library, tmp_path, capsys):
+        doc = self.model_doc(tmp_path)
+        doc["target"] = 4
+        assert self.screen(library, tmp_path, doc) == 4
+        assert "target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("features", "weight", float("nan")),
+        ("pair_constraints", "tolerance", float("nan")),
+        ("pair_constraints", "distance", float("nan")),
+    ])
+    def test_nan_in_hypothesis(self, library, tmp_path, capsys, field, index, value):
+        doc = three_feature_hypothesis()
+        doc[field][0][index] = value
+        assert self.pharm_screen(library, tmp_path, doc) == 4
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("slope", [float("nan"), float("inf")])
+    def test_non_finite_fit_slope(self, library, tmp_path, capsys, slope):
+        doc = three_feature_hypothesis()
+        doc["fit_regression"] = {"slope": slope, "intercept": 4.0}
+        assert self.pharm_screen(library, tmp_path, doc) == 4
+        assert "fit_regression" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", [
+        (("norm_stats", "std"), [0.0]),
+        (("norm_stats", "std"), [float("nan")]),
+        (("norm_stats", "mean"), [float("inf")]),
+        (("biases",), [[float("nan")]]),
+    ])
+    def test_non_finite_or_zero_model_numbers(self, library, tmp_path, capsys, path, value):
+        doc = self.model_doc(tmp_path)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        assert self.predict(library, tmp_path, doc) == 4
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    def test_norm_stats_length_differs_from_kept(self, library, tmp_path, capsys, field):
+        doc = self.model_doc(tmp_path)
+        doc["norm_stats"][field] = [0.0, 1.0]
+        assert self.predict(library, tmp_path, doc) == 4
+        assert "differ in length" in capsys.readouterr().err
+        assert self.screen(library, tmp_path, doc) == 4

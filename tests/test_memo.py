@@ -9,7 +9,7 @@ import pytest
 
 from oracles import fit_value_oracle, ring_bonds_oracle
 from screenforge import chem_graph, descriptors, fingerprints, pharmacophore
-from screenforge.chem_graph import parse_smiles
+from screenforge.chem_graph import largest_fragment, molecular_formula, parse_smiles
 from screenforge.descriptors import compute_descriptors
 from screenforge.fingerprints import FingerprintConfig, circular_fingerprint
 from screenforge.pdenet import FeatureSpec, featurize_molecule
@@ -65,6 +65,17 @@ class TestComputedOnce:
         for seen in (fps, descs):
             assert len(seen) == len(records)
             assert len({id(mol) for mol in seen}) == len(records)
+
+    def test_salt_builds_its_largest_fragment_once(self, monkeypatch):
+        mol = parse_smiles("[Na+].[Cl-].OC(=O)c1ccccc1.O")
+        splits = counting(monkeypatch, chem_graph, "_largest_fragment")
+        builds = counting(monkeypatch, chem_graph, "make_molecule")
+        circular_fingerprint(mol)
+        compute_descriptors(mol)
+        frag = largest_fragment(mol)
+        assert splits == [mol]
+        assert len(builds) == 1  # the winning fragment only
+        assert molecular_formula(frag) == "C7H6O2"
 
     def test_score_costs_detects_features_once_per_molecule(self, monkeypatch):
         feats = counting(monkeypatch, pharmacophore, "_detect_features")

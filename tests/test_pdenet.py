@@ -253,7 +253,7 @@ class TestTrain:
     def test_overfits_synthetic_linear_data(self):
         X, y = self.overfit_fixture()
         cfg = TrainConfig(learning_rate=0.02, batch_size=32, epochs=2000,
-                          hidden_layers=(32,), activation="relu", seed=5)
+                          hidden_layers=(32,), seed=5)
         model = init_model([3, 32, 1], "relu", seed=5)
         model, curve = train(model, (X, y), None, cfg)
         assert curve.train_mse[-1] < 1e-4
@@ -411,7 +411,7 @@ class TestEvaluate:
         m = MlpModel([1, 1], [np.array([[1.0]])], [np.zeros(1)], activation="relu")
         X = np.array([[6.0], [5.0], [6.5], [5.5]])
         y = np.array([5.0, 6.0, 6.5, 5.5])
-        c = evaluate(m, X, y, threshold=5.7).confusion
+        c = evaluate(m, X, y).confusion
         # predictions 6.0 5.0 6.5 5.5 vs actual 5.0 6.0 6.5 5.5 at > 5.7
         assert c == {"tp": 1, "fp": 1, "fn": 1, "tn": 1}
 

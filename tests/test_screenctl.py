@@ -111,6 +111,17 @@ class TestIngestCsv:
         assert stats.parse_errors == 1
         assert [r.id for r in records] == ["x2"]
 
+    def test_non_finite_activity_is_row_error(self, tmp_path):
+        path = tmp_path / "lib.csv"
+        path.write_text(
+            "id,smiles,ic50_nm,pic50\n"
+            "x1,CCO,,nan\nx2,CCN,,inf\nx3,CCC,inf,\nx4,CCS,nan,\nx5,CCCl,,7.0\n"
+        )
+        records, stats = ingest(source_for(str(path)))
+        assert [r.id for r in records] == ["x5"]
+        assert stats.parse_errors == 4
+        assert all("is not finite" in e for e in stats.errors), stats.errors
+
     def test_custom_column_map(self, tmp_path):
         path = tmp_path / "lib.csv"
         path.write_text("Compound,Structure,Activity\nc1,CCO,100\n")
