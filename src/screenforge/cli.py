@@ -157,6 +157,9 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.epochs < 1:
+        print(f"error: --epochs {args.epochs} must be at least 1", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     records, _ = _load_records(args.csv)
     labeled = [r for r in records if r.pic50 is not None]
     if not labeled:

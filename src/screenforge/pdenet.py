@@ -376,9 +376,13 @@ def fit_norm_stats(X: np.ndarray) -> NormStats:
     return NormStats(mean=X[:, kept].mean(axis=0), std=std[kept], kept=kept)
 
 
-def predict_pic50(model: MlpModel, mol: Molecule) -> float:
+def _require_featurization(model: MlpModel) -> None:
     if model.feature_spec is None or model.norm_stats is None:
         raise ValueError("model lacks featurization config or norm stats")
+
+
+def predict_pic50(model: MlpModel, mol: Molecule) -> float:
+    _require_featurization(model)
     raw = featurize_molecule(mol, model.feature_spec)[None, :]
     return float(forward(model, model.norm_stats.apply(raw))[0])
 
@@ -398,7 +402,8 @@ def predict_and_gate(
 ) -> list[GatedPrediction]:
     """Featurize, predict, and gate (strictly greater than the threshold);
     ranked by descending pIC50, ties by id. Failing molecules are skipped
-    and logged."""
+    and logged; a model that cannot featurize raises before any row."""
+    _require_featurization(model)
     out = []
     for record in records:
         try:

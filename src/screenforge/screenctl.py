@@ -35,7 +35,7 @@ from .pdenet import (
     predict_pic50,
 )
 from .pharmacophore import Hypothesis, fit_value
-from .simcluster import _tanimoto_rows, distance_matrix, hier_cluster, string_similarity
+from .simcluster import distance_matrix, hier_cluster, string_similarity, tanimoto_matrix
 
 log = logging.getLogger(__name__)
 
@@ -350,10 +350,10 @@ def compare_routes(
                 circular_fingerprint(parse_smiles(r.canonical_smiles)).bits
                 for r in records
             ]
-        ).astype(float)
+        )
 
     if metric == "tanimoto":
-        sims = _tanimoto_rows(fingerprint_rows(set_a), fingerprint_rows(set_b))
+        sims = tanimoto_matrix(fingerprint_rows(set_a), fingerprint_rows(set_b))
     elif metric == "string":
         sims = np.array(
             [

@@ -3,9 +3,13 @@ medoid-based diversity picking.
 
 The similarity is the general vector form T(A, B) = A.B / (|A|^2 + |B|^2
 - A.B); on binary vectors it reduces to the Jaccard index. One kernel,
-``_tanimoto_rows``, computes it for every row pair of two matrices; the
-single-pair, square and cross-set paths all call it. ``distance_matrix``
-returns the n x n array of distances 1 - T.
+``tanimoto_matrix``, computes it for every row pair of two matrices, one
+block of ``_BLOCK`` rows at a time, straight into one float64 output (after
+chemfp, Dalke 2019). On 0/1 uint8 rows a block's counts are a float32 GEMM,
+exact because each is an integer below 2^24, so the float64 division sees
+the same integers as an all-float64 evaluation: bit-identical results
+without an n x nbits float64 copy. ``distance_matrix`` turns the output
+into 1 - T in place; clustering adds its working copy, about 2 n^2 floats.
 
 Clustering merges greedily under single/complete/average linkage, exactly
 and deterministically: equal distances merge the smallest (i, j) cluster-id
@@ -41,12 +45,27 @@ class ClusterAssignment:
         return [i for i, lab in enumerate(self.labels) if lab == cluster]
 
 
-def _tanimoto_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+_BLOCK = 128  # rows per block; a 2048-bit float32 block takes 1 MB
+
+
+def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """General-vector Tanimoto of every row of ``a`` against every row of
-    ``b`` (an A x B array); a pair of all-zero rows gives 1.0."""
-    dots = a @ b.T
-    denom = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - dots
-    return np.where(denom > 0, dots / np.where(denom == 0, 1, denom), 1.0)
+    ``b`` (an A x B float64 array; bit rows as 0/1 uint8). A pair whose
+    denominator is not positive (two all-zero rows) gives 1.0."""
+    work = np.float32 if a.dtype == np.uint8 else np.float64
+    out = np.empty((len(a), len(b)))
+    for i in range(0, len(a), _BLOCK):
+        fa = a[i : i + _BLOCK].astype(work, copy=False)
+        na = (fa * fa).sum(axis=1).astype(np.float64)[:, None]
+        for j in range(i if b is a else 0, len(b), _BLOCK):
+            fb = b[j : j + _BLOCK].astype(work, copy=False)
+            o = out[i : i + _BLOCK, j : j + _BLOCK]
+            o[...] = fa @ fb.T
+            denom = na + (fb * fb).sum(axis=1).astype(np.float64)[None, :] - o
+            o[...] = np.where(denom > 0, o / np.where(denom == 0, 1, denom), 1.0)
+            if b is a and j > i:  # a square computes j >= i and mirrors
+                out[j : j + _BLOCK, i : i + _BLOCK] = o.T
+    return out
 
 
 def tanimoto_values(a: np.ndarray, b: np.ndarray) -> float:
@@ -55,7 +74,7 @@ def tanimoto_values(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ConfigMismatch("vectors have different lengths")
-    return float(_tanimoto_rows(a[None, :], b[None, :])[0, 0])
+    return float(tanimoto_matrix(a[None, :], b[None, :])[0, 0])
 
 
 def tanimoto(a: FingerprintVector, b: FingerprintVector) -> float:
@@ -88,8 +107,9 @@ def distance_matrix(items: list[FingerprintVector]) -> np.ndarray:
         raise ValueError("need at least 2 items")
     if any(v.config != items[0].config for v in items[1:]):
         raise ConfigMismatch("all fingerprints must share one config")
-    rows = np.stack([v.bits for v in items]).astype(np.float64)
-    return 1.0 - _tanimoto_rows(rows, rows)
+    rows = np.stack([v.bits for v in items])
+    dist = tanimoto_matrix(rows, rows)
+    return np.subtract(1.0, dist, out=dist)
 
 
 def hier_cluster(dist: np.ndarray, linkage: str = "average", k: int = 1) -> ClusterAssignment:

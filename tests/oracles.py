@@ -111,6 +111,28 @@ def tanimoto_formula_oracle(a, b) -> float:
     return 1.0 if denom == 0 else dot / denom
 
 
+def tanimoto_rows_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The unblocked float64 kernel the library used before its blocked
+    one: general-vector Tanimoto of every row of ``a`` against every row of
+    ``b`` (an A x B array); a pair of all-zero rows gives 1.0."""
+    dots = a @ b.T
+    denom = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - dots
+    return np.where(denom > 0, dots / np.where(denom == 0, 1, denom), 1.0)
+
+
+def tanimoto_values_oracle(a, b) -> float:
+    """``tanimoto_values`` on the unblocked float64 kernel."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return float(tanimoto_rows_oracle(a[None, :], b[None, :])[0, 0])
+
+
+def distance_matrix_oracle(items) -> np.ndarray:
+    """``distance_matrix`` with every fingerprint row copied to float64."""
+    rows = np.stack([v.bits for v in items]).astype(np.float64)
+    return 1.0 - tanimoto_rows_oracle(rows, rows)
+
+
 def mlp_forward_oracle(weights, biases, activation, x):
     """Plain-python affine/activation chain, no numpy."""
     values = list(x)

@@ -109,6 +109,16 @@ class TestTrainPredict:
         capsys.readouterr()
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_train_rejects_fewer_than_one_epoch(self, train_csv, tmp_path, capsys, epochs):
+        out = tmp_path / "m.json"
+        code = main(["train", str(train_csv), "--target", "XO", "--epochs", epochs,
+                     "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == f"error: --epochs {epochs} must be at least 1\n"
+        assert not out.exists()
+
 
 class TestPharm:
     def test_train_and_screen(self, train_csv, library, tmp_path, capsys):
@@ -355,3 +365,15 @@ class TestMalformedInputFiles:
         assert self.predict(library, tmp_path, doc) == 4
         assert "differ in length" in capsys.readouterr().err
         assert self.screen(library, tmp_path, doc) == 4
+
+    @pytest.mark.parametrize("field", ["feature_config", "norm_stats"])
+    def test_model_without_featurization(self, library, tmp_path, capsys, field):
+        doc = self.model_doc(tmp_path)
+        doc[field] = None
+        assert self.screen(library, tmp_path, doc) == 4
+        screen_err = capsys.readouterr().err
+        assert "lacks featurization config" in screen_err
+        assert self.predict(library, tmp_path, doc) == 4
+        captured = capsys.readouterr()
+        assert captured.err == screen_err
+        assert captured.out == ""

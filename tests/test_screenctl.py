@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import tanimoto_set_oracle
+from oracles import tanimoto_rows_oracle, tanimoto_set_oracle
 from screenforge.chem_graph import canonical_smiles, parse_smiles
 from screenforge.fingerprints import FingerprintConfig, circular_fingerprint
 from screenforge.pdenet import DatasetRecord, FeatureSpec, MlpModel, NormStats
 from screenforge.screenctl import (
     DEFAULT_SEED,
+    OVERLAP_CUTOFF,
     LibrarySource,
     compare_routes,
     default_seed,
@@ -206,6 +207,18 @@ class TestCompareRoutes:
         summary = compare_routes(records[:12], records)
         assert summary.max_sim == [float(x) for x in pairwise[:12].max(axis=1)]
         assert summary.mean_sim == [float(x) for x in pairwise[:12].mean(axis=1)]
+
+    def test_tanimoto_summary_matches_unblocked_float64_kernel(self, corpus):
+        records = self.records([smiles for _, smiles, _ in corpus])
+        rows = np.stack(
+            [circular_fingerprint(parse_smiles(r.canonical_smiles)).bits for r in records]
+        ).astype(np.float64)
+        for a, b in ((slice(0, 1), slice(None)), (slice(3, 40), slice(10, 55))):
+            sims = tanimoto_rows_oracle(rows[a], rows[b])
+            summary = compare_routes(records[a], records[b])
+            assert summary.max_sim == [float(x) for x in sims.max(axis=1)]
+            assert summary.mean_sim == [float(x) for x in sims.mean(axis=1)]
+            assert summary.overlap == int(np.sum(sims.max(axis=1) >= OVERLAP_CUTOFF))
 
     def test_string_metric_matches_pairwise_loop(self):
         a = self.records(["CCO", "c1ccccc1O", "CC(=O)N"])
