@@ -10,7 +10,7 @@ import argparse
 import csv
 import sys
 
-from . import __version__
+from . import __version__, fingerprints
 from .chem_graph import SmilesError, molecular_formula, parse_smiles
 from .descriptors import admet_flags, compute_descriptors
 from .fingerprints import FingerprintConfig, circular_fingerprint, to_hex
@@ -368,9 +368,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -378,6 +377,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SmilesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    finally:
+        # Each command starts with an empty fingerprint memo, as a new process does.
+        fingerprints._ENV_IDS.clear()
 
 
 if __name__ == "__main__":

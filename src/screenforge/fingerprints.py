@@ -5,11 +5,20 @@ into a fixed-length binary vector. Environment identifiers are built from
 canonical atom invariants refined by sorted neighbor invariants, so
 isomorphic molecules always map to identical vectors; the hash is a keyed
 64-bit blake2b digest, stable across runs and platforms.
+
+Each distinct environment is hashed once per run: a memo maps its flat key,
+``(seed, *invariants)`` at radius 0 and ``(seed, id, label1, id1, ...)``
+after, to the digest of the same ``repr`` as ever. Key fields are exact
+``int``/``bool``/``str``, so equal keys have equal reprs (other radius-0
+types are keyed by their repr). It is cleared at ``_ENV_CAP`` keys and
+after each CLI command.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,12 +63,24 @@ class FingerprintVector:
         return self.config == other.config and bool(np.array_equal(self.bits, other.bits))
 
 
-def _hash64(data: str, seed: int) -> int:
-    key = (seed % 2**64).to_bytes(8, "little")
-    return int.from_bytes(
-        hashlib.blake2b(data.encode("utf-8"), digest_size=8, key=key).digest(),
-        "little",
-    )
+_ENV_IDS: dict[tuple, int] = {}
+_ENV_CAP = 1 << 16
+_INVARIANT_TYPES = (str, int, bool, int, int)
+
+
+@functools.lru_cache(maxsize=8)
+def _keyed_blake2b(seed: int):
+    return hashlib.blake2b(digest_size=8, key=(seed % 2**64).to_bytes(8, "little"))
+
+
+def _new_env_id(key: tuple, text: str) -> int:
+    """The keyed 64-bit blake2b digest of ``text``, kept under ``key``."""
+    if len(_ENV_IDS) >= _ENV_CAP:
+        _ENV_IDS.clear()
+    h = _keyed_blake2b(key[0]).copy()
+    h.update(text.encode("utf-8"))
+    env_id = _ENV_IDS[key] = int.from_bytes(h.digest(), "little")
+    return env_id
 
 
 def _bond_label(order: str) -> int:
@@ -77,32 +98,28 @@ def circular_fingerprint(
 def _circular_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
     frag = largest_fragment(mol)
     seed = cfg.hash_seed
-    ids = [
-        _hash64(
-            repr(
-                (
-                    a.element,
-                    a.formal_charge,
-                    a.aromatic,
-                    frag.degree(i),
-                    frag.total_h(i),
-                )
-            ),
-            seed,
-        )
-        for i, a in enumerate(frag.atoms)
-    ]
-    bits = np.zeros(cfg.nbits, dtype=np.uint8)
-    for env_id in ids:
-        bits[env_id % cfg.nbits] = 1
+    ids = []
+    for i, a in enumerate(frag.atoms):
+        inv = (a.element, a.formal_charge, a.aromatic, frag.degree(i), frag.total_h(i))
+        key = (seed, *inv) if tuple(map(type, inv)) == _INVARIANT_TYPES else (seed, repr(inv))
+        ids.append(_ENV_IDS.get(key) or _new_env_id(key, repr(inv)))
+    nbrs = [[(_bond_label(b.order), j) for j, b in frag.neighbors(i)] for i in range(len(ids))]
+    all_ids = list(ids)
     for _ in range(cfg.radius):
         new_ids = []
-        for i in range(len(frag.atoms)):
-            nbrs = sorted((_bond_label(b.order), ids[j]) for j, b in frag.neighbors(i))
-            new_ids.append(_hash64(repr((ids[i], tuple(nbrs))), seed))
+        for env_id, pairs in zip(ids, nbrs):
+            key = [seed, env_id]
+            for pair in sorted([(label, ids[j]) for label, j in pairs]):
+                key += pair
+            key = tuple(key)
+            env_id = _ENV_IDS.get(key)
+            if env_id is None:  # the string is repr((id, ((label, id), ...)))
+                env_id = _new_env_id(key, repr((key[1], tuple(zip(key[2::2], key[3::2])))))
+            new_ids.append(env_id)
         ids = new_ids
-        for env_id in ids:
-            bits[env_id % cfg.nbits] = 1
+        all_ids += ids
+    bits = np.zeros(cfg.nbits, dtype=np.uint8)
+    bits[[env_id & (cfg.nbits - 1) for env_id in all_ids]] = 1
     bits.flags.writeable = False
     return FingerprintVector(bits=bits, config=cfg)
 
@@ -118,8 +135,6 @@ def to_hex(v: FingerprintVector) -> str:
 
 def from_hex(text: str) -> FingerprintVector:
     head, _, payload = text.partition(":")
-    import re
-
     match = re.fullmatch(r"r(\d+)b(\d+)s(-?\d+)", head)
     if not match or not payload:
         raise ValueError(f"malformed fingerprint string {text!r}")
@@ -128,8 +143,8 @@ def from_hex(text: str) -> FingerprintVector:
         nbits=int(match.group(2)),
         hash_seed=int(match.group(3)),
     )
-    raw = np.frombuffer(bytes.fromhex(payload), dtype=np.uint8)
-    bits = np.unpackbits(raw)[: cfg.nbits]
-    if len(bits) != cfg.nbits:
-        raise ValueError("fingerprint payload shorter than nbits")
-    return FingerprintVector(bits=bits.astype(np.uint8), config=cfg)
+    raw = bytes.fromhex(payload)
+    if len(raw) != cfg.nbits // 8:
+        raise ValueError(f"fingerprint payload is {len(raw)} bytes, not {cfg.nbits // 8}")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+    return FingerprintVector(bits=bits, config=cfg)

@@ -140,6 +140,7 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -283,14 +284,26 @@ def adam_step(model: MlpModel, gradients: list[np.ndarray], lr: float) -> MlpMod
     for g, p in zip(gradients, params):
         if g.shape != p.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} != parameter {p.shape}")
+    state.scratch = state.scratch or [(np.empty_like(p), np.empty_like(p)) for p in params]
     state.t += 1
-    t = state.t
-    for i, (g, p) in enumerate(zip(gradients, params)):
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1 - ADAM_BETA2) * g * g
-        m_hat = state.m[i] / (1 - ADAM_BETA1**t)
-        v_hat = state.v[i] / (1 - ADAM_BETA2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    c1, c2 = 1 - ADAM_BETA1**state.t, 1 - ADAM_BETA2**state.t
+    # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, p -= (lr*(m/c1)) / (sqrt(v/c2) + eps),
+    # operation by operation into m, v, p and two scratch buffers: bit-identical.
+    for g, p, m, v, (a, b) in zip(gradients, params, state.m, state.v, state.scratch):
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1 - ADAM_BETA1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.multiply(g, 1 - ADAM_BETA2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, c1, out=a)
+        np.multiply(a, lr, out=a)
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, ADAM_EPS, out=b)
+        np.divide(a, b, out=a)
+        np.subtract(p, a, out=p)
     return model
 
 

@@ -7,6 +7,7 @@ test never checks an implementation against itself.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -30,8 +31,11 @@ from screenforge.chem_graph import (
     _BOND_CHARS,
     _parse_bracket,
     element_counts,
+    largest_fragment,
     make_molecule,
 )
+from screenforge.fingerprints import FingerprintConfig, FingerprintVector
+from screenforge.pdenet import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, ShapeMismatch
 
 
 def _atom_key(mol: Molecule, i: int):
@@ -131,6 +135,81 @@ def distance_matrix_oracle(items) -> np.ndarray:
     """``distance_matrix`` with every fingerprint row copied to float64."""
     rows = np.stack([v.bits for v in items]).astype(np.float64)
     return 1.0 - tanimoto_rows_oracle(rows, rows)
+
+
+def hash64_oracle(data: str, seed: int) -> int:
+    """A freshly keyed 64-bit blake2b digest of ``data`` (the seed's hash)."""
+    key = (seed % 2**64).to_bytes(8, "little")
+    return int.from_bytes(
+        hashlib.blake2b(data.encode("utf-8"), digest_size=8, key=key).digest(),
+        "little",
+    )
+
+
+def _bond_label(order: str) -> int:
+    return 4 if order == AROMATIC else BOND_ORDER_VALUE[order]
+
+
+def circular_fingerprint_oracle(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
+    """The seed's fingerprint: ``repr`` and a fresh hash for every atom
+    environment of every round, one bit set at a time."""
+    frag = largest_fragment(mol)
+    seed = cfg.hash_seed
+    ids = [
+        hash64_oracle(
+            repr(
+                (
+                    a.element,
+                    a.formal_charge,
+                    a.aromatic,
+                    frag.degree(i),
+                    frag.total_h(i),
+                )
+            ),
+            seed,
+        )
+        for i, a in enumerate(frag.atoms)
+    ]
+    bits = np.zeros(cfg.nbits, dtype=np.uint8)
+    for env_id in ids:
+        bits[env_id % cfg.nbits] = 1
+    for _ in range(cfg.radius):
+        new_ids = []
+        for i in range(len(frag.atoms)):
+            nbrs = sorted((_bond_label(b.order), ids[j]) for j, b in frag.neighbors(i))
+            new_ids.append(hash64_oracle(repr((ids[i], tuple(nbrs))), seed))
+        ids = new_ids
+        for env_id in ids:
+            bits[env_id % cfg.nbits] = 1
+    bits.flags.writeable = False
+    return FingerprintVector(bits=bits, config=cfg)
+
+
+def adam_step_oracle(model, gradients, lr: float):
+    """The seed's Adam step: fresh moment and parameter-sized temporaries
+    for every operation."""
+    params = model.parameter_list()
+    state = model.adam_state
+    if state is None:
+        state = AdamState(
+            m=[np.zeros_like(p) for p in params],
+            v=[np.zeros_like(p) for p in params],
+        )
+        model.adam_state = state
+    if len(gradients) != len(params):
+        raise ShapeMismatch("gradient count != parameter count")
+    for g, p in zip(gradients, params):
+        if g.shape != p.shape:
+            raise ShapeMismatch(f"gradient shape {g.shape} != parameter {p.shape}")
+    state.t += 1
+    t = state.t
+    for i, (g, p) in enumerate(zip(gradients, params)):
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1 - ADAM_BETA2) * g * g
+        m_hat = state.m[i] / (1 - ADAM_BETA1**t)
+        v_hat = state.v[i] / (1 - ADAM_BETA2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return model
 
 
 def mlp_forward_oracle(weights, biases, activation, x):

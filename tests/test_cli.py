@@ -1,7 +1,10 @@
+import hashlib
 import json
+from importlib import resources
 
 import pytest
 
+from screenforge import fingerprints
 from screenforge.cli import main
 from screenforge.pdenet import save_model
 from test_screenctl import constant_model, thirty_compound_records
@@ -58,6 +61,45 @@ class TestBasicCommands:
         first = capsys.readouterr().out.splitlines()[0]
         item_id, payload = first.split("\t")
         assert payload.startswith("r1b128s0:")
+
+    # sha256 of the stdout of `fingerprint` on the bundled corpus (53 lines),
+    # read before fingerprint environments were memoized; blake2b and the
+    # output format do not depend on the platform.
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ([], "036ea204726848525e6f54edf9cca6260c97a74119a324d9509efc79fb8e3973"),
+            (
+                ["--radius", "3", "--nbits", "1024", "--seed", "7"],
+                "18497907572e19729e6827a4c32f9c19fe0078b610266516ad8b3aa9832f8f9b",
+            ),
+        ],
+    )
+    def test_fingerprint_corpus_golden(self, capsys, flags, digest):
+        with resources.as_file(resources.files("screenforge") / "data/corpus.smi") as path:
+            assert main(["fingerprint", str(path), *flags]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 53
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["fingerprint", "{lib}"], 0),
+            (["fingerprint", "/nonexistent/x.smi"], 3),
+            (["fingerprint", "{lib}", "--nbits", "100"], 4),
+            (["cluster", "{lib}"], None),
+        ],
+    )
+    def test_environment_memo_empty_after_main(self, library, capsys, argv, code):
+        fingerprints._ENV_IDS[(0, "sentinel")] = 0
+        argv = [a.format(lib=library) for a in argv]
+        if code is None:  # a usage error exits through argparse
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert fingerprints._ENV_IDS == {}
 
     def test_similarity(self, library, capsys):
         assert main(["similarity", str(library), str(library)]) == 0

@@ -1,7 +1,11 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from screenforge.chem_graph import parse_smiles, renumbered
+from screenforge import fingerprints
+from screenforge.chem_graph import AROMATIC, Atom, Bond, make_molecule, parse_smiles, renumbered
 from screenforge.fingerprints import (
     ConfigMismatch,
     FingerprintConfig,
@@ -12,6 +16,11 @@ from screenforge.fingerprints import (
     to_hex,
 )
 from screenforge.simcluster import tanimoto
+
+from oracles import circular_fingerprint_oracle
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from gen import Generator  # noqa: E402
 
 
 class TestConfig:
@@ -85,6 +94,12 @@ class TestPopcountAndSerialization:
             fp = circular_fingerprint(mol, cfg)
             assert from_hex(to_hex(fp)) == fp, name
 
+    @pytest.mark.parametrize("extra", ["00", "ffff", "ff" * 8])
+    def test_payload_longer_than_nbits_rejected(self, extra):
+        fp = circular_fingerprint(parse_smiles("CCO"), FingerprintConfig(nbits=64))
+        with pytest.raises(ValueError):
+            from_hex(to_hex(fp) + extra)
+
     def test_malformed_hex_rejected(self):
         with pytest.raises(ValueError):
             from_hex("r2b2048s0")
@@ -102,3 +117,88 @@ class TestConfigMismatch:
         b = circular_fingerprint(parse_smiles("CCO"), FingerprintConfig(nbits=128))
         with pytest.raises(ConfigMismatch):
             tanimoto(a, b)
+
+
+def _ring(aromatic, charge=0):
+    """Benzene built from parts, with the given aromatic and charge values."""
+    atoms = [Atom("C", formal_charge=charge, aromatic=aromatic) for _ in range(6)]
+    return make_molecule(atoms, [Bond(i, (i + 1) % 6, AROMATIC) for i in range(6)])
+
+
+SALTS = [
+    "CCO.[Na+]",
+    "[Na+].[Cl-]",
+    "CC(=O)[O-].[NH4+]",
+    "c1ccccc1.CCO.O",
+    "OCC(O)CO.OCC(O)CO",
+    "[O-]C(=O)c1ccccc1.[K+].O.O",
+]
+GRID = [
+    FingerprintConfig(radius=r, nbits=nbits, hash_seed=seed)
+    for r in range(7)
+    for nbits in (64, 2048)
+    for seed in (0, 7, -1, 2**64 + 5)
+]
+
+
+@pytest.fixture(scope="module")
+def generated():
+    return [parse_smiles(s) for g in range(3) for s in Generator(g).grow(1500)]
+
+
+class TestEnvironmentMemo:
+    """The memoized fingerprint against the seed's, per environment hash."""
+
+    @pytest.fixture(params=["cold", "warm", "capped"])
+    def mode(self, request, monkeypatch):
+        fingerprints._ENV_IDS.clear()
+        if request.param == "capped":
+            monkeypatch.setattr(fingerprints, "_ENV_CAP", 8)
+        yield request.param
+        fingerprints._ENV_IDS.clear()
+
+    @staticmethod
+    def assert_exact(mols, cfg, mode):
+        expected = [circular_fingerprint_oracle(m, cfg).bits for m in mols]
+        rounds = 2 if mode == "warm" else 1
+        for _ in range(rounds):
+            for mol, bits in zip(mols, expected):
+                got = fingerprints._circular_fingerprint(mol, cfg)
+                assert np.array_equal(got.bits, bits)
+                if mode == "cold":
+                    fingerprints._ENV_IDS.clear()
+        if mode == "capped":
+            assert len(fingerprints._ENV_IDS) <= 8
+
+    def test_corpus_and_generated(self, corpus, generated, mode):
+        mols = [m for _, _, m in corpus] + generated
+        self.assert_exact(mols, FingerprintConfig(), mode)
+
+    @pytest.mark.parametrize("cfg", GRID, ids=FingerprintConfig.tag)
+    def test_radius_nbits_seed_grid(self, corpus, cfg, mode):
+        self.assert_exact([m for _, _, m in corpus] + [parse_smiles(s) for s in SALTS], cfg, mode)
+
+    def test_aromatic_one_is_not_true(self, mode):
+        # Atom(aromatic=1) equals Atom(aromatic=True), but its repr, and so
+        # its hash, differs; likewise formal_charge=True against 1.
+        mols = [_ring(True), _ring(1), _ring(True, charge=1), _ring(1, charge=True)]
+        for cfg in (FingerprintConfig(radius=0), FingerprintConfig()):
+            self.assert_exact(mols, cfg, mode)
+        assert not np.array_equal(
+            circular_fingerprint_oracle(mols[0], FingerprintConfig(radius=0)).bits,
+            circular_fingerprint_oracle(mols[1], FingerprintConfig(radius=0)).bits,
+        )
+
+    def test_memo_stays_small(self, generated):
+        # Keys, ids and table as sys.getsizeof counts them (about 0.78 MB
+        # here). Growth under tracemalloc reads more, as it also counts
+        # transient tuples parked in CPython's tuple free lists.
+        fingerprints._ENV_IDS.clear()
+        try:
+            for mol in generated[:1500]:
+                fingerprints._circular_fingerprint(mol, FingerprintConfig())
+            memo = fingerprints._ENV_IDS
+            held = sys.getsizeof(memo) + sum(map(sys.getsizeof, [*memo, *memo.values()]))
+        finally:
+            fingerprints._ENV_IDS.clear()
+        assert held < 1 << 20

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import mlp_forward_oracle
+from oracles import adam_step_oracle, mlp_forward_oracle
 from screenforge import pdenet
 from screenforge.chem_graph import parse_smiles
 from screenforge.pdenet import (
@@ -183,6 +183,32 @@ class TestAdam:
         assert all(not s.any() for s in m.adam_state.m)
         assert all(not s.any() for s in m.adam_state.v)
         assert m.adam_state.t == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_in_place_step_matches_seed_oracle(self, seed, dropout, tmp_path, monkeypatch):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(50, 12))
+        y = X @ np.linspace(-1.0, 1.0, 12) + rng.normal(size=50)
+        cfg = TrainConfig(
+            learning_rate=3e-3, batch_size=8, epochs=8, hidden_layers=(16, 8),
+            dropout_rate=dropout, seed=seed,
+        )
+        runs = []
+        for step in (adam_step, adam_step_oracle):
+            monkeypatch.setattr(pdenet, "adam_step", step)
+            model, _ = train(init_model([12, 16, 8, 1], seed=seed), (X, y), None, cfg)
+            path = tmp_path / "model.json"
+            save_model(model, str(path))
+            runs.append((model, path.read_bytes()))
+        (new, new_bytes), (old, old_bytes) = runs
+        assert new.adam_state.t == old.adam_state.t == 8 * 7
+        for a, b in zip(
+            new.weights + new.biases + new.adam_state.m + new.adam_state.v,
+            old.weights + old.biases + old.adam_state.m + old.adam_state.v,
+        ):
+            assert np.array_equal(a, b)
+        assert new_bytes == old_bytes
 
     @pytest.mark.parametrize("g", [3.0, -0.25])
     def test_first_step_is_signed_learning_rate(self, g):
