@@ -796,16 +796,6 @@ def _largest_fragment(mol: Molecule) -> Molecule:
     return make_molecule([mol.atoms[i] for i in frag], bonds)
 
 
-def renumbered(mol: Molecule, order: list[int]) -> Molecule:
-    """Rebuild the molecule with atom ``order[i]`` moved to position ``i``."""
-    if sorted(order) != list(range(len(mol.atoms))):
-        raise ValueError("order must be a permutation of atom indices")
-    inverse = {old: new for new, old in enumerate(order)}
-    atoms = [mol.atoms[old] for old in order]
-    bonds = [replace(b, a=inverse[b.a], b=inverse[b.b]) for b in mol.bonds]
-    return make_molecule(atoms, bonds)
-
-
 def iter_smi_lines(text: str):
     """Yield ``(line_number, smiles, name)`` from .smi content.
 

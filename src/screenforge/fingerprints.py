@@ -124,10 +124,6 @@ def _circular_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> FingerprintV
     return FingerprintVector(bits=bits, config=cfg)
 
 
-def popcount(v: FingerprintVector) -> int:
-    return int(v.bits.sum())
-
-
 def to_hex(v: FingerprintVector) -> str:
     """Serialize as ``r<radius>b<nbits>s<seed>:<hex>`` (bit 0 first)."""
     return f"{v.config.tag()}:{np.packbits(v.bits).tobytes().hex()}"

@@ -29,6 +29,9 @@ DEFAULT_GATE_THRESHOLD = 5.7
 # the train/test fractions of the split (the rest is the validation
 # holdout) and the hidden-layer activation of newly trained models.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Adam updates each parameter this many flat elements at a time (256 KB of
+# float64 per scratch row), so its scratch stays in cache whatever the width.
+ADAM_CHUNK = 32768
 TRAIN_FRAC, TEST_FRAC = 0.78, 0.12
 TRAIN_ACTIVATION = "relu"
 # Label derivation for sources without an explicit active column; distinct
@@ -104,7 +107,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate {self.learning_rate} must be finite and positive")
+        if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("bad optimizer settings")
         if any(w < 1 for w in self.hidden_layers):
             raise ValueError("hidden widths must be >= 1")
@@ -140,7 +145,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -243,10 +247,12 @@ def _forward_pass(model, X, dropout_rate=0.0, rng=None):
     return a[:, 0], zs, activations, masks
 
 
-def backprop(model: MlpModel, X: np.ndarray, y: np.ndarray,
-             dropout_rate: float = 0.0, rng=None) -> tuple[list[np.ndarray], float]:
+def backprop(model: MlpModel, X: np.ndarray, y: np.ndarray, dropout_rate: float = 0.0,
+             rng=None, out: list[np.ndarray] | None = None) -> tuple[list[np.ndarray], float]:
     """Gradients of the batch MSE with respect to every weight and bias,
-    ordered like ``model.parameter_list()``; also returns the batch loss."""
+    ordered like ``model.parameter_list()``; also returns the batch loss.
+    Given ``out``, arrays shaped like those parameters, the gradients are
+    written into it and it is returned."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.shape[0] != y.shape[0]:
@@ -255,17 +261,15 @@ def backprop(model: MlpModel, X: np.ndarray, y: np.ndarray,
     batch = X.shape[0]
     loss = float(np.mean((pred - y) ** 2))
     delta = (2.0 * (pred - y) / batch)[:, None]
-    grads: list[np.ndarray] = []
+    grads = [np.empty_like(p) for p in model.parameter_list()] if out is None else out
     for layer in range(len(model.weights) - 1, -1, -1):
-        a_prev = activations[layer]
-        grads.append(delta.sum(axis=0))        # bias
-        grads.append(delta.T @ a_prev)         # weight
+        np.sum(delta, axis=0, out=grads[2 * layer + 1])
+        np.matmul(delta.T, activations[layer], out=grads[2 * layer])
         if layer > 0:
             delta = delta @ model.weights[layer]
             if masks[layer - 1] is not None:
                 delta = delta * masks[layer - 1]
             delta = delta * _act_grad(zs[layer - 1], model.activation)
-    grads.reverse()
     return grads, loss
 
 
@@ -284,26 +288,33 @@ def adam_step(model: MlpModel, gradients: list[np.ndarray], lr: float) -> MlpMod
     for g, p in zip(gradients, params):
         if g.shape != p.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} != parameter {p.shape}")
-    state.scratch = state.scratch or [(np.empty_like(p), np.empty_like(p)) for p in params]
+        if not p.flags.c_contiguous:  # the flat views below must not be copies
+            raise ValueError("adam_step needs C-contiguous parameters")
     state.t += 1
     c1, c2 = 1 - ADAM_BETA1**state.t, 1 - ADAM_BETA2**state.t
+    scratch = np.empty((2, min(ADAM_CHUNK, max(p.size for p in params))))
     # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, p -= (lr*(m/c1)) / (sqrt(v/c2) + eps),
-    # operation by operation into m, v, p and two scratch buffers: bit-identical.
-    for g, p, m, v, (a, b) in zip(gradients, params, state.m, state.v, state.scratch):
-        np.multiply(m, ADAM_BETA1, out=m)
-        np.multiply(g, 1 - ADAM_BETA1, out=a)
-        np.add(m, a, out=m)
-        np.multiply(v, ADAM_BETA2, out=v)
-        np.multiply(g, 1 - ADAM_BETA2, out=a)
-        np.multiply(a, g, out=a)
-        np.add(v, a, out=v)
-        np.divide(m, c1, out=a)
-        np.multiply(a, lr, out=a)
-        np.divide(v, c2, out=b)
-        np.sqrt(b, out=b)
-        np.add(b, ADAM_EPS, out=b)
-        np.divide(a, b, out=a)
-        np.subtract(p, a, out=p)
+    # operation by operation into m, v, p and two scratch rows, one chunk of the
+    # flat arrays at a time: every element sees the same operations, bit-identical.
+    for arrays in zip(gradients, params, state.m, state.v):
+        flat = [x.reshape(-1) for x in arrays]
+        for lo in range(0, flat[1].size, ADAM_CHUNK):
+            g, p, m, v = (x[lo:lo + ADAM_CHUNK] for x in flat)
+            a, b = scratch[0, :p.size], scratch[1, :p.size]
+            np.multiply(m, ADAM_BETA1, out=m)
+            np.multiply(g, 1 - ADAM_BETA1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, ADAM_BETA2, out=v)
+            np.multiply(g, 1 - ADAM_BETA2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            np.divide(m, c1, out=a)
+            np.multiply(a, lr, out=a)
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, ADAM_EPS, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(p, a, out=p)
     return model
 
 
@@ -321,11 +332,12 @@ def train(
         raise ValueError("empty training set")
     curve = LossCurve()
     rng = np.random.default_rng(cfg.seed)
+    grads = [np.empty_like(p) for p in model.parameter_list()]  # reused every step
     for _ in range(cfg.epochs):
         order = rng.permutation(len(y))
         for start in range(0, len(y), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            grads, _ = backprop(model, X[batch], y[batch], cfg.dropout_rate, rng)
+            grads, _ = backprop(model, X[batch], y[batch], cfg.dropout_rate, rng, out=grads)
             adam_step(model, grads, cfg.learning_rate)
         curve.train_mse.append(mse_loss(forward(model, X), y))
         if val_data is not None and len(val_data[1]):
@@ -463,7 +475,16 @@ def evaluate(model: MlpModel, X: np.ndarray, y: np.ndarray) -> EvalResult:
 # Persistence
 # ---------------------------------------------------------------------------
 
+def _require_finite(layer: int, w: np.ndarray, b: np.ndarray) -> None:
+    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        raise ValueError(f"non-finite weight or bias in layer {layer}")
+
+
 def save_model(model: MlpModel, path: str) -> None:
+    """Write the model as JSON. A non-finite weight or bias (a diverged run)
+    raises ValueError before the file is opened, as load_model would refuse it."""
+    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
+        _require_finite(layer, w, b)
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "target": model.target,
@@ -548,8 +569,7 @@ def load_model(path: str) -> MlpModel:
     for idx, (w, b) in enumerate(zip(weights, biases)):
         if w.shape != (sizes[idx + 1], sizes[idx]) or b.shape != (sizes[idx + 1],):
             raise ValueError(f"bad shape for layer {idx}: {w.shape}/{b.shape}")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValueError(f"non-finite weight or bias in layer {idx}")
+        _require_finite(idx, w, b)
     if stats is not None:
         if stats.kept.size != sizes[0]:
             raise ValueError("normalization width != model input width")

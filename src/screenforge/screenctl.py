@@ -441,13 +441,3 @@ def emit_report(report: ScreeningReport, path: str, format: str = "csv") -> None
         for row in report.rows:
             buf.write("| " + " | ".join(_row_values(row, report)) + " |\n")
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
-
-
-def read_report_header(path: str) -> dict[str, str]:
-    header = {}
-    for line in Path(path).read_text("utf-8").splitlines():
-        if not line.startswith(("#", ">")):
-            break
-        key, _, value = line[1:].strip().partition("=")
-        header[key] = value
-    return header

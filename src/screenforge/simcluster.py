@@ -187,9 +187,3 @@ def _medoids(clusters: list[list[int]], dist: np.ndarray) -> list[int]:
         totals = sub.sum(axis=1)
         out.append(member_list[int(np.argmin(totals))])  # ties -> lowest id
     return out
-
-
-def medoid_representatives(assignment: ClusterAssignment, dist: np.ndarray) -> list[int]:
-    """Per cluster, the member minimizing summed distance to co-members."""
-    clusters = [assignment.members(c) for c in range(assignment.k)]
-    return _medoids(clusters, np.asarray(dist, dtype=float))

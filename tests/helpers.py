@@ -1,0 +1,44 @@
+"""Small helpers that only the test suite needs: renumbering a molecule,
+counting fingerprint bits, medoids of a given assignment and reading a
+report's header lines."""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from screenforge.chem_graph import Molecule, make_molecule
+from screenforge.fingerprints import FingerprintVector
+from screenforge.simcluster import ClusterAssignment, _medoids
+
+
+def renumbered(mol: Molecule, order: list[int]) -> Molecule:
+    """Rebuild the molecule with atom ``order[i]`` moved to position ``i``."""
+    if sorted(order) != list(range(len(mol.atoms))):
+        raise ValueError("order must be a permutation of atom indices")
+    inverse = {old: new for new, old in enumerate(order)}
+    atoms = [mol.atoms[old] for old in order]
+    bonds = [replace(b, a=inverse[b.a], b=inverse[b.b]) for b in mol.bonds]
+    return make_molecule(atoms, bonds)
+
+
+def popcount(v: FingerprintVector) -> int:
+    return int(v.bits.sum())
+
+
+def medoid_representatives(assignment: ClusterAssignment, dist: np.ndarray) -> list[int]:
+    """Per cluster, the member minimizing summed distance to co-members."""
+    clusters = [assignment.members(c) for c in range(assignment.k)]
+    return _medoids(clusters, np.asarray(dist, dtype=float))
+
+
+def read_report_header(path: str) -> dict[str, str]:
+    header = {}
+    for line in Path(path).read_text("utf-8").splitlines():
+        if not line.startswith(("#", ">")):
+            break
+        key, _, value = line[1:].strip().partition("=")
+        header[key] = value
+    return header

@@ -35,7 +35,16 @@ from screenforge.chem_graph import (
     make_molecule,
 )
 from screenforge.fingerprints import FingerprintConfig, FingerprintVector
-from screenforge.pdenet import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, ShapeMismatch
+from screenforge.pdenet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamState,
+    LengthMismatch,
+    ShapeMismatch,
+    _act_grad,
+    _forward_pass,
+)
 
 
 def _atom_key(mol: Molecule, i: int):
@@ -183,6 +192,31 @@ def circular_fingerprint_oracle(mol: Molecule, cfg: FingerprintConfig) -> Finger
             bits[env_id % cfg.nbits] = 1
     bits.flags.writeable = False
     return FingerprintVector(bits=bits, config=cfg)
+
+
+def backprop_oracle(model, X, y, dropout_rate: float = 0.0, rng=None):
+    """The seed's backprop: a fresh gradient array per weight and bias,
+    collected output layer first and reversed."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if X.shape[0] != y.shape[0]:
+        raise LengthMismatch("X rows and y length differ")
+    pred, zs, activations, masks = _forward_pass(model, X, dropout_rate, rng)
+    batch = X.shape[0]
+    loss = float(np.mean((pred - y) ** 2))
+    delta = (2.0 * (pred - y) / batch)[:, None]
+    grads: list[np.ndarray] = []
+    for layer in range(len(model.weights) - 1, -1, -1):
+        a_prev = activations[layer]
+        grads.append(delta.sum(axis=0))        # bias
+        grads.append(delta.T @ a_prev)         # weight
+        if layer > 0:
+            delta = delta @ model.weights[layer]
+            if masks[layer - 1] is not None:
+                delta = delta * masks[layer - 1]
+            delta = delta * _act_grad(zs[layer - 1], model.activation)
+    grads.reverse()
+    return grads, loss
 
 
 def adam_step_oracle(model, gradients, lr: float):

@@ -11,6 +11,7 @@ import random
 
 import numpy as np
 
+from helpers import renumbered
 from oracles import (
     brute_force_isomorphic,
     fit_value_oracle,
@@ -18,7 +19,7 @@ from oracles import (
     tanimoto_set_oracle,
 )
 from screenforge.cli import main as cli_main
-from screenforge.chem_graph import canonical_smiles, parse_smiles, renumbered
+from screenforge.chem_graph import canonical_smiles, parse_smiles
 from screenforge.descriptors import molecular_weight
 from screenforge.fingerprints import FingerprintConfig, FingerprintVector
 from screenforge.pdenet import (

@@ -24,8 +24,8 @@ from screenforge.chem_graph import (
     canonical_smiles,
     make_molecule,
     parse_smiles,
-    renumbered,
 )
+from helpers import renumbered
 from screenforge.cli import main
 from screenforge.screenctl import ingest, source_for
 

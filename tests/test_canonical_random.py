@@ -18,8 +18,8 @@ from screenforge.chem_graph import (
     element_counts,
     make_molecule,
     parse_smiles,
-    renumbered,
 )
+from helpers import renumbered
 
 MAX_SINGLE_VALENCE = {"C": 4, "N": 3, "O": 2, "S": 2, "P": 3, "B": 3,
                       "F": 1, "Cl": 1, "Br": 1, "I": 1}

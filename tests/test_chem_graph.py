@@ -18,8 +18,8 @@ from screenforge.chem_graph import (
     make_molecule,
     molecular_formula,
     parse_smiles,
-    renumbered,
 )
+from helpers import renumbered
 
 
 class TestParsing:

@@ -2,6 +2,7 @@ import hashlib
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from screenforge import fingerprints
@@ -159,6 +160,25 @@ class TestTrainPredict:
         assert code == 4
         err = capsys.readouterr().err
         assert err == f"error: --epochs {epochs} must be at least 1\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("lr, message", [
+        ("nan", "error: learning_rate nan must be finite and positive\n"),
+        ("inf", "error: learning_rate inf must be finite and positive\n"),
+        ("1e300", "error: non-finite weight or bias in layer 0\n"),  # diverges
+    ])
+    def test_train_refuses_non_finite_learning_rate_or_weights(
+        self, train_csv, tmp_path, capsys, lr, message
+    ):
+        out = tmp_path / "m.json"
+        with np.errstate(all="ignore"):
+            code = main(["train", str(train_csv), "--target", "XO", "--epochs", "10",
+                         "--hidden", "8", "--seed", "1", "--lr", lr, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == message
         assert not out.exists()
 
 

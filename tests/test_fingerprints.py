@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 
 from screenforge import fingerprints
-from screenforge.chem_graph import AROMATIC, Atom, Bond, make_molecule, parse_smiles, renumbered
+from screenforge.chem_graph import AROMATIC, Atom, Bond, make_molecule, parse_smiles
 from screenforge.fingerprints import (
     ConfigMismatch,
     FingerprintConfig,
     FingerprintVector,
     circular_fingerprint,
     from_hex,
-    popcount,
     to_hex,
 )
 from screenforge.simcluster import tanimoto
 
+from helpers import popcount, renumbered
 from oracles import circular_fingerprint_oracle
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))

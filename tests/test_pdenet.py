@@ -1,11 +1,12 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import adam_step_oracle, mlp_forward_oracle
+from oracles import adam_step_oracle, backprop_oracle, mlp_forward_oracle
 from screenforge import pdenet
 from screenforge.chem_graph import parse_smiles
 from screenforge.pdenet import (
@@ -187,17 +188,23 @@ class TestAdam:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     def test_in_place_step_matches_seed_oracle(self, seed, dropout, tmp_path, monkeypatch):
+        # The 300 x 120 first layer spans two Adam chunks, the second partial.
         rng = np.random.default_rng(seed)
-        X = rng.normal(size=(50, 12))
-        y = X @ np.linspace(-1.0, 1.0, 12) + rng.normal(size=50)
+        X = rng.normal(size=(50, 300))
+        y = X[:, :12] @ np.linspace(-1.0, 1.0, 12) + rng.normal(size=50)
         cfg = TrainConfig(
-            learning_rate=3e-3, batch_size=8, epochs=8, hidden_layers=(16, 8),
+            learning_rate=3e-3, batch_size=8, epochs=8, hidden_layers=(120, 8),
             dropout_rate=dropout, seed=seed,
         )
+
+        def oracle_backprop(model, X, y, dropout_rate, rng, out):
+            return backprop_oracle(model, X, y, dropout_rate, rng)
+
         runs = []
-        for step in (adam_step, adam_step_oracle):
+        for step, grad in ((adam_step, backprop), (adam_step_oracle, oracle_backprop)):
             monkeypatch.setattr(pdenet, "adam_step", step)
-            model, _ = train(init_model([12, 16, 8, 1], seed=seed), (X, y), None, cfg)
+            monkeypatch.setattr(pdenet, "backprop", grad)
+            model, _ = train(init_model([300, 120, 8, 1], seed=seed), (X, y), None, cfg)
             path = tmp_path / "model.json"
             save_model(model, str(path))
             runs.append((model, path.read_bytes()))
@@ -234,6 +241,51 @@ class TestAdam:
         with pytest.raises(ShapeMismatch):
             adam_step(m, [np.zeros(99) for _ in m.parameter_list()], lr=0.1)
 
+    @pytest.mark.parametrize(
+        "chunk, sizes",
+        [(1, [9, 6, 1]), (7, [40, 30, 1]), (4096, [1200, 300, 1]),
+         (pdenet.ADAM_CHUNK, [1200, 300, 1])],
+    )
+    def test_chunked_steps_match_seed_oracle(self, chunk, sizes, monkeypatch):
+        # Every first layer spans several chunks and, past chunk 1, ends in a partial one.
+        assert sizes[0] * sizes[1] > chunk and (chunk == 1 or (sizes[0] * sizes[1]) % chunk)
+        monkeypatch.setattr(pdenet, "ADAM_CHUNK", chunk)
+        new, old = init_model(sizes, seed=4), init_model(sizes, seed=4)
+        rng = np.random.default_rng(chunk)
+        for _ in range(4):
+            grads = [rng.normal(size=p.shape) for p in new.parameter_list()]
+            adam_step(new, grads, lr=0.01)
+            adam_step_oracle(old, grads, lr=0.01)
+        for a, b in zip(
+            new.parameter_list() + new.adam_state.m + new.adam_state.v,
+            old.parameter_list() + old.adam_state.m + old.adam_state.v,
+        ):
+            assert np.array_equal(a, b)
+
+    def test_non_contiguous_parameter_rejected(self):
+        m = init_model([3, 3, 1])
+        m.weights[0] = np.asfortranarray(m.weights[0])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adam_step(m, [np.zeros_like(p) for p in m.parameter_list()], lr=0.1)
+
+    def test_train_step_memory_is_bounded(self):
+        # One step of a 1112-256-64-1 net held about 5 MB of temporaries
+        # when gradients and Adam scratch were parameter-sized.
+        model = init_model([1112, 256, 64, 1], seed=0)
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(32, 1112)), rng.normal(size=32)
+        grads = [np.empty_like(p) for p in model.parameter_list()]
+        adam_step(model, backprop(model, X, y, out=grads)[0], lr=1e-3)  # warm-up
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                backprop(model, X, y, out=grads)
+                adam_step(model, grads, lr=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 def numeric_gradient(model, X, y, eps=1e-5):
     grads = []
@@ -268,6 +320,22 @@ class TestGradients:
             worst = max(worst, float(rel.max()))
         assert worst < 1e-5
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("rows", [32, 11])  # a full and a final partial batch
+    def test_backprop_matches_seed_oracle_bitwise(self, activation, dropout, rows):
+        model = init_model([40, 24, 8, 1], activation, seed=3)
+        rng = np.random.default_rng(rows)
+        X, y = rng.normal(size=(rows, 40)), rng.normal(size=rows)
+        expected, expected_loss = backprop_oracle(model, X, y, dropout, np.random.default_rng(7))
+        fresh, fresh_loss = backprop(model, X, y, dropout, np.random.default_rng(7))
+        out = [np.full_like(p, np.nan) for p in model.parameter_list()]
+        written, written_loss = backprop(model, X, y, dropout, np.random.default_rng(7), out=out)
+        assert written is out
+        assert fresh_loss == written_loss == expected_loss
+        for e, f, w in zip(expected, fresh, written):
+            assert np.array_equal(e, f) and np.array_equal(e, w)
+
 
 class TestTrain:
     def overfit_fixture(self):
@@ -284,6 +352,11 @@ class TestTrain:
         model, curve = train(model, (X, y), None, cfg)
         assert curve.train_mse[-1] < 1e-4
         assert curve.train_mse[-1] < curve.train_mse[0]
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            TrainConfig(learning_rate=lr)
 
     def test_zero_epochs_is_identity(self):
         X, y = self.overfit_fixture()
@@ -504,6 +577,15 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_model(str(path))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_model_not_saved(self, bad, tmp_path):
+        model = init_model([3, 2, 1], seed=0)
+        model.biases[1][0] = bad
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="non-finite weight or bias in layer 1"):
+            save_model(model, str(path))
+        assert not path.exists()
 
     def test_shapes_validated(self, tmp_path):
         model = init_model([3, 2, 1], seed=0)

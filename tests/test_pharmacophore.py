@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import renumbered
 from oracles import fit_value_oracle, fit_value_product_oracle, least_squares_oracle
 from screenforge import pharmacophore
-from screenforge.chem_graph import parse_smiles, renumbered
+from screenforge.chem_graph import parse_smiles
 from screenforge.pharmacophore import (
     COMPLEXITY_LAMBDA,
     DEFAULT_MAX_CANDIDATES,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import read_report_header
 from oracles import tanimoto_rows_oracle, tanimoto_set_oracle
 from screenforge.chem_graph import canonical_smiles, parse_smiles
 from screenforge.fingerprints import FingerprintConfig, circular_fingerprint
@@ -14,7 +15,6 @@ from screenforge.screenctl import (
     derive_seed,
     emit_report,
     ingest,
-    read_report_header,
     run_screen,
     source_for,
 )

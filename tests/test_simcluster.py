@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import medoid_representatives
 from oracles import (
     distance_matrix_oracle,
     hier_cluster_oracle,
@@ -24,7 +25,6 @@ from screenforge.simcluster import (
     InvalidK,
     distance_matrix,
     hier_cluster,
-    medoid_representatives,
     string_similarity,
     tanimoto,
     tanimoto_matrix,
