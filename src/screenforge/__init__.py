@@ -12,4 +12,3 @@ from .chem_graph import (  # noqa: F401
 from .descriptors import admet_flags, compute_descriptors  # noqa: F401
 from .fingerprints import FingerprintConfig, circular_fingerprint  # noqa: F401
 from .pdenet import ic50_to_pic50  # noqa: F401
-from .simcluster import tanimoto  # noqa: F401

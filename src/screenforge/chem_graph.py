@@ -118,11 +118,6 @@ class Molecule:
         return self._memo[key]
 
     @property
-    def rings(self) -> list[list[int]]:
-        """A cycle basis, built on first access."""
-        return self.derived(_cycle_basis)
-
-    @property
     def ring_bonds(self) -> frozenset[tuple[int, int]]:
         """Bonds on some cycle, as (low, high) atom pairs, built on first
         access."""

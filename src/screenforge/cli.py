@@ -43,7 +43,6 @@ from .screenctl import (
     emit_report,
     ingest,
     run_screen,
-    source_for,
 )
 from .simcluster import distance_matrix, hier_cluster
 
@@ -59,7 +58,7 @@ class InputError(Exception):
 
 def _load_records(path: str):
     try:
-        records, stats = ingest(source_for(path))
+        records, stats = ingest(path)
     except (OSError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     for message in stats.errors:
@@ -173,11 +172,11 @@ def cmd_train(args) -> int:
         hidden_layers=hidden,
         seed=derive_seed(seed, "train"),
     )
-    model, curve, result = train_pipeline(labeled, cfg, args.target)
+    model, losses, result = train_pipeline(labeled, cfg, args.target)
     save_model(model, args.out)
     print(
         f"trained target={args.target} records={len(labeled)} "
-        f"final_train_mse={curve.train_mse[-1]:.4f} test_mse={result.mse:.4f} "
+        f"final_train_mse={losses[-1]:.4f} test_mse={result.mse:.4f} "
         f"test_r2={result.r2:.4f} -> {args.out}"
     )
     return EXIT_OK
@@ -277,8 +276,7 @@ def cmd_screen(args) -> int:
         seed=seed,
         admet_constants=args.admet_constants,
     )
-    fmt = "md" if args.out.lower().endswith(".md") else "csv"
-    emit_report(report, args.out, fmt)
+    emit_report(report, args.out)
     print(
         f"library={len(records)} actives={len(report.rows)} "
         f"clusters={report.header['clusters_effective']} "

@@ -27,6 +27,7 @@ from .chem_graph import (
     SINGLE,
     Molecule,
     UnknownElement,
+    element_counts,
     largest_fragment,
 )
 
@@ -124,8 +125,6 @@ _FORMULA_TOKEN = re.compile(r"([A-Z][a-z]?)(\d*)")
 def molecular_weight(formula_or_mol: str | Molecule) -> float:
     """Sum of standard atomic weights, implicit hydrogens included."""
     if isinstance(formula_or_mol, Molecule):
-        from .chem_graph import element_counts
-
         counts = element_counts(formula_or_mol)
     else:
         formula = formula_or_mol.strip()
@@ -337,8 +336,7 @@ def _compute_descriptors(mol: Molecule) -> DescriptorSet:
 # ADME flags
 # ---------------------------------------------------------------------------
 
-def lipinski_violations(d: DescriptorSet, th: dict[str, float] | None = None) -> int:
-    th = th or load_admet_thresholds()
+def lipinski_violations(d: DescriptorSet, th: dict[str, float]) -> int:
     return sum(
         (
             d.mw > th["ro5_mw_max"],

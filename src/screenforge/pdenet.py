@@ -26,17 +26,14 @@ log = logging.getLogger(__name__)
 MODEL_FORMAT_VERSION = 1
 DEFAULT_GATE_THRESHOLD = 5.7
 # Fixed training constants: the Adam moment decays and denominator guard,
-# the train/test fractions of the split (the rest is the validation
-# holdout) and the hidden-layer activation of newly trained models.
+# the train/test fractions of the split (the rest is a holdout, counted
+# but not scored) and the hidden-layer activation of newly trained models.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Adam updates each parameter this many flat elements at a time (256 KB of
 # float64 per scratch row), so its scratch stays in cache whatever the width.
 ADAM_CHUNK = 32768
 TRAIN_FRAC, TEST_FRAC = 0.78, 0.12
 TRAIN_ACTIVATION = "relu"
-# Label derivation for sources without an explicit active column; distinct
-# from the screening gate.
-ACTIVE_LABEL_PIC50 = 6.0
 DESCRIPTOR_FEATURES = ("mw", "tpsa", "wlogp", "hbd", "hba", "rotatable_bonds", "heavy_atoms")
 
 
@@ -76,7 +73,6 @@ class DatasetRecord:
     ic50_nm: float | None = None
     pic50: float | None = None
     target: str | None = None
-    active: bool | None = None
     class_label: str | None = None
 
     def __post_init__(self):
@@ -93,8 +89,6 @@ class DatasetRecord:
                     f"record {self.id}: pic50 {self.pic50} inconsistent with "
                     f"ic50_nm {self.ic50_nm} (expected {derived:.6f})"
                 )
-        if self.active is None and self.pic50 is not None:
-            self.active = self.pic50 >= ACTIVE_LABEL_PIC50
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 200
     hidden_layers: tuple[int, ...] = (256, 64)
-    dropout_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -113,8 +106,6 @@ class TrainConfig:
             raise ValueError("bad optimizer settings")
         if any(w < 1 for w in self.hidden_layers):
             raise ValueError("hidden widths must be >= 1")
-        if not 0 <= self.dropout_rate < 1:
-            raise ValueError("dropout_rate must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -145,12 +136,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-
-
-@dataclass
-class LossCurve:
-    train_mse: list[float] = field(default_factory=list)
-    val_mse: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -223,32 +208,22 @@ def mse_loss(predictions, targets) -> float:
     return float(np.mean((p - t) ** 2))
 
 
-def _forward_pass(model, X, dropout_rate=0.0, rng=None):
-    """Returns (prediction, per-layer z, per-layer activations, masks)."""
+def _forward_pass(model, X):
+    """Returns (prediction, per-layer z, per-layer activations)."""
     a = X
     activations = [a]
     zs = []
-    masks = []
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ w.T + b
         zs.append(z)
-        if i == last:
-            a = z
-        else:
-            a = _act(z, model.activation)
-            if dropout_rate > 0.0 and rng is not None:
-                mask = (rng.random(a.shape) >= dropout_rate) / (1.0 - dropout_rate)
-                a = a * mask
-                masks.append(mask)
-            else:
-                masks.append(None)
+        a = z if i == last else _act(z, model.activation)
         activations.append(a)
-    return a[:, 0], zs, activations, masks
+    return a[:, 0], zs, activations
 
 
-def backprop(model: MlpModel, X: np.ndarray, y: np.ndarray, dropout_rate: float = 0.0,
-             rng=None, out: list[np.ndarray] | None = None) -> tuple[list[np.ndarray], float]:
+def backprop(model: MlpModel, X: np.ndarray, y: np.ndarray,
+             out: list[np.ndarray] | None = None) -> tuple[list[np.ndarray], float]:
     """Gradients of the batch MSE with respect to every weight and bias,
     ordered like ``model.parameter_list()``; also returns the batch loss.
     Given ``out``, arrays shaped like those parameters, the gradients are
@@ -257,7 +232,7 @@ def backprop(model: MlpModel, X: np.ndarray, y: np.ndarray, dropout_rate: float 
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.shape[0] != y.shape[0]:
         raise LengthMismatch("X rows and y length differ")
-    pred, zs, activations, masks = _forward_pass(model, X, dropout_rate, rng)
+    pred, zs, activations = _forward_pass(model, X)
     batch = X.shape[0]
     loss = float(np.mean((pred - y) ** 2))
     delta = (2.0 * (pred - y) / batch)[:, None]
@@ -267,8 +242,6 @@ def backprop(model: MlpModel, X: np.ndarray, y: np.ndarray, dropout_rate: float 
         np.matmul(delta.T, activations[layer], out=grads[2 * layer])
         if layer > 0:
             delta = delta @ model.weights[layer]
-            if masks[layer - 1] is not None:
-                delta = delta * masks[layer - 1]
             delta = delta * _act_grad(zs[layer - 1], model.activation)
     return grads, loss
 
@@ -319,35 +292,29 @@ def adam_step(model: MlpModel, gradients: list[np.ndarray], lr: float) -> MlpMod
 
 
 def train(
-    model: MlpModel,
-    train_data: tuple[np.ndarray, np.ndarray],
-    val_data: tuple[np.ndarray, np.ndarray] | None,
-    cfg: TrainConfig,
-) -> tuple[MlpModel, LossCurve]:
-    """Mini-batch training: per-epoch seeded shuffle, backprop, one
-    optimizer step per batch; records full-pass train/validation MSE per
-    epoch with dropout off."""
+    model: MlpModel, train_data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig
+) -> list[float]:
+    """Mini-batch training of ``model`` in place: per-epoch seeded shuffle,
+    backprop, one optimizer step per batch. Returns the full-pass train MSE
+    of each epoch; an epoch whose MSE is not finite raises ValueError."""
     X, y = np.asarray(train_data[0], dtype=float), np.asarray(train_data[1], dtype=float)
     if X.size == 0:
         raise ValueError("empty training set")
-    curve = LossCurve()
+    losses = []
     rng = np.random.default_rng(cfg.seed)
     grads = [np.empty_like(p) for p in model.parameter_list()]  # reused every step
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(y))
-        for start in range(0, len(y), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            grads, _ = backprop(model, X[batch], y[batch], cfg.dropout_rate, rng, out=grads)
-            adam_step(model, grads, cfg.learning_rate)
-        curve.train_mse.append(mse_loss(forward(model, X), y))
-        if val_data is not None and len(val_data[1]):
-            curve.val_mse.append(
-                mse_loss(forward(model, np.asarray(val_data[0], dtype=float)),
-                         np.asarray(val_data[1], dtype=float))
-            )
-        else:
-            curve.val_mse.append(float("nan"))
-    return model, curve
+    # A diverging run overflows before its epoch ends; it is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(len(y))
+            for start in range(0, len(y), cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                grads, _ = backprop(model, X[batch], y[batch], out=grads)
+                adam_step(model, grads, cfg.learning_rate)
+            losses.append(mse_loss(forward(model, X), y))
+            if not math.isfinite(losses[-1]):
+                raise ValueError(f"training diverged at epoch {epoch}")
+    return losses
 
 
 def split_dataset(records: list, cfg: TrainConfig) -> tuple[list, list, list]:
@@ -446,7 +413,6 @@ def predict_and_gate(
 class EvalResult:
     mse: float
     r2: float
-    confusion: dict[str, int]  # tp/fp/fn/tn at the activity gate
 
 
 def evaluate(model: MlpModel, X: np.ndarray, y: np.ndarray) -> EvalResult:
@@ -461,14 +427,7 @@ def evaluate(model: MlpModel, X: np.ndarray, y: np.ndarray) -> EvalResult:
         r2 = 1.0 if ss_res == 0 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    pa, aa = pred > DEFAULT_GATE_THRESHOLD, y > DEFAULT_GATE_THRESHOLD
-    confusion = {
-        "tp": int(np.sum(pa & aa)),
-        "fp": int(np.sum(pa & ~aa)),
-        "fn": int(np.sum(~pa & aa)),
-        "tn": int(np.sum(~pa & ~aa)),
-    }
-    return EvalResult(mse=mse, r2=r2, confusion=confusion)
+    return EvalResult(mse=mse, r2=r2)
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +553,10 @@ def load_model(path: str) -> MlpModel:
 
 def train_pipeline(
     records: list[DatasetRecord], cfg: TrainConfig, target: str = "custom"
-) -> tuple[MlpModel, LossCurve, EvalResult]:
+) -> tuple[MlpModel, list[float], EvalResult]:
     """Records-to-model orchestration: split, featurize (default FeatureSpec),
-    normalize, train, and evaluate on the held-out test partition."""
+    normalize, train, and evaluate on the test partition. The holdout
+    partition is counted in ``train_meta`` and not scored."""
     labeled = [r for r in records if r.pic50 is not None]
     train_recs, test_recs, holdout_recs = split_dataset(labeled, cfg)
     spec = FeatureSpec()
@@ -604,12 +564,6 @@ def train_pipeline(
     stats = fit_norm_stats(X_train)
     Xn_train = stats.apply(X_train)
     y_train = np.array([r.pic50 for r in train_recs])
-    val: tuple[np.ndarray, np.ndarray] | None = None
-    if holdout_recs:
-        val = (
-            stats.apply(featurize_records(holdout_recs, spec)),
-            np.array([r.pic50 for r in holdout_recs]),
-        )
     sizes = [int(stats.kept.size), *cfg.hidden_layers, 1]
     model = init_model(sizes, TRAIN_ACTIVATION, cfg.seed, target)
     model.feature_spec = spec
@@ -623,8 +577,7 @@ def train_pipeline(
         "n_test": len(test_recs),
         "n_holdout": len(holdout_recs),
     }
-    model, curve = train(model, (Xn_train, y_train), val, cfg)
+    losses = train(model, (Xn_train, y_train), cfg)
     X_test = stats.apply(featurize_records(test_recs, spec))
     y_test = np.array([r.pic50 for r in test_recs])
-    result = evaluate(model, X_test, y_test)
-    return model, curve, result
+    return model, losses, evaluate(model, X_test, y_test)

@@ -48,7 +48,6 @@ EXIT_INPUT_ERROR = 3
 EXIT_CONFIG_ERROR = 4
 
 CSV_ROLES = ("id", "name", "smiles", "ic50_nm", "pic50", "class", "target")
-DEFAULT_COLUMN_MAP = {role: role for role in CSV_ROLES}
 
 # A compound of set A overlaps set B when its best Tanimoto against B
 # reaches this value.
@@ -72,19 +71,6 @@ def derive_seed(seed: int, stage: str) -> int:
     return int.from_bytes(digest, "little") % 2**31
 
 
-@dataclass(frozen=True)
-class LibrarySource:
-    path: str
-    format: str  # "smi" | "csv"
-    column_map: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_COLUMN_MAP))
-
-    def __post_init__(self):
-        if self.format not in ("smi", "csv"):
-            raise ValueError(f"unsupported format {self.format!r}")
-        if self.format == "csv" and "smiles" not in self.column_map:
-            raise ValueError("csv sources must map a smiles column")
-
-
 @dataclass
 class IngestStats:
     read: int = 0
@@ -94,19 +80,16 @@ class IngestStats:
     errors: list[str] = field(default_factory=list)
 
 
-def source_for(path: str) -> LibrarySource:
-    fmt = "csv" if str(path).lower().endswith(".csv") else "smi"
-    return LibrarySource(path=str(path), format=fmt)
-
-
-def ingest(source: LibrarySource) -> tuple[list[DatasetRecord], IngestStats]:
-    """Read, parse, canonicalize and deduplicate a compound library.
+def ingest(path: str) -> tuple[list[DatasetRecord], IngestStats]:
+    """Read, parse, canonicalize and deduplicate a compound library: CSV
+    when the name ends in ``.csv`` (columns named in CSV_ROLES are read,
+    others ignored), SMILES lines otherwise.
 
     Per-row failures are collected in the stats and never abort the batch;
     an unreadable file raises. Duplicate structures (same canonical
     SMILES) keep their first occurrence.
     """
-    text = Path(source.path).read_text("utf-8")
+    text = Path(path).read_text("utf-8")
     stats = IngestStats()
     records: list[DatasetRecord] = []
     seen: set[str] = set()
@@ -137,21 +120,19 @@ def ingest(source: LibrarySource) -> tuple[list[DatasetRecord], IngestStats]:
         seen.add(canonical)
         records.append(record)
 
-    if source.format == "smi":
+    if not path.lower().endswith(".csv"):
         for lineno, smiles, name in iter_smi_lines(text):
             add(str(stats.read + 1), name, smiles, None, None, None, None,
                 f"line {lineno}")
     else:
         reader = csv.DictReader(io.StringIO(text))
         if reader.fieldnames is None:
-            raise ValueError(f"{source.path}: empty csv")
-        columns = {source.column_map.get(role, role): role for role in CSV_ROLES}
+            raise ValueError(f"{path}: empty csv")
         for rownum, raw in enumerate(reader, start=2):
             values = {}
             for column, value in raw.items():
-                role = columns.get(column)
-                if role and value not in (None, ""):
-                    values[role] = value.strip()
+                if column in CSV_ROLES and value not in (None, ""):
+                    values[column] = value.strip()
             if "smiles" not in values:
                 stats.read += 1
                 stats.parse_errors += 1
@@ -224,6 +205,8 @@ def run_screen(
     """
     if not models and hypothesis is None:
         raise ValueError("need at least one model or a hypothesis")
+    if clusters < 1 or picks < 0:
+        raise ValueError(f"need clusters >= 1 and picks >= 0, got {clusters} and {picks}")
     if picks > clusters:
         raise ValueError("picks must not exceed clusters")
     seed = default_seed() if seed is None else seed
@@ -327,7 +310,6 @@ def _row_sort_key(row: ReportRow):
 @dataclass(frozen=True)
 class RouteComparison:
     ids_a: list[str]
-    metric: str
     max_sim: list[float]
     mean_sim: list[float]
     overlap: int
@@ -366,7 +348,6 @@ def compare_routes(
     best = sims.max(axis=1)
     return RouteComparison(
         ids_a=[r.id for r in set_a],
-        metric=metric,
         max_sim=[float(x) for x in best],
         mean_sim=[float(x) for x in sims.mean(axis=1)],
         overlap=int(np.sum(best >= OVERLAP_CUTOFF)),
@@ -418,14 +399,13 @@ def _row_values(row: ReportRow, report: ScreeningReport) -> list[str]:
     ]
 
 
-def emit_report(report: ScreeningReport, path: str, format: str = "csv") -> None:
-    """Write the report with its provenance header. ``csv`` prefixes the
-    table with ``# key=value`` lines; ``md`` renders a pipe table."""
-    if format not in ("csv", "md"):
-        raise ValueError(f"unsupported report format {format!r}")
+def emit_report(report: ScreeningReport, path: str) -> None:
+    """Write the report with its provenance header: a pipe table after
+    ``> key=value`` lines when ``path`` ends in ``.md``, otherwise CSV after
+    ``# key=value`` lines."""
     columns = _report_columns(report)
     buf = io.StringIO()
-    if format == "csv":
+    if not path.lower().endswith(".md"):
         for key, value in report.header.items():
             buf.write(f"# {key}={value}\n")
         writer = csv.writer(buf, lineterminator="\n")

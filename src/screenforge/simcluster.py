@@ -38,7 +38,6 @@ class InvalidK(ValueError):
 @dataclass(frozen=True)
 class ClusterAssignment:
     labels: tuple[int, ...]
-    k: int
     representatives: tuple[int, ...]
 
     def members(self, cluster: int) -> list[int]:
@@ -75,14 +74,6 @@ def tanimoto_values(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ConfigMismatch("vectors have different lengths")
     return float(tanimoto_matrix(a[None, :], b[None, :])[0, 0])
-
-
-def tanimoto(a: FingerprintVector, b: FingerprintVector) -> float:
-    if a.config != b.config:
-        raise ConfigMismatch(
-            f"fingerprint configs differ: {a.config.tag()} vs {b.config.tag()}"
-        )
-    return tanimoto_values(a.bits, b.bits)
 
 
 def string_similarity(a: str, b: str) -> float:
@@ -174,7 +165,6 @@ def hier_cluster(dist: np.ndarray, linkage: str = "average", k: int = 1) -> Clus
     clusters = [np.flatnonzero(owner == c).tolist() for c in roots]
     return ClusterAssignment(
         labels=tuple(labels.tolist()),
-        k=k,
         representatives=tuple(_medoids(clusters, dist)),
     )
 

@@ -30,7 +30,7 @@ def popcount(v: FingerprintVector) -> int:
 
 def medoid_representatives(assignment: ClusterAssignment, dist: np.ndarray) -> list[int]:
     """Per cluster, the member minimizing summed distance to co-members."""
-    clusters = [assignment.members(c) for c in range(assignment.k)]
+    clusters = [assignment.members(c) for c in range(len(assignment.representatives))]
     return _medoids(clusters, np.asarray(dist, dtype=float))
 
 

@@ -194,14 +194,14 @@ def circular_fingerprint_oracle(mol: Molecule, cfg: FingerprintConfig) -> Finger
     return FingerprintVector(bits=bits, config=cfg)
 
 
-def backprop_oracle(model, X, y, dropout_rate: float = 0.0, rng=None):
+def backprop_oracle(model, X, y):
     """The seed's backprop: a fresh gradient array per weight and bias,
     collected output layer first and reversed."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.shape[0] != y.shape[0]:
         raise LengthMismatch("X rows and y length differ")
-    pred, zs, activations, masks = _forward_pass(model, X, dropout_rate, rng)
+    pred, zs, activations = _forward_pass(model, X)
     batch = X.shape[0]
     loss = float(np.mean((pred - y) ** 2))
     delta = (2.0 * (pred - y) / batch)[:, None]
@@ -212,8 +212,6 @@ def backprop_oracle(model, X, y, dropout_rate: float = 0.0, rng=None):
         grads.append(delta.T @ a_prev)         # weight
         if layer > 0:
             delta = delta @ model.weights[layer]
-            if masks[layer - 1] is not None:
-                delta = delta * masks[layer - 1]
             delta = delta * _act_grad(zs[layer - 1], model.activation)
     grads.reverse()
     return grads, loss
@@ -459,7 +457,6 @@ def hier_cluster_oracle(dist, linkage="average", k=1):
             labels[item] = cluster_id
     return ClusterAssignment(
         labels=tuple(labels),
-        k=k,
         representatives=tuple(_medoids(ordered_members, dist)),
     )
 

@@ -27,7 +27,7 @@ from screenforge.chem_graph import (
 )
 from helpers import renumbered
 from screenforge.cli import main
-from screenforge.screenctl import ingest, source_for
+from screenforge.screenctl import ingest
 
 CHAIN_ATOMS = ["C", "C", "C", "N", "O", "S", "Cl", "Br", "c", "n"]
 
@@ -171,7 +171,7 @@ class TestIngest:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "lib.smi"
             path.write_text(f"{text} odd\nCCO ethanol\n")
-            records, stats = ingest(source_for(str(path)))
+            records, stats = ingest(str(path))
         assert stats.read == 2
         assert stats.read == stats.parsed + stats.parse_errors
         assert len(records) == stats.parsed - stats.duplicates_removed

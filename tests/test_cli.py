@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import warnings
 from importlib import resources
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from screenforge import fingerprints
@@ -166,13 +170,14 @@ class TestTrainPredict:
     @pytest.mark.parametrize("lr, message", [
         ("nan", "error: learning_rate nan must be finite and positive\n"),
         ("inf", "error: learning_rate inf must be finite and positive\n"),
-        ("1e300", "error: non-finite weight or bias in layer 0\n"),  # diverges
+        ("1e300", "error: training diverged at epoch 1\n"),
     ])
     def test_train_refuses_non_finite_learning_rate_or_weights(
         self, train_csv, tmp_path, capsys, lr, message
     ):
         out = tmp_path / "m.json"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
             code = main(["train", str(train_csv), "--target", "XO", "--epochs", "10",
                          "--hidden", "8", "--seed", "1", "--lr", lr, "--out", str(out)])
         captured = capsys.readouterr()
@@ -180,6 +185,20 @@ class TestTrainPredict:
         assert captured.out == ""
         assert captured.err == message
         assert not out.exists()
+
+    def test_diverging_train_prints_one_error_line(self, tmp_path):
+        # In a child process, as a user runs it: numpy warnings would reach stderr.
+        data = resources.files("screenforge") / "data/xoi_ic50.csv"
+        with resources.as_file(data) as csv_path:
+            proc = subprocess.run(
+                [sys.executable, "-m", "screenforge.cli", "train", str(csv_path),
+                 "--target", "XO", "--epochs", "10", "--lr", "1e300", "--out", "xo.json"],
+                cwd=tmp_path, capture_output=True, text=True, check=False,
+                env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            )
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == "error: training diverged at epoch 1\n"
+        assert not (tmp_path / "xo.json").exists()
 
 
 class TestPharm:
@@ -252,6 +271,21 @@ class TestScreen:
              "--out", str(tmp_path / "r.csv")]
         )
         assert code == 4
+
+    @pytest.mark.parametrize("clusters, picks, message", [
+        ("5", "-1", "error: need clusters >= 1 and picks >= 0, got 5 and -1\n"),
+        ("0", "0", "error: need clusters >= 1 and picks >= 0, got 0 and 0\n"),
+    ], ids=["negative-picks", "zero-clusters"])
+    def test_cluster_and_pick_counts_rejected(self, library, tmp_path, capsys,
+                                              clusters, picks, message):
+        model_path = tmp_path / "const.json"
+        save_model(constant_model(6.0), str(model_path))
+        out = tmp_path / "r.csv"
+        code = main(["screen", str(library), "--model", str(model_path), "--clusters", clusters,
+                     "--picks", picks, "--threshold", "0", "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_markdown_output(self, library, tmp_path, capsys):
         model_path = tmp_path / "const.json"

@@ -14,7 +14,7 @@ from screenforge.fingerprints import (
     from_hex,
     to_hex,
 )
-from screenforge.simcluster import tanimoto
+from screenforge.simcluster import distance_matrix
 
 from helpers import popcount, renumbered
 from oracles import circular_fingerprint_oracle
@@ -116,7 +116,7 @@ class TestConfigMismatch:
         a = circular_fingerprint(parse_smiles("CCO"), FingerprintConfig(nbits=64))
         b = circular_fingerprint(parse_smiles("CCO"), FingerprintConfig(nbits=128))
         with pytest.raises(ConfigMismatch):
-            tanimoto(a, b)
+            distance_matrix([a, b])
 
 
 def _ring(aromatic, charge=0):

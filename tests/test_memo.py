@@ -159,7 +159,7 @@ class TestLazyRingBonds:
             mol = parse_smiles(smiles)
             edges = {
                 (min(u, v), max(u, v))
-                for ring in mol.rings
+                for ring in chem_graph._cycle_basis(mol)
                 for u, v in zip(ring, ring[1:] + ring[:1])
             }
             assert mol.ring_bonds == edges == ring_bonds_oracle(mol), name

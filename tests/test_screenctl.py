@@ -3,20 +3,19 @@ import pytest
 
 from helpers import read_report_header
 from oracles import tanimoto_rows_oracle, tanimoto_set_oracle
+from screenforge import screenctl
 from screenforge.chem_graph import canonical_smiles, parse_smiles
 from screenforge.fingerprints import FingerprintConfig, circular_fingerprint
 from screenforge.pdenet import DatasetRecord, FeatureSpec, MlpModel, NormStats
 from screenforge.screenctl import (
     DEFAULT_SEED,
     OVERLAP_CUTOFF,
-    LibrarySource,
     compare_routes,
     default_seed,
     derive_seed,
     emit_report,
     ingest,
     run_screen,
-    source_for,
 )
 from screenforge.simcluster import distance_matrix, string_similarity, tanimoto_values
 
@@ -67,7 +66,7 @@ class TestIngestSmi:
     def test_error_isolation(self, tmp_path):
         path = tmp_path / "lib.smi"
         path.write_text("CCO ethanol\nC1CC broken\nc1ccccc1 benzene\n")
-        records, stats = ingest(source_for(str(path)))
+        records, stats = ingest(str(path))
         assert len(records) == 2
         assert stats.read == 3
         assert stats.parsed == 2
@@ -77,14 +76,14 @@ class TestIngestSmi:
     def test_duplicate_spellings_removed(self, tmp_path):
         path = tmp_path / "lib.smi"
         path.write_text("OCC a\nCCO b\nC c\n")
-        records, stats = ingest(source_for(str(path)))
+        records, stats = ingest(str(path))
         assert stats.duplicates_removed == 1
         assert [r.name for r in records] == ["a", "c"]  # first occurrence kept
 
     def test_long_chain_does_not_abort_batch(self, tmp_path):
         path = tmp_path / "lib.smi"
         path.write_text("C" * 1200 + " chain\nCCO ethanol\n")
-        records, stats = ingest(source_for(str(path)))
+        records, stats = ingest(str(path))
         assert [r.name for r in records] == ["chain", "ethanol"]
         assert records[0].canonical_smiles == "C" * 1200
         assert stats.parse_errors == 0
@@ -92,7 +91,7 @@ class TestIngestSmi:
     def test_conservation_invariant(self, tmp_path):
         path = tmp_path / "lib.smi"
         path.write_text("# comment\nCCO\nbadatom(\nCCN\nCCO\n")
-        records, stats = ingest(source_for(str(path)))
+        records, stats = ingest(str(path))
         assert stats.read == stats.parsed + stats.parse_errors
         assert len(records) == stats.parsed - stats.duplicates_removed
 
@@ -101,14 +100,14 @@ class TestIngestCsv:
     def test_ic50_converted(self, tmp_path):
         path = tmp_path / "lib.csv"
         path.write_text("id,name,smiles,ic50_nm\nx1,alpha,CCO,0.59\n")
-        records, stats = ingest(source_for(str(path)))
+        records, stats = ingest(str(path))
         assert stats.parsed == 1
         assert records[0].pic50 == pytest.approx(9.229, abs=1e-3)
 
     def test_inconsistent_pic50_is_row_error(self, tmp_path):
         path = tmp_path / "lib.csv"
         path.write_text("id,smiles,ic50_nm,pic50\nx1,CCO,1.0,5.0\nx2,CCN,1.0,9.0\n")
-        records, stats = ingest(source_for(str(path)))
+        records, stats = ingest(str(path))
         assert stats.parse_errors == 1
         assert [r.id for r in records] == ["x2"]
 
@@ -118,31 +117,37 @@ class TestIngestCsv:
             "id,smiles,ic50_nm,pic50\n"
             "x1,CCO,,nan\nx2,CCN,,inf\nx3,CCC,inf,\nx4,CCS,nan,\nx5,CCCl,,7.0\n"
         )
-        records, stats = ingest(source_for(str(path)))
+        records, stats = ingest(str(path))
         assert [r.id for r in records] == ["x5"]
         assert stats.parse_errors == 4
         assert all("is not finite" in e for e in stats.errors), stats.errors
 
-    def test_custom_column_map(self, tmp_path):
-        path = tmp_path / "lib.csv"
-        path.write_text("Compound,Structure,Activity\nc1,CCO,100\n")
-        source = LibrarySource(
-            path=str(path),
-            format="csv",
-            column_map={"id": "Compound", "smiles": "Structure", "ic50_nm": "Activity"},
-        )
-        records, _ = ingest(source)
-        assert records[0].id == "c1"
+    def test_columns_outside_roles_ignored(self, tmp_path):
+        path = tmp_path / "lib.CSV"
+        path.write_text("Compound,id,smiles,Activity,ic50_nm\nc1,x1,CCO,5,100\n")
+        records, stats = ingest(str(path))
+        assert stats.parse_errors == 0
+        assert (records[0].id, records[0].name, records[0].target) == ("x1", None, None)
         assert records[0].pic50 == pytest.approx(7.0)
 
-    def test_smiles_column_required(self):
-        with pytest.raises(ValueError):
-            LibrarySource(path="x.csv", format="csv", column_map={"id": "id"})
+    def test_smiles_column_required(self, tmp_path):
+        path = tmp_path / "lib.csv"
+        path.write_text("id,Structure\nx1,CCO\nx2,CCN\n")
+        records, stats = ingest(str(path))
+        assert records == []
+        assert stats.errors == ["row 2: missing smiles", "row 3: missing smiles"]
+
+    def test_other_suffix_reads_smiles_lines(self, tmp_path):
+        path = tmp_path / "lib.txt"
+        path.write_text("id,smiles\nCCO ethanol\n")
+        records, stats = ingest(str(path))
+        assert [r.name for r in records] == ["ethanol"]
+        assert stats.parse_errors == 1  # the header line is not a SMILES
 
     def test_class_column_ingested(self, tmp_path):
         path = tmp_path / "lib.csv"
         path.write_text("id,smiles,class\nx1,CCO,Flavonoids\n")
-        records, _ = ingest(source_for(str(path)))
+        records, _ = ingest(str(path))
         assert records[0].class_label == "Flavonoids"
 
 
@@ -224,7 +229,6 @@ class TestCompareRoutes:
         a = self.records(["CCO", "c1ccccc1O", "CC(=O)N"])
         b = self.records(["CCN", "c1ccccc1", "OCCO", "CCCCCl"])
         summary = compare_routes(a, b, "string")
-        assert summary.metric == "string"
         for i, ra in enumerate(a):
             sims = [string_similarity(ra.canonical_smiles, rb.canonical_smiles) for rb in b]
             assert max(sims) < 1.0
@@ -272,6 +276,23 @@ class TestRunScreen:
     def test_requires_model_or_hypothesis(self):
         with pytest.raises(ValueError):
             run_screen(thirty_compound_records(), {}, None, clusters=2, picks=1)
+
+    @pytest.mark.parametrize("clusters, picks", [(0, 0), (-1, 0), (5, -1)])
+    def test_cluster_and_pick_counts_checked_before_scoring(self, clusters, picks, monkeypatch):
+        def no_scoring(*args):
+            raise AssertionError("scored before the counts were checked")
+
+        monkeypatch.setattr(screenctl, "predict_pic50", no_scoring)
+        with pytest.raises(ValueError, match="clusters >= 1 and picks >= 0"):
+            run_screen(thirty_compound_records(), {"PDE4": constant_model(6.0)},
+                       clusters=clusters, picks=picks)
+
+    def test_zero_picks_marks_no_representative(self):
+        records = thirty_compound_records()
+        report = run_screen(records, {"PDE4": constant_model(6.0)}, clusters=5, picks=0, seed=1)
+        assert report.header["picks_effective"] == "0"
+        assert not any(r.representative for r in report.rows)
+        assert len({r.cluster_id for r in report.rows}) == 5
 
     def test_clamping_recorded(self):
         records = thirty_compound_records()[:3]
@@ -344,7 +365,7 @@ class TestEmitReport:
         records = thirty_compound_records()[:2]
         report = run_screen(records, {"PDE4": constant_model(6.0)}, clusters=1, picks=1, seed=1)
         path = tmp_path / "r.md"
-        emit_report(report, str(path), format="md")
+        emit_report(report, str(path))
         text = path.read_text()
         assert "| id | name |" in text
         assert text.count("|") > 10
@@ -380,9 +401,10 @@ class TestEmitReport:
         emit_report(replay, str(second))
         assert first.read_bytes() == second.read_bytes()
 
-    def test_unsupported_format(self):
+    @pytest.mark.parametrize("name, first", [("r.MD", ">"), ("r.txt", "#"), ("r.md.csv", "#")])
+    def test_format_follows_suffix(self, tmp_path, name, first):
         report = run_screen(
             thirty_compound_records()[:2], {"PDE4": constant_model(6.0)}, clusters=1, picks=1
         )
-        with pytest.raises(ValueError):
-            emit_report(report, "/tmp/x.txt", format="txt")
+        emit_report(report, str(tmp_path / name))
+        assert (tmp_path / name).read_text().startswith(first + " toolchain=")
