@@ -8,11 +8,13 @@ ingestion. Stereo markers (``/ \\ @``) are accepted and recorded but never
 interpreted; bond direction markers are normalized away on writing.
 
 Aromaticity is taken from the input flags as written; there is no
-perception or kekulization pass.
+perception or kekulization pass. A ring bond is any bond on a cycle (a
+non-bridge); the set is found on first request from one breadth-first
+spanning forest, and no list of rings is kept.
 
 Atoms are frozen, so the parser gives every plain organic-subset or
 aromatic atom one shared instance per symbol; bonds stay distinct
-objects, because the writer and the cycle basis key them by ``id``.
+objects, because the writer and the ring-bond search key them by ``id``.
 """
 
 from __future__ import annotations
@@ -98,8 +100,8 @@ class Bond:
 class Molecule:
     """Attributed molecular graph. Treat as immutable after construction.
 
-    Derived values (ring data, fingerprints, descriptors, pharmacophore
-    features and path tables) are computed once, on first request, and
+    Derived values (ring bonds, fingerprints, descriptors, pharmacophore
+    features and their distances) are computed once, on first request, and
     live as long as the molecule.
     """
 
@@ -169,61 +171,39 @@ class Molecule:
         return out
 
 
-def _cycle_basis(mol: Molecule) -> list[list[int]]:
-    """Fundamental cycles from a BFS spanning forest (a cycle basis,
-    not necessarily the smallest set of smallest rings)."""
+def _ring_bonds(mol: Molecule) -> frozenset[tuple[int, int]]:
+    """Bonds on some cycle, as (low, high) atom pairs: each bond outside a
+    breadth-first spanning forest, with the forest path between its two
+    ends. These are the edges of the fundamental cycles, whose union is
+    exactly the set of non-bridge bonds."""
     n, adj = len(mol.atoms), mol._adjacency
     parent = [-1] * n
     depth = [-1] * n
     tree_edges: set[int] = set()
-    order: list[int] = []  # BFS visit order, also the queue
-    head = 0
     for root in range(n):
         if depth[root] != -1:
             continue
         depth[root] = 0
-        order.append(root)
-        while head < len(order):
-            u = order[head]
-            head += 1
+        queue = [root]
+        for u in queue:
             for v, bond in adj[u]:
                 if depth[v] == -1:
                     depth[v] = depth[u] + 1
                     parent[v] = u
                     tree_edges.add(id(bond))
-                    order.append(v)
-    cycles = []
-    seen_edges: set[tuple[int, int]] = set()
-    for u in order:
-        for v, bond in adj[u]:
-            key = (min(u, v), max(u, v))
-            if id(bond) in tree_edges or key in seen_edges:
-                continue
-            seen_edges.add(key)
-            pu, pv = u, v
-            left, right = [pu], [pv]
-            while depth[pu] > depth[pv]:
-                pu = parent[pu]
-                left.append(pu)
-            while depth[pv] > depth[pu]:
-                pv = parent[pv]
-                right.append(pv)
-            while pu != pv:
-                pu, pv = parent[pu], parent[pv]
-                left.append(pu)
-                right.append(pv)
-            cycles.append(left + right[-2::-1])
-    return cycles
-
-
-def _ring_bonds(mol: Molecule) -> frozenset[tuple[int, int]]:
-    # The non-bridge edges, as each of them lies on some basis cycle. The
-    # basis itself is not kept: rotatable_bonds reads only the edge set.
-    return frozenset(
-        (min(u, v), max(u, v))
-        for ring in _cycle_basis(mol)
-        for u, v in zip(ring, ring[1:] + ring[:1])
-    )
+                    queue.append(v)
+    ring: set[tuple[int, int]] = set()
+    for bond in mol.bonds:
+        if id(bond) in tree_edges:
+            continue
+        u, v = bond.a, bond.b
+        ring.add((min(u, v), max(u, v)))
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            ring.add((min(u, parent[u]), max(u, parent[u])))
+            u = parent[u]
+    return frozenset(ring)
 
 
 def _implicit_hydrogens(atoms: list[Atom], bonds: list[Bond], adj) -> list[int]:

@@ -12,7 +12,7 @@ import sys
 
 from . import __version__, fingerprints
 from .chem_graph import SmilesError, molecular_formula, parse_smiles
-from .descriptors import admet_flags, compute_descriptors
+from .descriptors import admet_flags, compute_descriptors, load_admet_thresholds
 from .fingerprints import FingerprintConfig, circular_fingerprint, to_hex
 from .pdenet import (
     DEFAULT_GATE_THRESHOLD,
@@ -86,6 +86,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_descriptors(args) -> int:
+    load_admet_thresholds(args.admet_constants)  # a bad table fails before any output
     records, _ = _load_records(args.file)
     out = _writer()
     out.writerow(
@@ -140,11 +141,7 @@ def cmd_cluster(args) -> int:
     if len(records) < 2:
         raise InputError("need at least two parseable compounds to cluster")
     if not 1 <= args.clusters <= len(records):
-        print(
-            f"error: --clusters {args.clusters} outside [1, {len(records)}]",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG_ERROR
+        raise ValueError(f"--clusters {args.clusters} outside [1, {len(records)}]")
     fps = [circular_fingerprint(parse_smiles(r.canonical_smiles)) for r in records]
     assignment = hier_cluster(distance_matrix(fps), linkage=args.linkage, k=args.clusters)
     reps = set(assignment.representatives)
@@ -157,8 +154,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_train(args) -> int:
     if args.epochs < 1:
-        print(f"error: --epochs {args.epochs} must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ValueError(f"--epochs {args.epochs} must be at least 1")
     records, _ = _load_records(args.csv)
     labeled = [r for r in records if r.pic50 is not None]
     if not labeled:
@@ -223,7 +219,7 @@ def cmd_pharm_train(args) -> int:
 def cmd_pharm_screen(args) -> int:
     records, _ = _load_records(args.file)
     hypothesis = load_hypothesis(args.hypothesis)
-    # A generator, so each molecule and its path table go once it is scored.
+    # A generator, so each molecule and its feature distances go once it is scored.
     library = (
         (r.id, r.name, parse_smiles(r.canonical_smiles), r.class_label)
         for r in records

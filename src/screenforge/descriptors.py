@@ -110,9 +110,15 @@ def load_logp_table() -> dict[str, float]:
 
 @lru_cache(maxsize=None)
 def load_admet_thresholds(path: str | None = None) -> dict[str, float]:
+    """The bundled threshold table, or the file at ``path``, which must
+    define every bundled key."""
     if path is None:
         return _keyvalue(_data_text("admet_thresholds.txt"))
-    return _keyvalue(Path(path).read_text("utf-8"))
+    table = _keyvalue(Path(path).read_text("utf-8-sig"))
+    missing = sorted(load_admet_thresholds().keys() - table.keys())
+    if missing:
+        raise ValueError(f"{path}: missing thresholds {', '.join(missing)}")
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 enumeration, fit scoring, cost-based validation and fit-ranked screening.
 
 Feature geometry is the bond-path distance between feature anchors, not
-3D coordinates; the conformational generation parameters are recorded on
-every hypothesis as provenance only. A hypothesis of n features scores a
-molecule as
+3D coordinates: the fewest bonds from any atom of one anchor set to any
+atom of the other, found by one breadth-first search from each feature's
+anchors (infinite across fragments). The conformational generation
+parameters are recorded on every hypothesis as provenance only. A
+hypothesis of n features scores a molecule as
 
     fit = sum over feature pairs (i, j) of
           w_ij * max(0, 1 - dev_ij / (tol_ij + 1)),
@@ -184,28 +186,25 @@ def _detect_features(mol: Molecule) -> tuple[PharmFeature, ...]:
     return tuple(feats)
 
 
-def _all_pairs_path_lengths(mol: Molecule) -> tuple[tuple[float, ...], ...]:
-    n = len(mol.atoms)
-    dist = [[math.inf] * n for _ in range(n)]
-    for src in range(n):
-        dist[src][src] = 0
-        queue = [src]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v, _ in mol.neighbors(u):
-                if dist[src][v] == math.inf:
-                    dist[src][v] = dist[src][u] + 1
-                    queue.append(v)
-    return tuple(map(tuple, dist))
+def _path_lengths(mol: Molecule, sources: Iterable[int]) -> list[float]:
+    """Bond-path distance from the nearest of ``sources`` to every atom,
+    math.inf where none is reachable: one breadth-first search."""
+    dist = [math.inf] * len(mol.atoms)
+    queue = list(sources)
+    for s in queue:
+        dist[s] = 0
+    for u in queue:
+        for v, _ in mol.neighbors(u):
+            if dist[v] == math.inf:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 def feature_distance(mol: Molecule, a: PharmFeature, b: PharmFeature) -> float:
-    """Shortest bond-path distance between the two anchor sets, read from
-    the molecule's all-pairs path table (built on first use)."""
-    table = mol.derived(_all_pairs_path_lengths)
-    return min(table[i][j] for i in a.anchor for j in b.anchor)
+    """Shortest bond-path distance between the two anchor sets."""
+    dist = _path_lengths(mol, a.anchor)
+    return min(dist[j] for j in b.anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +222,8 @@ def generate_hypotheses(
     tolerance PAIR_TOLERANCE. Enumeration order is subset size ascending, then
     lexicographic by feature index; the candidate cap keeps that prefix.
     """
+    if max_candidates < 1:
+        raise ValueError(f"max_candidates {max_candidates} must be at least 1")
     labeled = [(m, p) for m, p in training if p is not None]
     if len(labeled) < 4:
         raise InsufficientTraining(
@@ -234,13 +235,13 @@ def generate_hypotheses(
         raise InsufficientTraining(
             f"most active molecule exposes only {len(feats)} features"
         )
+    dist = seed_mol.derived(_feature_distances)
     candidates: list[Hypothesis] = []
     for size in range(MIN_FEATURES, min(5, len(feats)) + 1):
         for combo in itertools.combinations(range(len(feats)), size):
             constraints = {}
             for ai, bi in itertools.combinations(range(size), 2):
-                d = feature_distance(seed_mol, feats[combo[ai]], feats[combo[bi]])
-                constraints[(ai, bi)] = (d, PAIR_TOLERANCE)
+                constraints[(ai, bi)] = (dist[combo[ai]][combo[bi]], PAIR_TOLERANCE)
             candidates.append(
                 Hypothesis(
                     features=[(feats[i].kind, 1.0) for i in combo],
@@ -257,7 +258,10 @@ def generate_hypotheses(
 def _feature_distances(mol: Molecule) -> tuple[tuple[float, ...], ...]:
     """feature_distance of every two features, in detect_features order."""
     feats = mol.derived(_detect_features)
-    return tuple(tuple(feature_distance(mol, a, b) for b in feats) for a in feats)
+    return tuple(
+        tuple(min(dist[j] for j in b.anchor) for b in feats)
+        for dist in (_path_lengths(mol, a.anchor) for a in feats)
+    )
 
 
 def _pair_term(d: float, constraint: float, tol: float, w_pair: float) -> float:

@@ -80,82 +80,67 @@ class IngestStats:
     errors: list[str] = field(default_factory=list)
 
 
+def _library_rows(path: str, text: str):
+    """``(where, id, values)`` for each row of a library file, ``values``
+    mapping the roles in CSV_ROLES that the row fills to their text."""
+    if not path.lower().endswith(".csv"):
+        for n, (lineno, smiles, name) in enumerate(iter_smi_lines(text), start=1):
+            yield f"line {lineno}", str(n), {"smiles": smiles, "name": name}
+        return
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames is None:
+        raise ValueError(f"{path}: empty csv")
+    for rownum, raw in enumerate(reader, start=2):
+        values = {
+            column: value.strip()
+            for column, value in raw.items()
+            if column in CSV_ROLES and value not in (None, "")
+        }
+        yield f"row {rownum}", values.get("id", str(rownum - 1)), values
+
+
 def ingest(path: str) -> tuple[list[DatasetRecord], IngestStats]:
     """Read, parse, canonicalize and deduplicate a compound library: CSV
     when the name ends in ``.csv`` (columns named in CSV_ROLES are read,
-    others ignored), SMILES lines otherwise.
+    others ignored), SMILES lines otherwise. A UTF-8 byte order mark is
+    skipped.
 
     Per-row failures are collected in the stats and never abort the batch;
     an unreadable file raises. Duplicate structures (same canonical
     SMILES) keep their first occurrence.
     """
-    text = Path(path).read_text("utf-8")
+    text = Path(path).read_text("utf-8-sig")
     stats = IngestStats()
     records: list[DatasetRecord] = []
     seen: set[str] = set()
-
-    def add(row_id: str, name, smiles, ic50, pic50, target, class_label, where):
+    for where, row_id, values in _library_rows(path, text):
         stats.read += 1
         try:
-            mol = parse_smiles(smiles)
-            canonical = canonical_smiles(mol)
+            if "smiles" not in values:
+                raise ValueError("missing smiles")
+            ic50 = float(values["ic50_nm"]) if "ic50_nm" in values else None
+            pic50 = float(values["pic50"]) if "pic50" in values else None
+            canonical = canonical_smiles(parse_smiles(values["smiles"]))
             record = DatasetRecord(
                 id=row_id,
-                name=name,
-                smiles=smiles,
+                name=values.get("name"),
+                smiles=values["smiles"],
                 canonical_smiles=canonical,
                 ic50_nm=ic50,
                 pic50=pic50,
-                target=target,
-                class_label=class_label,
+                target=values.get("target"),
+                class_label=values.get("class"),
             )
         except (SmilesError, ValueError) as exc:
             stats.parse_errors += 1
             stats.errors.append(f"{where}: {exc}")
-            return
+            continue
         stats.parsed += 1
         if canonical in seen:
             stats.duplicates_removed += 1
-            return
+            continue
         seen.add(canonical)
         records.append(record)
-
-    if not path.lower().endswith(".csv"):
-        for lineno, smiles, name in iter_smi_lines(text):
-            add(str(stats.read + 1), name, smiles, None, None, None, None,
-                f"line {lineno}")
-    else:
-        reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty csv")
-        for rownum, raw in enumerate(reader, start=2):
-            values = {}
-            for column, value in raw.items():
-                if column in CSV_ROLES and value not in (None, ""):
-                    values[column] = value.strip()
-            if "smiles" not in values:
-                stats.read += 1
-                stats.parse_errors += 1
-                stats.errors.append(f"row {rownum}: missing smiles")
-                continue
-            try:
-                ic50 = float(values["ic50_nm"]) if "ic50_nm" in values else None
-                pic50 = float(values["pic50"]) if "pic50" in values else None
-            except ValueError as exc:
-                stats.read += 1
-                stats.parse_errors += 1
-                stats.errors.append(f"row {rownum}: {exc}")
-                continue
-            add(
-                values.get("id", str(rownum - 1)),
-                values.get("name"),
-                values["smiles"],
-                ic50,
-                pic50,
-                values.get("target"),
-                values.get("class"),
-                f"row {rownum}",
-            )
     return records, stats
 
 

@@ -262,12 +262,38 @@ def mlp_forward_oracle(weights, biases, activation, x):
     return values[0]
 
 
+def _all_pairs_path_lengths(mol: Molecule) -> tuple[tuple[float, ...], ...]:
+    """Bond-path distance between every two atoms (math.inf across
+    fragments), one breadth-first search per atom."""
+    n = len(mol.atoms)
+    dist = [[math.inf] * n for _ in range(n)]
+    for src in range(n):
+        dist[src][src] = 0
+        queue = [src]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            for v, _ in mol.neighbors(u):
+                if dist[src][v] == math.inf:
+                    dist[src][v] = dist[src][u] + 1
+                    queue.append(v)
+    return tuple(map(tuple, dist))
+
+
+def anchor_distance_oracle(table, a, b) -> float:
+    """Shortest path between two features' anchor sets, the minimum of the
+    all-pairs table over every anchor pair."""
+    return min(table[i][j] for i in a.anchor for j in b.anchor)
+
+
 def fit_value_oracle(hypothesis, mol: Molecule) -> float:
     """Exhaustive enumeration of every injective mapping from hypothesis
     slots onto molecule features, kind-checked per mapping."""
-    from screenforge.pharmacophore import detect_features, feature_distance
+    from screenforge.pharmacophore import detect_features
 
     feats = detect_features(mol)
+    table = _all_pairs_path_lengths(mol)
     slots = hypothesis.features
     n = len(slots)
     weights = [w for _, w in slots]
@@ -279,7 +305,7 @@ def fit_value_oracle(hypothesis, mol: Molecule) -> float:
         found_complete = True
         score = 0.0
         for (i, j), (constraint, tol) in hypothesis.pair_constraints.items():
-            d = feature_distance(mol, feats[combo[i]], feats[combo[j]])
+            d = anchor_distance_oracle(table, feats[combo[i]], feats[combo[j]])
             if math.isinf(d) and math.isinf(constraint):
                 dev = 0.0
             elif math.isinf(d) or math.isinf(constraint):
@@ -295,9 +321,10 @@ def fit_value_product_oracle(h, mol: Molecule) -> float:
     """The exhaustive search ``fit_value`` used before branch and bound: the
     product of per-kind permutations, each assignment scored in
     ``h.pair_constraints`` order."""
-    from screenforge.pharmacophore import PharmFeature, detect_features, feature_distance
+    from screenforge.pharmacophore import PharmFeature, detect_features
 
     mol_feats = detect_features(mol)
+    table = _all_pairs_path_lengths(mol)
     by_kind: dict[str, list[PharmFeature]] = {}
     for f in mol_feats:
         by_kind.setdefault(f.kind, []).append(f)
@@ -323,7 +350,7 @@ def fit_value_product_oracle(h, mol: Molecule) -> float:
                 assignment[slot] = feat
         score = 0.0
         for (i, j), (constraint, tol) in h.pair_constraints.items():
-            d = feature_distance(mol, assignment[i], assignment[j])
+            d = anchor_distance_oracle(table, assignment[i], assignment[j])
             if math.isinf(d) and math.isinf(constraint):
                 dev = 0.0  # both pairs disconnected: treated as matching
             elif math.isinf(d) or math.isinf(constraint):
@@ -492,6 +519,53 @@ def largest_fragment_oracle(mol: Molecule) -> Molecule:
         return sum(ATOMIC_WEIGHTS[e] * c for e, c in element_counts(m).items())
 
     return max(frags, key=lambda f: (f[1].heavy_atom_count(), mass(f[1]), -f[0]))[1]
+
+
+def _cycle_basis(mol: Molecule) -> list[list[int]]:
+    """Fundamental cycles from a BFS spanning forest (a cycle basis,
+    not necessarily the smallest set of smallest rings)."""
+    n, adj = len(mol.atoms), mol._adjacency
+    parent = [-1] * n
+    depth = [-1] * n
+    tree_edges: set[int] = set()
+    order: list[int] = []  # BFS visit order, also the queue
+    head = 0
+    for root in range(n):
+        if depth[root] != -1:
+            continue
+        depth[root] = 0
+        order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v, bond in adj[u]:
+                if depth[v] == -1:
+                    depth[v] = depth[u] + 1
+                    parent[v] = u
+                    tree_edges.add(id(bond))
+                    order.append(v)
+    cycles = []
+    seen_edges: set[tuple[int, int]] = set()
+    for u in order:
+        for v, bond in adj[u]:
+            key = (min(u, v), max(u, v))
+            if id(bond) in tree_edges or key in seen_edges:
+                continue
+            seen_edges.add(key)
+            pu, pv = u, v
+            left, right = [pu], [pv]
+            while depth[pu] > depth[pv]:
+                pu = parent[pu]
+                left.append(pu)
+            while depth[pv] > depth[pu]:
+                pv = parent[pv]
+                right.append(pv)
+            while pu != pv:
+                pu, pv = parent[pu], parent[pv]
+                left.append(pu)
+                right.append(pv)
+            cycles.append(left + right[-2::-1])
+    return cycles
 
 
 def ring_bonds_oracle(mol: Molecule) -> set[tuple[int, int]]:

@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_isomorphic, canonical_smiles_oracle, largest_fragment_oracle
+from oracles import (
+    _cycle_basis,
+    brute_force_isomorphic,
+    canonical_smiles_oracle,
+    largest_fragment_oracle,
+)
 from screenforge.chem_graph import (
     Atom,
     Bond,
@@ -11,7 +16,6 @@ from screenforge.chem_graph import (
     UnclosedRing,
     UnknownElement,
     ValenceViolation,
-    _cycle_basis,
     canonical_smiles,
     element_counts,
     iter_smi_lines,

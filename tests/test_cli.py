@@ -126,6 +126,53 @@ class TestBasicCommands:
         assert main(["cluster", str(library), "--clusters", "99"]) == 4
 
 
+class TestByteOrderMark:
+    def test_bom_csv_keeps_its_ids(self, tmp_path, capsys):
+        path = tmp_path / "lib.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,name,smiles,pic50\nx1,a,CCO,5\nx2,b,CCN,6\n")
+        assert main(["parse", str(path)]) == 0
+        out = capsys.readouterr()
+        assert [line.split(",")[0] for line in out.out.splitlines()[1:]] == ["x1", "x2"]
+        assert out.err == "read=2 parsed=2 parse_errors=0 duplicates_removed=0\n"
+
+    def test_bom_smi_keeps_its_first_row(self, tmp_path, capsys):
+        path = tmp_path / "lib.smi"
+        path.write_bytes(b"\xef\xbb\xbfCCO ethanol\nCCN ethylamine\n")
+        assert main(["parse", str(path)]) == 0
+        out = capsys.readouterr()
+        assert out.out.splitlines()[1:] == ["1,ethanol,CCO,C2H6O", "2,ethylamine,CCN,C2H7N"]
+        assert out.err == "read=2 parsed=2 parse_errors=0 duplicates_removed=0\n"
+
+    def test_bom_constants_file(self, library, tmp_path, capsys):
+        bundled = resources.files("screenforge").joinpath("data/admet_thresholds.txt")
+        constants = tmp_path / "th.txt"
+        constants.write_bytes(b"\xef\xbb\xbf" + bundled.read_bytes())
+        assert main(["descriptors", str(library)]) == 0
+        expected = capsys.readouterr()
+        assert main(["descriptors", str(library), "--admet-constants", str(constants)]) == 0
+        assert capsys.readouterr() == expected
+
+
+class TestAdmetConstantsFile:
+    @pytest.mark.parametrize("smiles", ["c1ccccc1", "CCO"])
+    def test_missing_key_rejected_before_output(self, tmp_path, capsys, smiles):
+        bundled = resources.files("screenforge").joinpath("data/admet_thresholds.txt")
+        lines = bundled.read_text("utf-8").splitlines()
+        constants = tmp_path / "th.txt"
+        constants.write_text("\n".join(ln for ln in lines if not ln.startswith("bbb_wlogp_max")))
+        lib = tmp_path / "lib.smi"
+        lib.write_text(f"{smiles} x\n")
+        assert main(["descriptors", str(lib), "--admet-constants", str(constants)]) == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {constants}: missing thresholds bbb_wlogp_max\n"
+
+    def test_missing_file_writes_no_header(self, library, tmp_path, capsys):
+        missing = tmp_path / "none.txt"
+        assert main(["descriptors", str(library), "--admet-constants", str(missing)]) == 3
+        assert capsys.readouterr().out == ""
+
+
 class TestTrainPredict:
     def test_train_then_predict(self, train_csv, library, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -211,6 +258,17 @@ class TestPharm:
         assert lines[0] == "id,name,fit,predicted_pic50"
         fits = [float(ln.split(",")[2]) for ln in lines[1:]]
         assert fits == sorted(fits, reverse=True)
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_train_rejects_cap_below_one(self, train_csv, tmp_path, capsys, cap):
+        hypo = tmp_path / "h.json"
+        code = main(["pharm", "train", str(train_csv), "--max-candidates", cap,
+                     "--out", str(hypo)])
+        assert code == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: max_candidates {cap} must be at least 1\n"
+        assert not hypo.exists()
 
     def test_screen_with_class_column(self, train_csv, tmp_path, capsys):
         hypo = tmp_path / "h.json"

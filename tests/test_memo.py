@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import fit_value_oracle, ring_bonds_oracle
+from oracles import _cycle_basis, fit_value_oracle, ring_bonds_oracle
 from screenforge import chem_graph, descriptors, fingerprints, pharmacophore
 from screenforge.chem_graph import largest_fragment, molecular_formula, parse_smiles
 from screenforge.descriptors import compute_descriptors
@@ -79,7 +79,7 @@ class TestComputedOnce:
 
     def test_score_costs_detects_features_once_per_molecule(self, monkeypatch):
         feats = counting(monkeypatch, pharmacophore, "_detect_features")
-        tables = counting(monkeypatch, pharmacophore, "_all_pairs_path_lengths")
+        tables = counting(monkeypatch, pharmacophore, "_feature_distances")
         training = [
             (parse_smiles(s), p)
             for s, p in [
@@ -146,7 +146,7 @@ class TestReadOnly:
 
 class TestLazyRingBonds:
     def test_parse_computes_no_ring_data(self, monkeypatch):
-        bases = counting(monkeypatch, chem_graph, "_cycle_basis")
+        bases = counting(monkeypatch, chem_graph, "_ring_bonds")
         mol = parse_smiles("c1ccccc1CC1CC1")
         assert bases == []
         compute_descriptors(mol)  # rotatable_bonds reads ring_bonds
@@ -159,7 +159,7 @@ class TestLazyRingBonds:
             mol = parse_smiles(smiles)
             edges = {
                 (min(u, v), max(u, v))
-                for ring in chem_graph._cycle_basis(mol)
+                for ring in _cycle_basis(mol)
                 for u, v in zip(ring, ring[1:] + ring[:1])
             }
             assert mol.ring_bonds == edges == ring_bonds_oracle(mol), name

@@ -109,6 +109,11 @@ class TestGenerateHypotheses:
         with pytest.raises(InsufficientTraining):
             generate_hypotheses(self.training()[:3])
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match=f"max_candidates {cap} must be at least 1"):
+            generate_hypotheses(self.training(), max_candidates=cap)
+
     def test_gen_params_recorded_verbatim(self):
         h = generate_hypotheses(self.training())[0]
         assert h.gen_params == GEN_PARAMS
