@@ -13,13 +13,15 @@ non-bridge); the set is found on first request from one breadth-first
 spanning forest, and no list of rings is kept.
 
 Atoms are frozen, so the parser gives every plain organic-subset or
-aromatic atom one shared instance per symbol; bonds stay distinct
-objects, because the writer and the ring-bond search key them by ``id``.
+aromatic atom one shared instance per symbol. A bond is an immutable named
+tuple, equal and hashed by value; the parser makes one object per bond,
+and the writer and the ring-bond search key bonds by ``id``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Abridged standard atomic weights (g/mol).
 ATOMIC_WEIGHTS = {
@@ -85,8 +87,7 @@ class Atom:
     chirality: str | None = None
 
 
-@dataclass(frozen=True)
-class Bond:
+class Bond(NamedTuple):
     a: int
     b: int
     order: str = SINGLE
@@ -152,21 +153,24 @@ class Molecule:
     def components(self, atoms) -> list[list[int]]:
         """Connected components of the subgraph induced by ``atoms``:
         members sorted, components ordered by smallest member."""
-        members = set(atoms)
-        seen: set[int] = set()
+        adj = self._adjacency
+        n = len(adj)
+        unseen = [False] * n  # True for a member not yet reached
+        for i in atoms:
+            unseen[i] = True
         out = []
-        for start in sorted(members):
-            if start in seen:
+        for start in range(n):
+            if not unseen[start]:
                 continue
-            stack, comp = [start], []
-            seen.add(start)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v, _ in self._adjacency[u]:
-                    if v in members and v not in seen:
-                        seen.add(v)
-                        stack.append(v)
+            unseen[start] = False
+            comp = [start]
+            for u in comp:
+                for v, _ in adj[u]:
+                    if unseen[v]:
+                        unseen[v] = False
+                        comp.append(v)
+            if len(comp) == n:
+                return [list(range(n))]
             out.append(sorted(comp))
         return out
 
@@ -216,17 +220,14 @@ def _implicit_hydrogens(atoms: list[Atom], bonds: list[Bond], adj) -> list[int]:
             # Bracket-only element without a pinned H count: no implicit H.
             continue
         sigma = 0
-        has_multiple = False
         for _, bond in adj[idx]:
             sigma += BOND_ORDER_VALUE[bond.order]
-            if bond.order in (DOUBLE, TRIPLE):
-                has_multiple = True
         if atom.aromatic:
             # One ring pi bond is assumed for aromatic C/B, and for
             # two-connected aromatic N/P (pyridine-like). Aromatic O/S
             # contribute a lone pair instead, as do three-connected N/P.
             pi = 0
-            if not has_multiple:
+            if sigma == len(adj[idx]):  # no double or triple bond
                 if atom.element in ("C", "B"):
                     pi = 1
                 elif atom.element in ("N", "P") and len(adj[idx]) == 2:
@@ -402,14 +403,13 @@ def parse_smiles(text: str) -> Molecule:
     n = len(text)
     while i < n:
         ch = text[i]
-        # Two-letter symbols first; at the end of the text the slice is ch.
-        atom = _SUBSET_ATOMS.get(text[i:i + 2]) or _SUBSET_ATOMS.get(ch)
+        atom = _SUBSET_ATOMS.get(ch)
         if atom is not None:
+            if ch in "CB" and text[i:i + 2] in _SUBSET_ATOMS:  # Cl, Br
+                atom = _SUBSET_ATOMS[text[i:i + 2]]
             i += len(atom.element)
         elif ch == "[":
             atom, i = _parse_bracket(text, i)
-        elif ch.isspace():
-            raise SmilesSyntaxError(f"whitespace inside SMILES at column {i}")
         elif ch == "(":
             if prev is None:
                 raise SmilesSyntaxError("branch opened before any atom")
@@ -450,6 +450,8 @@ def parse_smiles(text: str) -> Molecule:
             close_ring(int(text[i + 1:i + 3]))
             i += 3
             continue
+        elif ch.isspace():
+            raise SmilesSyntaxError(f"whitespace inside SMILES at column {i}")
         elif ch.isalpha():
             raise UnknownElement(f"element '{ch}' not in the organic subset at column {i}")
         else:
@@ -479,13 +481,6 @@ def parse_smiles(text: str) -> Molecule:
 # Canonical ranks and canonical SMILES
 # ---------------------------------------------------------------------------
 
-def _initial_invariants(mol: Molecule) -> list[tuple]:
-    return [
-        (a.element, a.formal_charge, a.isotope or 0, a.aromatic, len(nb), mol.total_h(i))
-        for i, (a, nb) in enumerate(zip(mol.atoms, mol._adjacency))
-    ]
-
-
 _BOND_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
 
 
@@ -510,22 +505,33 @@ def canonical_ranks(mol: Molecule) -> list[int]:
     equal counts into the old class and into the other pieces give equal
     counts into it.
     """
-    n = len(mol.atoms)
-    invariants = _initial_invariants(mol)
-    # (bond code * n, neighbour): code * n + label orders as (code, label).
-    nbrs = [[(_BOND_CODE[b.order] * n, j) for j, b in mol.neighbors(i)] for i in range(n)]
+    atoms, adj, implicit_h = mol.atoms, mol._adjacency, mol.implicit_h
+    n = len(atoms)
+    # One pass over the adjacency groups the atoms by initial invariant and
+    # gives each its (bond code * n, neighbour) pairs: code * n + label
+    # orders as (code, label).
+    nbrs = []
+    by_invariant: dict[tuple, list[int]] = {}
+    for i, a in enumerate(atoms):
+        nb = adj[i]
+        h = a.explicit_h if a.explicit_h is not None else implicit_h[i]
+        for j, _ in nb:
+            if atoms[j].element == "H":
+                h += 1
+        by_invariant.setdefault(
+            (a.element, a.formal_charge, a.isotope or 0, a.aromatic, len(nb), h), []
+        ).append(i)
+        nbrs.append([(_BOND_CODE[b.order] * n, j) for j, b in nb])
     label = [0] * n
-    classes: dict[int, list[int]] = {}  # start offset -> members
+    # classes[s] lists the members of the class that starts at offset s;
+    # nothing reads the stale list at an offset that starts no class.
+    classes: list[list[int]] = [[]] * n
     start = 0
-    order = sorted(range(n), key=invariants.__getitem__)
-    for pos, i in enumerate(order):
-        if pos and invariants[i] != invariants[order[pos - 1]]:
-            start = pos
-        label[i] = start
-        classes.setdefault(start, []).append(i)
-
-    def key(i: int) -> tuple[int, ...]:
-        return tuple(sorted([c + label[j] for c, j in nbrs[i]]))
+    for key in sorted(by_invariant):
+        members = classes[start] = by_invariant[key]
+        for i in members:
+            label[i] = start
+        start += len(members)
 
     touched = range(n)
     first_tied = 0
@@ -539,12 +545,14 @@ def canonical_ranks(mol: Molecule) -> list[int]:
             for s, hit in hits.items():
                 groups: dict[tuple[int, ...], list[int]] = {}
                 for i in hit:
-                    groups.setdefault(key(i), []).append(i)
+                    k = tuple(sorted([c + label[j] for c, j in nbrs[i]]))
+                    groups.setdefault(k, []).append(i)
                 members = classes[s]
                 if len(hit) < len(members):
                     hit_set = set(hit)
                     rest = [i for i in members if i not in hit_set]
-                    groups.setdefault(key(rest[0]), []).extend(rest)
+                    k = tuple(sorted([c + label[j] for c, j in nbrs[rest[0]]]))
+                    groups.setdefault(k, []).extend(rest)
                 if len(groups) > 1:
                     splits.append((s, [groups[k] for k in sorted(groups)]))
             # Labels change only after every key of the round is taken.
@@ -622,14 +630,13 @@ def _bond_token(bond: Bond, mol: Molecule) -> str:
     return ""
 
 
-def _write_fragment(mol: Molecule, ranks: list[int], start: int) -> str:
-    # First pass: depth-first walk in ascending-rank order. An edge to an
-    # unvisited atom is a tree bond; an edge back to an earlier atom other
-    # than the parent is a ring closure, opened on that earlier atom, so
-    # every opening atom comes strictly before its closer in the string.
-    # The walk keeps an explicit stack, so chain length is not bounded by
-    # the interpreter's recursion limit.
-    adj = mol._adjacency
+def _write_fragment(mol: Molecule, ranked: list[list[tuple[int, Bond]]], start: int) -> str:
+    # First pass: depth-first walk in ascending-rank order (``ranked`` lists
+    # neighbours in that order). An edge to an unvisited atom is a tree bond;
+    # an edge back to an earlier atom other than the parent is a ring closure,
+    # opened on that earlier atom, so every opening atom comes strictly before
+    # its closer in the string. The walk keeps an explicit stack, so chain
+    # length is not bounded by the interpreter's recursion limit.
     position = {start: 0}  # atom -> preorder position
     preorder = [start]
     # Per position, the text before the atom: ")" when it follows a
@@ -637,10 +644,10 @@ def _write_fragment(mol: Molecule, ranks: list[int], start: int) -> str:
     lead: list[list[str]] = [[""]]
     last_child: dict[int, int] = {}  # atom -> position of its latest child
     ring_closures: list[tuple[int, int, Bond]] = []  # (open, close position, bond)
-    walk = [(start, -1, iter(sorted([(ranks[v], v, b) for v, b in adj[start]])))]
+    walk = [(start, -1, iter(ranked[start]))]
     while walk:
         u, parent, pending = walk[-1]
-        for _, v, bond in pending:
+        for v, bond in pending:
             if v not in position:
                 here = len(preorder)
                 position[v] = here
@@ -651,7 +658,7 @@ def _write_fragment(mol: Molecule, ranks: list[int], start: int) -> str:
                 else:
                     lead.append([_bond_token(bond, mol)])
                 last_child[u] = here
-                walk.append((v, u, iter(sorted([(ranks[w], w, b) for w, b in adj[v]]))))
+                walk.append((v, u, iter(ranked[v])))
                 break
             if v != parent and position[v] < position[u]:
                 ring_closures.append((position[v], position[u], bond))
@@ -660,7 +667,8 @@ def _write_fragment(mol: Molecule, ranks: list[int], start: int) -> str:
 
     opens: dict[int, list[Bond]] = {}
     closes: dict[int, list[Bond]] = {}
-    for open_at, close_at, bond in sorted(ring_closures, key=lambda t: t[:2]):
+    ring_closures.sort()  # no two share both positions, so bonds are never compared
+    for open_at, close_at, bond in ring_closures:
         opens.setdefault(open_at, []).append(bond)
         closes.setdefault(close_at, []).append(bond)
 
@@ -699,10 +707,16 @@ def canonical_smiles(mol: Molecule) -> str:
     tags are carried through verbatim.
     """
     ranks = canonical_ranks(mol)
-    pieces = []
-    for frag in mol._fragment_list:
-        start = min(frag, key=lambda i: ranks[i])
-        pieces.append(_write_fragment(mol, ranks, start))
+    adj = mol._adjacency
+    # Visiting atoms in rank order lists every atom's neighbours in rank order.
+    ranked: list[list[tuple[int, Bond]]] = [[] for _ in ranks]
+    for u in sorted(range(len(ranks)), key=ranks.__getitem__):
+        for v, bond in adj[u]:
+            ranked[v].append((u, bond))
+    pieces = [
+        _write_fragment(mol, ranked, min(frag, key=ranks.__getitem__))
+        for frag in mol._fragment_list
+    ]
     return ".".join(sorted(pieces))
 
 
@@ -764,7 +778,7 @@ def _largest_fragment(mol: Molecule) -> Molecule:
     frag = max(mol._fragment_list, key=rank)
     index_map = {old: new for new, old in enumerate(frag)}
     bonds = [
-        replace(b, a=index_map[b.a], b=index_map[b.b])
+        b._replace(a=index_map[b.a], b=index_map[b.b])
         for b in mol.bonds
         if b.a in index_map
     ]

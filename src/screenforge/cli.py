@@ -254,6 +254,7 @@ def cmd_pharm_screen(args) -> int:
 
 
 def cmd_screen(args) -> int:
+    load_admet_thresholds(args.admet_constants)  # a bad table fails before any work
     records, _ = _load_records(args.file)
     models = {}
     for path in args.model or ():

@@ -271,31 +271,45 @@ def _pair_term(d: float, constraint: float, tol: float, w_pair: float) -> float:
     return w_pair * max(0.0, 1.0 - abs(d - constraint) / (tol + 1.0))
 
 
+def _kind_candidates(mol: Molecule) -> dict[str, tuple[int, ...]]:
+    """Indices into detect_features of each kind's features."""
+    feats = mol.derived(_detect_features)
+    return {k: tuple(f for f, feat in enumerate(feats) if feat.kind == k) for k in FEATURE_KINDS}
+
+
+def _pair_table(mol: Molecule, kind_e: str, kind_l: str, constraint: float, tol: float,
+                w_pair: float, one_slot: bool) -> tuple[tuple[float, ...], ...]:
+    """table[a][b] is a pair's term when its slot of kind_e takes its a-th
+    candidate and its slot of kind_l its b-th, or -inf when both would take
+    the same feature (unless the pair joins a slot to itself)."""
+    dist, by_kind = mol.derived(_feature_distances), mol.derived(_kind_candidates)
+    return tuple(
+        tuple(_pair_term(dist[f][g], constraint, tol, w_pair) if f != g or one_slot
+              else -math.inf for g in by_kind[kind_l])
+        for f in by_kind[kind_e]
+    )
+
+
 def fit_value(h: Hypothesis, mol: Molecule) -> float:
     """Best injective kind-respecting mapping of hypothesis features onto
     molecule features (see module docstring); 0 if none is kind-complete."""
     feats = detect_features(mol)
     kinds = [kind for kind, _w in h.features]
-    cands = [[f for f, feat in enumerate(feats) if feat.kind == kind] for kind in kinds]
+    by_kind = mol.derived(_kind_candidates)
+    cands = [by_kind.get(kind, ()) for kind in kinds]
     if any(len(c) < kinds.count(kind) for c, kind in zip(cands, kinds)):
         return 0.0
     n = len(kinds)
     order = sorted(range(n), key=lambda s: len(cands[s]))
     depth = {s: k for k, s in enumerate(order)}
-    dist = mol.derived(_feature_distances)
-    levels = set().union(*dist)
-    # terms[p] = (e, l, table) for the p-th pair, e the slot fixed first:
-    # table[a][b] is the pair's term when e takes its a-th candidate and l
-    # its b-th, or -inf when both would take the same feature.
+    # terms[p] = (e, l, table) for the p-th pair, e the slot fixed first;
+    # each table is built once per molecule (see _pair_table).
     terms = []
     for (i, j), (constraint, tol) in h.pair_constraints.items():
         w_pair = (h.features[i][1] + h.features[j][1]) / (n - 1)
-        term = {d: _pair_term(d, constraint, tol, w_pair) for d in levels}
         e, l = sorted((i, j), key=depth.__getitem__)
-        terms.append((e, l, [
-            [term[dist[f][g]] if f != g or e == l else -math.inf for g in cands[l]]
-            for f in cands[e]
-        ]))
+        terms.append((e, l, mol.derived(_pair_table, kinds[e], kinds[l], constraint, tol,
+                                        w_pair, e == l)))
     # A pair (s, s) adds one term to every mapping; open_max[k] bounds the
     # pairs within order[k:], later[k] lists those from order[k] to them.
     unary = sum(table[0][0] for e, l, table in terms if e == l)

@@ -4,7 +4,6 @@ report's header lines."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ def renumbered(mol: Molecule, order: list[int]) -> Molecule:
         raise ValueError("order must be a permutation of atom indices")
     inverse = {old: new for new, old in enumerate(order)}
     atoms = [mol.atoms[old] for old in order]
-    bonds = [replace(b, a=inverse[b.a], b=inverse[b.b]) for b in mol.bonds]
+    bonds = [b._replace(a=inverse[b.a], b=inverse[b.b]) for b in mol.bonds]
     return make_molecule(atoms, bonds)
 
 

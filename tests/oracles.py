@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -439,7 +438,7 @@ def canonical_smiles_oracle(mol: Molecule) -> str:
 
     pieces = [
         write(min(frag, key=lambda i: ranks[i]))
-        for frag in mol.components(range(len(mol.atoms)))
+        for frag in components_oracle(mol, range(len(mol.atoms)))
     ]
     return ".".join(sorted(pieces))
 
@@ -500,16 +499,39 @@ def string_similarity_oracle(a: str, b: str) -> float:
     return 2.0 * prev[-1] / (len(a) + len(b))
 
 
+def components_oracle(mol: Molecule, atoms) -> list[list[int]]:
+    """Connected components of the subgraph induced by ``atoms`` by the
+    set-based depth-first walk the library's list-based one replaced:
+    members sorted, components ordered by smallest member."""
+    members = set(atoms)
+    seen: set[int] = set()
+    out = []
+    for start in sorted(members):
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        seen.add(start)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v, _ in mol.neighbors(u):
+                if v in members and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        out.append(sorted(comp))
+    return out
+
+
 def largest_fragment_oracle(mol: Molecule) -> Molecule:
     """The largest fragment picked the way the library once did: build every
     fragment as a molecule, then take the most heavy atoms, then the highest
     mass summed over the built fragment's element counts, then the lowest
     first atom index."""
     frags = []
-    for frag in mol.components(range(len(mol.atoms))):
+    for frag in components_oracle(mol, range(len(mol.atoms))):
         index_map = {old: new for new, old in enumerate(frag)}
         bonds = [
-            replace(b, a=index_map[b.a], b=index_map[b.b])
+            b._replace(a=index_map[b.a], b=index_map[b.b])
             for b in mol.bonds
             if b.a in index_map and b.b in index_map
         ]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_ranks_oracle, parse_smiles_oracle
+from oracles import canonical_ranks_oracle, components_oracle, parse_smiles_oracle
 from test_canonical_random import random_molecule
 from screenforge.chem_graph import (
     Atom,
@@ -163,6 +163,40 @@ class TestParserMatchesOracle:
         assert mol.bonds[0] is not mol.bonds[1]
 
 
+def assert_fragments_match_oracle(mol) -> None:
+    """The fragment list equals the set-based walk's, and so do the
+    components of the subsets that feature detection asks for."""
+    assert mol._fragment_list == components_oracle(mol, range(len(mol.atoms)))
+    assert mol.fragment_count == len(mol._fragment_list)
+    plain_c = [i for i, a in enumerate(mol.atoms) if a.element == "C" and not a.aromatic]
+    aromatic = [i for i, a in enumerate(mol.atoms) if a.aromatic]
+    for subset in (plain_c, aromatic, plain_c[::2]):
+        assert mol.components(iter(subset)) == components_oracle(mol, subset)
+
+
+class TestFragmentList:
+    def test_corpus_and_salted_corpus(self, corpus):
+        for _name, smiles, mol in corpus:
+            assert_fragments_match_oracle(mol)
+            for salt in (".[Na+]", ".[Cl-]"):
+                assert_fragments_match_oracle(parse_smiles(smiles + salt))
+
+    @given(st.one_of(salts(), ring_digit_heavy()))
+    @settings(max_examples=200, deadline=None)
+    def test_salts_and_ring_digit_heavy(self, text):
+        try:
+            mol = parse_smiles(text)
+        except SmilesError:
+            assume(False)
+        assert_fragments_match_oracle(mol)
+
+    def test_ring_closed_across_a_dot_is_one_fragment(self):
+        mol = parse_smiles("C1.C1")
+        assert mol._fragment_list == [[0, 1]]
+        assert mol.fragment_count == 1
+        assert_fragments_match_oracle(mol)
+
+
 class TestIngest:
     @given(ADVERSARIAL)
     @settings(max_examples=150, deadline=None,
@@ -245,3 +279,17 @@ class TestRanksMatchOracle:
     def test_ladder(self):
         mol = ladder(30)
         assert canonical_ranks(mol) == canonical_ranks_oracle(mol)
+
+    # Hydrogen atoms written as atoms count toward their neighbour's
+    # hydrogens in the initial invariant.
+    @pytest.mark.parametrize("smiles", [
+        "[H]OC([H])C", "[H][H].C[H]", "OCOC[2H]C(Cl)(Cl)Cl", "CNc1ccccc1[2H]C(Cl)(Cl)Cl",
+    ])
+    def test_hydrogen_atoms(self, smiles):
+        mol = parse_smiles(smiles)
+        rng = random.Random(smiles)
+        for _ in range(5):
+            assert canonical_ranks(mol) == canonical_ranks_oracle(mol)
+            order = list(range(len(mol.atoms)))
+            rng.shuffle(order)
+            mol = renumbered(mol, order)

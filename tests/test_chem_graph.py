@@ -9,6 +9,7 @@ from oracles import (
     largest_fragment_oracle,
 )
 from screenforge.chem_graph import (
+    DOUBLE,
     Atom,
     Bond,
     SmilesError,
@@ -129,6 +130,29 @@ class TestParsing:
             parse_smiles(text)
         except SmilesError:
             pass  # typed errors are the contract; anything else fails the test
+
+
+class TestBond:
+    def test_equal_bonds_compare_and_hash_equal(self):
+        assert Bond(0, 1, DOUBLE) == Bond(0, 1, "double")
+        assert hash(Bond(0, 1, DOUBLE)) == hash(Bond(0, 1, "double"))
+        assert Bond(0, 1) != Bond(1, 0)
+        assert Bond(0, 1) != Bond(0, 1, direction="/")
+        assert len({Bond(0, 1), Bond(0, 1), Bond(0, 1, DOUBLE)}) == 2
+
+    @pytest.mark.parametrize("name", ["a", "b", "order", "direction"])
+    def test_fields_are_read_only(self, name):
+        bond = Bond(0, 1)
+        with pytest.raises(AttributeError):
+            setattr(bond, name, 2)
+        assert bond == Bond(0, 1)
+
+    def test_replace_renumbers(self):
+        bond = Bond(0, 1, DOUBLE, "/")
+        moved = bond._replace(a=3, b=4)
+        assert moved == Bond(3, 4, DOUBLE, "/")
+        assert moved.other(3) == 4 and moved.other(4) == 3
+        assert bond == Bond(0, 1, DOUBLE, "/")
 
 
 class TestGraphQueries:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from screenforge import fingerprints
+from screenforge import cli, fingerprints
 from screenforge.cli import main
 from screenforge.pdenet import save_model
 from test_screenctl import constant_model, thirty_compound_records
@@ -171,6 +171,42 @@ class TestAdmetConstantsFile:
         missing = tmp_path / "none.txt"
         assert main(["descriptors", str(library), "--admet-constants", str(missing)]) == 3
         assert capsys.readouterr().out == ""
+
+    @staticmethod
+    def _screen(library, tmp_path, pic50, constants):
+        model_path = tmp_path / "const.json"
+        save_model(constant_model(pic50), str(model_path))
+        return main(
+            ["screen", str(library), "--model", str(model_path), "--clusters", "5",
+             "--picks", "3", "--admet-constants", str(constants),
+             "--out", str(tmp_path / "report.csv")]
+        )
+
+    # 6.0 passes every compound through the gate; 5.0 leaves no active.
+    @pytest.mark.parametrize("pic50", [6.0, 5.0], ids=["actives", "no-actives"])
+    def test_screen_missing_file_writes_no_report(self, library, tmp_path, capsys, pic50):
+        missing = tmp_path / "none.txt"
+        assert self._screen(library, tmp_path, pic50, missing) == 3
+        assert not (tmp_path / "report.csv").exists()
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert str(missing) in out.err
+
+    def test_screen_missing_key_rejected_before_scoring(
+        self, library, tmp_path, capsys, monkeypatch
+    ):
+        bundled = resources.files("screenforge").joinpath("data/admet_thresholds.txt")
+        lines = bundled.read_text("utf-8").splitlines()
+        constants = tmp_path / "th.txt"
+        constants.write_text("\n".join(ln for ln in lines if not ln.startswith("bbb_wlogp_max")))
+        scored = []
+        monkeypatch.setattr(cli, "run_screen", lambda *a, **k: scored.append(a))
+        assert self._screen(library, tmp_path, 6.0, constants) == 4
+        assert scored == []
+        assert not (tmp_path / "report.csv").exists()
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {constants}: missing thresholds bbb_wlogp_max\n"
 
 
 class TestTrainPredict:

@@ -99,6 +99,26 @@ class TestComputedOnce:
             assert len({id(mol) for mol in seen}) == len(seen) <= len(training)
         assert len(feats) == len(training)
 
+    def test_score_costs_builds_each_pair_table_once(self, monkeypatch):
+        builds = []
+        compute = pharmacophore._pair_table
+
+        def wrapper(mol, *key):
+            builds.append((id(mol), key))
+            return compute(mol, *key)
+
+        monkeypatch.setattr(pharmacophore, "_pair_table", wrapper)
+        training = [
+            (parse_smiles(s), p)
+            for s, p in [("OCC(O)C(O)CO", 8.0), ("Oc1ccc(O)cc1", 7.0), ("OCCO", 6.0),
+                         ("CCO", 5.0), ("OCC(O)CO", 4.5)]
+        ]
+        candidates = generate_hypotheses(training)
+        for h in candidates:
+            score_costs(h, training)
+        pairs = sum(len(h.pair_constraints) for h in candidates) * len(training)
+        assert builds and len(set(builds)) == len(builds) < pairs / 10
+
 
 class TestWarmEqualsFresh:
     def test_featurize_molecule(self, corpus):
