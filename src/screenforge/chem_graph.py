@@ -295,20 +295,22 @@ _BOND_CHARS = {
 }
 
 
+def _digit_run(text: str, i: int) -> int:
+    """The end of the run of ASCII digits at ``text[i]`` (``str.isdigit``
+    also accepts other scripts' digits, which SMILES does not)."""
+    while i < len(text) and "0" <= text[i] <= "9":
+        i += 1
+    return i
+
+
 def _parse_bracket(text: str, pos: int) -> tuple[Atom, int]:
     """Parse a bracket atom starting at ``text[pos] == '['``."""
     end = text.find("]", pos)
     if end == -1:
         raise SmilesSyntaxError(f"unterminated bracket atom at column {pos}")
     body = text[pos + 1:end]
-    i = 0
-    isotope = None
-    if i < len(body) and body[i].isdigit():
-        j = i
-        while j < len(body) and body[j].isdigit():
-            j += 1
-        isotope = int(body[i:j])
-        i = j
+    i = _digit_run(body, 0)
+    isotope = int(body[:i]) if i else None
     if i >= len(body) or not body[i].isalpha():
         raise SmilesSyntaxError(f"bracket atom missing element symbol: [{body}]")
     symbol = body[i]
@@ -331,20 +333,15 @@ def _parse_bracket(text: str, pos: int) -> tuple[Atom, int]:
             i += 1
     h_count = 0
     if i < len(body) and body[i] == "H":
-        i += 1
-        j = i
-        while j < len(body) and body[j].isdigit():
-            j += 1
-        h_count = int(body[i:j]) if j > i else 1
+        j = _digit_run(body, i + 1)
+        h_count = int(body[i + 1:j]) if j > i + 1 else 1
         i = j
     charge = 0
     if i < len(body) and body[i] in "+-":
         sign = 1 if body[i] == "+" else -1
         i += 1
-        if i < len(body) and body[i].isdigit():
-            j = i
-            while j < len(body) and body[j].isdigit():
-                j += 1
+        j = _digit_run(body, i)
+        if j > i:
             charge = sign * int(body[i:j])
             i = j
         else:
@@ -440,12 +437,12 @@ def parse_smiles(text: str) -> Molecule:
             pending = _BOND_CHARS[ch]
             i += 1
             continue
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             close_ring(int(ch))
             i += 1
             continue
         elif ch == "%":
-            if i + 2 >= n or not (text[i + 1].isdigit() and text[i + 2].isdigit()):
+            if _digit_run(text, i + 1) < i + 3:
                 raise SmilesSyntaxError(f"'%' needs two digits at column {i}")
             close_ring(int(text[i + 1:i + 3]))
             i += 3

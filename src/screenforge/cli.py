@@ -44,7 +44,7 @@ from .screenctl import (
     ingest,
     run_screen,
 )
-from .simcluster import distance_matrix, hier_cluster
+from .simcluster import hier_cluster
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,7 +143,7 @@ def cmd_cluster(args) -> int:
     if not 1 <= args.clusters <= len(records):
         raise ValueError(f"--clusters {args.clusters} outside [1, {len(records)}]")
     fps = [circular_fingerprint(parse_smiles(r.canonical_smiles)) for r in records]
-    assignment = hier_cluster(distance_matrix(fps), linkage=args.linkage, k=args.clusters)
+    assignment = hier_cluster(fps, linkage=args.linkage, k=args.clusters)
     reps = set(assignment.representatives)
     out = _writer()
     out.writerow(("id", "cluster", "representative"))
@@ -373,8 +373,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     finally:
-        # Each command starts with an empty fingerprint memo, as a new process does.
+        # Each command starts with empty caches, as a new process does.
         fingerprints._ENV_IDS.clear()
+        load_admet_thresholds.cache_clear()
 
 
 if __name__ == "__main__":

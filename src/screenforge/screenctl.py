@@ -35,7 +35,7 @@ from .pdenet import (
     predict_pic50,
 )
 from .pharmacophore import Hypothesis, fit_value
-from .simcluster import distance_matrix, hier_cluster, string_similarity, tanimoto_matrix
+from .simcluster import hier_cluster, string_similarity, tanimoto_matrix
 
 log = logging.getLogger(__name__)
 
@@ -229,7 +229,7 @@ def run_screen(
     elif len(actives) >= 2:
         fps = [circular_fingerprint(mol) for _, mol, _, _ in actives]
         ids = [record.id for record, *_ in actives]
-        assignment = hier_cluster(distance_matrix(fps), linkage=linkage, k=k_eff)
+        assignment = hier_cluster(fps, linkage=linkage, k=k_eff)
         for item_id, label in zip(ids, assignment.labels):
             cluster_of[item_id] = label
         by_size = sorted(

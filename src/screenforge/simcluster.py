@@ -9,15 +9,16 @@ chemfp, Dalke 2019). On 0/1 uint8 rows a block's counts are a float32 GEMM,
 exact because each is an integer below 2^24, so the float64 division sees
 the same integers as an all-float64 evaluation: bit-identical results
 without an n x nbits float64 copy. ``distance_matrix`` turns the output
-into 1 - T in place; clustering adds its working copy, about 2 n^2 floats.
+into 1 - T in place. ``hier_cluster`` merges in that one matrix and frees
+it before taking each cluster's medoid from a block of its members' own
+fingerprints, whose integer counts give exactly the full matrix's entries.
 
 Clustering merges greedily under single/complete/average linkage, exactly
 and deterministically: equal distances merge the smallest (i, j) cluster-id
 pair first. The pair search is Müllner's nearest-neighbour list
 (arXiv:1109.2378): each row caches its nearest active column to the right,
 and a merge rescans only the rows whose neighbour it merged. That is O(n^2)
-on typical inputs, O(n^3) at worst. A non-finite off-diagonal distance
-raises ``ValueError``.
+on typical inputs, O(n^3) at worst.
 """
 
 from __future__ import annotations
@@ -103,24 +104,31 @@ def distance_matrix(items: list[FingerprintVector]) -> np.ndarray:
     return np.subtract(1.0, dist, out=dist)
 
 
-def hier_cluster(dist: np.ndarray, linkage: str = "average", k: int = 1) -> ClusterAssignment:
-    """Agglomerative clustering of a symmetric distance matrix down to k
-    clusters. Cluster ids during merging are the smallest original member
-    index; equal-distance merges pick the smallest (i, j) pair.
+def hier_cluster(
+    items: list[FingerprintVector], linkage: str = "average", k: int = 1
+) -> ClusterAssignment:
+    """Agglomerative clustering of fingerprints by Tanimoto distance down to
+    k clusters. Cluster ids during merging are the smallest original member
+    index; equal-distance merges pick the smallest (i, j) pair. Each
+    representative is a medoid (least summed distance; lowest id on a tie).
     """
-    dist = np.asarray(dist, dtype=float)
-    n = dist.shape[0]
-    if dist.shape != (n, n):
-        raise ValueError("distance matrix must be square")
+    n = len(items)
     if not 1 <= k <= n:
         raise InvalidK(f"k={k} outside [1, {n}]")
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}")
+    owner = _merge(distance_matrix(items), linkage, k)  # the matrix dies here
+    roots, labels = np.unique(owner, return_inverse=True)
+    clusters = [np.flatnonzero(owner == c).tolist() for c in roots]
+    return ClusterAssignment(
+        labels=tuple(labels.tolist()),
+        representatives=tuple(_medoid(items, members) for members in clusters),
+    )
 
-    work = np.array(dist)
-    np.fill_diagonal(work, 0.0)
-    if not np.isfinite(work).all():
-        raise ValueError("distance matrix has non-finite off-diagonal entries")
+
+def _merge(work: np.ndarray, linkage: str, k: int) -> np.ndarray:
+    """Merge down to k clusters in ``work`` (overwritten); return each item's cluster id."""
+    n = len(work)
     np.fill_diagonal(work, np.inf)
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=float)
@@ -161,19 +169,11 @@ def hier_cluster(dist: np.ndarray, linkage: str = "average", k: int = 1) -> Clus
         for r in stale:
             scan(int(r))
 
-    roots, labels = np.unique(owner, return_inverse=True)
-    clusters = [np.flatnonzero(owner == c).tolist() for c in roots]
-    return ClusterAssignment(
-        labels=tuple(labels.tolist()),
-        representatives=tuple(_medoids(clusters, dist)),
-    )
+    return owner
 
 
-def _medoids(clusters: list[list[int]], dist: np.ndarray) -> list[int]:
-    out = []
-    for member_list in clusters:
-        sub = dist[np.ix_(member_list, member_list)]  # a copy
-        np.fill_diagonal(sub, 0.0)  # as in merging, the diagonal is ignored
-        totals = sub.sum(axis=1)
-        out.append(member_list[int(np.argmin(totals))])  # ties -> lowest id
-    return out
+def _medoid(items: list[FingerprintVector], members: list[int]) -> int:
+    if len(members) == 1:
+        return members[0]
+    totals = distance_matrix([items[i] for i in members]).sum(axis=1)
+    return members[int(np.argmin(totals))]  # ties -> lowest id

@@ -1,16 +1,12 @@
 """Small helpers that only the test suite needs: renumbering a molecule,
-counting fingerprint bits, medoids of a given assignment and reading a
-report's header lines."""
+counting fingerprint bits and reading a report's header lines."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from screenforge.chem_graph import Molecule, make_molecule
 from screenforge.fingerprints import FingerprintVector
-from screenforge.simcluster import ClusterAssignment, _medoids
 
 
 def renumbered(mol: Molecule, order: list[int]) -> Molecule:
@@ -25,12 +21,6 @@ def renumbered(mol: Molecule, order: list[int]) -> Molecule:
 
 def popcount(v: FingerprintVector) -> int:
     return int(v.bits.sum())
-
-
-def medoid_representatives(assignment: ClusterAssignment, dist: np.ndarray) -> list[int]:
-    """Per cluster, the member minimizing summed distance to co-members."""
-    clusters = [assignment.members(c) for c in range(len(assignment.representatives))]
-    return _medoids(clusters, np.asarray(dist, dtype=float))
 
 
 def read_report_header(path: str) -> dict[str, str]:

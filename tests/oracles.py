@@ -444,23 +444,24 @@ def canonical_smiles_oracle(mol: Molecule) -> str:
 
 
 def hier_cluster_oracle(dist, linkage="average", k=1):
-    """Agglomerative clustering by a full argmin over every active pair at
-    each merge (O(n^3)): the scan the library's nearest-neighbour list
-    replaced. Same tie rule: the smallest (i, j) among equal distances."""
-    from screenforge.simcluster import ClusterAssignment, _medoids
+    """Agglomerative clustering of a distance matrix by a full argmin over
+    every active pair at each merge (O(n^3)): the scan the library's
+    nearest-neighbour list replaced. Same tie rule: the smallest (i, j)
+    among equal distances. Representatives are read from ``dist``."""
+    from screenforge.simcluster import ClusterAssignment
 
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
-    work = dist.copy().astype(float)
+    work = dist.copy()
     np.fill_diagonal(work, np.inf)
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=float)
     members = [[i] for i in range(n)]
+    # work[i, j] for active i < j, and inf everywhere else
+    pairs = np.where(np.triu(np.ones((n, n), dtype=bool), 1), work, np.inf)
 
     for _ in range(n - k):
-        masked = np.where(active[:, None] & active[None, :], work, np.inf)
-        masked[np.tril_indices(n)] = np.inf
-        flat = int(np.argmin(masked))  # first occurrence = smallest (i, j)
+        flat = int(np.argmin(pairs))  # first occurrence = smallest (i, j)
         i, j = divmod(flat, n)
         if linkage == "single":
             merged = np.minimum(work[i], work[j])
@@ -473,6 +474,9 @@ def hier_cluster_oracle(dist, linkage="average", k=1):
         active[j] = False
         sizes[i] += sizes[j]
         members[i].extend(members[j])
+        pairs[j], pairs[:, j] = np.inf, np.inf
+        pairs[i, i + 1 :] = np.where(active[i + 1 :], merged[i + 1 :], np.inf)
+        pairs[:i, i] = np.where(active[:i], merged[:i], np.inf)
 
     clusters = sorted((min(m), m) for idx, m in enumerate(members) if active[idx])
     labels = [0] * n
@@ -483,8 +487,26 @@ def hier_cluster_oracle(dist, linkage="average", k=1):
             labels[item] = cluster_id
     return ClusterAssignment(
         labels=tuple(labels),
-        representatives=tuple(_medoids(ordered_members, dist)),
+        representatives=tuple(medoids_oracle(ordered_members, dist)),
     )
+
+
+def medoids_oracle(clusters: list[list[int]], dist) -> list[int]:
+    """Per cluster, the member with the least summed distance to its
+    co-members (the lowest id on a tie), read from the full matrix."""
+    out = []
+    for member_list in clusters:
+        sub = dist[np.ix_(member_list, member_list)]  # a copy
+        np.fill_diagonal(sub, 0.0)  # as in merging, the diagonal is ignored
+        totals = sub.sum(axis=1)
+        out.append(member_list[int(np.argmin(totals))])
+    return out
+
+
+def medoid_representatives(assignment, dist) -> list[int]:
+    """``medoids_oracle`` of a given assignment's clusters."""
+    clusters = [assignment.members(c) for c in range(len(assignment.representatives))]
+    return medoids_oracle(clusters, dist)
 
 
 def string_similarity_oracle(a: str, b: str) -> float:
@@ -704,12 +726,12 @@ def parse_smiles_oracle(text: str) -> Molecule:
             pending = _BOND_CHARS[ch]
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             close_ring(int(ch))
             i += 1
             continue
         if ch == "%":
-            if i + 2 >= n or not (text[i + 1].isdigit() and text[i + 2].isdigit()):
+            if i + 2 >= n or not ("0" <= text[i + 1] <= "9" and "0" <= text[i + 2] <= "9"):
                 raise SmilesSyntaxError(f"'%' needs two digits at column {i}")
             close_ring(int(text[i + 1:i + 3]))
             i += 3

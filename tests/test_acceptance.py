@@ -200,10 +200,10 @@ def test_c08_clustering_recovery():
         d[i][j] for i in range(5) for j in range(5) if i != j
     )
     between = min(d[i][j + 5] for i in range(5) for j in range(5))
-    two = hier_cluster(d, "average", 2)
+    two = hier_cluster(blob1 + blob2, "average", 2)
     recovered = two.labels[:5] == (0,) * 5 and two.labels[5:] == (1,) * 5
-    singletons = sorted(hier_cluster(d, "average", 10).labels) == list(range(10))
-    merged = set(hier_cluster(d, "average", 1).labels) == {0}
+    singletons = sorted(hier_cluster(blob1 + blob2, "average", 10).labels) == list(range(10))
+    merged = set(hier_cluster(blob1 + blob2, "average", 1).labels) == {0}
     report(
         "C8 two-blob recovery at k=2 plus degenerate k",
         within < 0.1 and between > 0.9 and recovered and singletons and merged,

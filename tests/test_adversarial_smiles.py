@@ -101,8 +101,20 @@ def bracket_hydrogens(draw):
     return draw(st.sampled_from([atom, f"C{atom}C", f"{atom}.{atom}", f"OC({atom})=O"]))
 
 
+# Digits of other scripts, for which ``str.isdigit`` is true (Arabic-Indic
+# one and three, superscript two, fullwidth five, NKo one, Devanagari six),
+# each where the parser reads a digit: a ring digit, a ``%nn`` pair, an
+# isotope, a hydrogen count or a charge.
+NON_ASCII_DIGIT_SMILES = [
+    template.format(d=d)
+    for d in "\u0661\u0663\u00b2\uff15\u07c1\u096c"
+    for template in ("C{d}CCC1", "C1CCC{d}", "C{d}C", "C%1{d}CC%1{d}", "C%{d}1CC%{d}1",
+                     "[{d}H]C", "[1{d}C]", "[NH{d}]", "[CH2{d}]", "[O-{d}]", "C[N+{d}](C)C")
+]
+
+
 ADVERSARIAL = st.one_of(long_chains(), deep_branches(), ring_digit_heavy(), salts(),
-                        bracket_hydrogens())
+                        bracket_hydrogens(), st.sampled_from(NON_ASCII_DIGIT_SMILES))
 SMILES_ALPHABET = "CcNnOoSsPpBbFlIrHK[]()=#:/\\.@+-%0123456789"
 
 
@@ -155,6 +167,11 @@ class TestParserMatchesOracle:
     @settings(max_examples=200, deadline=None)
     def test_adversarial(self, text):
         same_outcome(text)
+
+    def test_non_ascii_digits_are_smiles_errors(self):
+        for text in NON_ASCII_DIGIT_SMILES:
+            with pytest.raises(SmilesError):
+                parse_smiles(text)
 
     def test_organic_atoms_are_shared(self):
         mol = parse_smiles("CCl.ClC")
@@ -211,6 +228,14 @@ class TestIngest:
         assert len(records) == stats.parsed - stats.duplicates_removed
         assert all(error.startswith("line 1:") for error in stats.errors)
         assert "CCO" in [r.canonical_smiles for r in records]  # kept, or kept first
+
+    def test_non_ascii_digits_are_row_errors(self, tmp_path):
+        path = tmp_path / "lib.smi"
+        rows = "".join(f"{text} x{i}\n" for i, text in enumerate(NON_ASCII_DIGIT_SMILES))
+        path.write_text(rows + "CCO ethanol\n", "utf-8")
+        records, stats = ingest(str(path))
+        assert stats.parse_errors == len(NON_ASCII_DIGIT_SMILES)
+        assert [r.canonical_smiles for r in records] == ["CCO"]
 
     def test_ladder_with_more_than_99_open_rings_is_a_row_error(self, tmp_path, capsys):
         # 199 rungs: the canonical walk holds 100 ring closures open at once,

@@ -167,6 +167,20 @@ class TestAdmetConstantsFile:
         assert out.out == ""
         assert out.err == f"error: {constants}: missing thresholds bbb_wlogp_max\n"
 
+    def test_second_run_rereads_an_edited_file(self, tmp_path, capsys):
+        bundled = resources.files("screenforge").joinpath("data/admet_thresholds.txt")
+        lines = bundled.read_text("utf-8").splitlines()
+        constants = tmp_path / "th.txt"
+        constants.write_text("\n".join(lines))
+        lib = tmp_path / "lib.smi"
+        lib.write_text("CCO x\n")
+        argv = ["descriptors", str(lib), "--admet-constants", str(constants)]
+        assert main(argv) == 0
+        constants.write_text("\n".join(ln for ln in lines if not ln.startswith("bbb_wlogp_max")))
+        capsys.readouterr()
+        assert main(argv) == 4  # as in a new process, not the first run's table
+        assert capsys.readouterr().err == f"error: {constants}: missing thresholds bbb_wlogp_max\n"
+
     def test_missing_file_writes_no_header(self, library, tmp_path, capsys):
         missing = tmp_path / "none.txt"
         assert main(["descriptors", str(library), "--admet-constants", str(missing)]) == 3

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import medoid_representatives
 from oracles import (
     distance_matrix_oracle,
     hier_cluster_oracle,
+    medoid_representatives,
     string_similarity_oracle,
     tanimoto_formula_oracle,
     tanimoto_rows_oracle,
@@ -156,81 +156,65 @@ class TestDistanceMatrix:
 def two_blob_fixture():
     blob1 = [_vec(set(range(20)) | {30 + i}) for i in range(5)]
     blob2 = [_vec(set(range(40, 60)) | {i}) for i in range(5)]
-    return distance_matrix(blob1 + blob2)
+    return blob1 + blob2
+
+
+def _random_rows(gen, n, nbits, density):
+    cfg = FingerprintConfig(nbits=nbits)
+    bits = (gen.random((n, nbits)) < density).astype(np.uint8)
+    return [FingerprintVector(row, cfg) for row in bits]
 
 
 class TestHierCluster:
     def test_k_equals_n_singletons(self):
-        d = two_blob_fixture()
-        a = hier_cluster(d, "average", 10)
+        a = hier_cluster(two_blob_fixture(), "average", 10)
         assert sorted(a.labels) == list(range(10))
         assert a.representatives == tuple(range(10))
 
     def test_k_one_single_cluster(self):
-        d = two_blob_fixture()
-        a = hier_cluster(d, "average", 1)
+        a = hier_cluster(two_blob_fixture(), "average", 1)
         assert set(a.labels) == {0}
 
     @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
     def test_two_blob_recovery(self, linkage):
-        d = two_blob_fixture()
-        a = hier_cluster(d, linkage, 2)
+        a = hier_cluster(two_blob_fixture(), linkage, 2)
         assert a.labels[:5] == (0,) * 5
         assert a.labels[5:] == (1,) * 5
 
     def test_invalid_k(self):
-        d = two_blob_fixture()
+        fps = two_blob_fixture()
         with pytest.raises(InvalidK):
-            hier_cluster(d, "average", 0)
+            hier_cluster(fps, "average", 0)
         with pytest.raises(InvalidK):
-            hier_cluster(d, "average", 11)
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_distances_rejected(self, bad):
-        all_bad = np.full((3, 3), bad)
-        np.fill_diagonal(all_bad, 0.0)
-        one_lower = np.array([[0.0, 0.5, 0.2], [0.5, 0.0, 0.7], [0.2, bad, 0.0]])
-        for d in (all_bad, one_lower):
-            for linkage in ("single", "complete", "average"):
-                with pytest.raises(ValueError, match="non-finite"):
-                    hier_cluster(d, linkage, 1)
-
-    def test_non_finite_diagonal_is_ignored_by_merging(self):
-        d = np.array([[np.inf, 0.4], [0.4, np.inf]])
-        assert hier_cluster(d, "average", 1).labels == (0, 0)
+            hier_cluster(fps, "average", 11)
 
     def test_determinism(self):
-        d = two_blob_fixture()
-        a = hier_cluster(d, "average", 3)
-        b = hier_cluster(d, "average", 3)
-        assert a == b
+        fps = two_blob_fixture()
+        assert hier_cluster(fps, "average", 3) == hier_cluster(fps, "average", 3)
 
-    def test_cluster_ids_dense_and_nonempty(self, rng):
-        n = 17
-        sym = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                sym[i, j] = sym[j, i] = rng.random()
-        for k in (1, 4, n):
-            a = hier_cluster(sym, "average", k)
+    def test_cluster_ids_dense_and_nonempty(self):
+        fps = _random_rows(np.random.default_rng(17), 17, 64, 0.3)
+        for k in (1, 4, len(fps)):
+            a = hier_cluster(fps, "average", k)
             assert set(a.labels) == set(range(k))
             for c in range(k):
                 assert a.members(c)
                 assert a.representatives[c] in a.members(c)
 
     @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
-    def test_matches_scipy_partitions(self, linkage, rng):
+    def test_matches_scipy_partitions(self, linkage):
         scipy_cluster = pytest.importorskip("scipy.cluster.hierarchy")
         squareform = pytest.importorskip("scipy.spatial.distance").squareform
-        for trial in range(5):
-            n = 12
-            d = np.zeros((n, n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    d[i, j] = d[j, i] = rng.uniform(0.01, 1.0)  # generic: no ties
-            k = rng.randint(2, 6)
-            ours = hier_cluster(d, linkage, k)
-            z = scipy_cluster.linkage(squareform(d), method=linkage)
+        gen = np.random.default_rng(12)
+        checked = 0
+        for trial in range(10):
+            fps = _random_rows(gen, 12, 2048, gen.uniform(0.1, 0.6))
+            k = int(gen.integers(2, 6))
+            condensed = squareform(distance_matrix(fps))
+            if len(np.unique(condensed)) < len(condensed):
+                continue  # generic inputs only: scipy may cut a tie elsewhere
+            ours = hier_cluster(fps, linkage, k)
+            z = scipy_cluster.linkage(condensed, method=linkage)
             theirs = scipy_cluster.fcluster(z, t=k, criterion="maxclust")
             def partition(labels):
                 groups = {}
@@ -238,49 +222,79 @@ class TestHierCluster:
                     groups.setdefault(lab, set()).add(idx)
                 return {frozenset(g) for g in groups.values()}
             assert partition(ours.labels) == partition(theirs)
+            checked += 1
+        assert checked >= 5
+
+    @pytest.mark.parametrize("k", [1, 34])
+    def test_memory_stays_below_one_and_a_half_matrices(self, corpus, k):
+        # One 2000 x 2000 float64 matrix is 32 MB. Merging in a copy of it,
+        # or keeping it alive to read medoids from, takes two.
+        fps = _library(corpus, 2000, seed=2)
+        tracemalloc.start()
+        try:
+            hier_cluster(fps, "average", k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2000 * 2000 * 8
 
 
-def _corpus_bits(corpus):
-    cfg = FingerprintConfig()
-    return np.stack([circular_fingerprint(mol, cfg).bits for _, _, mol in corpus])
+def _corpus_fps(corpus):
+    return [circular_fingerprint(mol) for _, _, mol in corpus]
 
 
-def _tanimoto_distances(bits):
-    cfg = FingerprintConfig(nbits=bits.shape[1])
-    return distance_matrix([FingerprintVector(row, cfg) for row in bits])
+def _same_as_oracle(fps, linkage, k, dist=None):
+    """``hier_cluster`` on fingerprints equals the full-scan oracle on their
+    distance matrix."""
+    dist = distance_matrix(fps) if dist is None else dist
+    return hier_cluster(fps, linkage, k) == hier_cluster_oracle(dist, linkage, k)
 
 
 class TestHierClusterMatchesOracle:
     """The nearest-neighbour-list search against the full per-merge scan."""
 
-    def test_tie_heavy_integer_matrices(self):
+    def test_tie_heavy_64_bit_libraries(self):
+        # A few bits of 64 make many equal distances; copied rows and
+        # all-zero rows add runs of zero distances.
         gen = np.random.default_rng(20240810)
         for trial in range(120):
             n = int(gen.integers(2, 31))
-            d = gen.integers(0, 4, (n, n)).astype(float)
-            if trial % 2 == 0:
-                d = np.triu(d, 1) + np.triu(d, 1).T
+            fps = _random_rows(gen, n, 64, gen.choice([0.03, 0.08, 0.2]))
+            for _ in range(int(gen.integers(0, n // 2 + 1))):
+                fps[gen.integers(n)] = fps[gen.integers(n)]
+            if trial % 3 == 0:
+                fps[gen.integers(n)] = _vec(set())
             for linkage in ("single", "complete", "average"):
-                k = int(gen.integers(1, n + 1))
-                assert hier_cluster(d, linkage, k) == hier_cluster_oracle(d, linkage, k)
+                assert _same_as_oracle(fps, linkage, int(gen.integers(1, n + 1)))
 
     @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
     def test_corpus_fingerprints_every_k(self, corpus, linkage):
-        d = _tanimoto_distances(_corpus_bits(corpus))
-        for k in range(1, d.shape[0] + 1):
-            assert hier_cluster(d, linkage, k) == hier_cluster_oracle(d, linkage, k)
+        fps = _corpus_fps(corpus)
+        d = distance_matrix(fps)
+        for k in range(1, len(fps) + 1):
+            assert _same_as_oracle(fps, linkage, k, d)
 
     def test_duplicated_rows_force_zero_distance_runs(self, corpus):
         gen = np.random.default_rng(7)
-        base = _corpus_bits(corpus)
+        base = np.stack([v.bits for v in _corpus_fps(corpus)])
         pairs = gen.integers(0, len(base), (300, 2))
         unions = base[pairs[:, 0]] | base[pairs[:, 1]]
         rows = np.concatenate([base, unions])
         rows = np.concatenate([rows, rows[gen.integers(0, len(rows), 400 - len(rows))]])
-        d = _tanimoto_distances(rows[gen.permutation(400)])
+        cfg = FingerprintConfig()
+        fps = [FingerprintVector(row, cfg) for row in rows[gen.permutation(400)]]
+        d = distance_matrix(fps)
         assert np.count_nonzero(np.triu(d == 0.0, 1)) >= 45
         for linkage in ("single", "complete", "average"):
-            assert hier_cluster(d, linkage, 34) == hier_cluster_oracle(d, linkage, 34)
+            assert _same_as_oracle(fps, linkage, 34, d)
+
+    @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
+    def test_generated_libraries_up_to_2000(self, corpus, linkage):
+        for n, ks in ((600, (1, 34)), (2000, (34,))):
+            fps = _library(corpus, n, seed=n)
+            d = distance_matrix(fps)
+            for k in ks:
+                assert _same_as_oracle(fps, linkage, k, d)
 
 
 def _library(corpus, n, nbits=2048, seed=0):
@@ -348,9 +362,9 @@ class TestBlockedKernelMatchesOracle:
     @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
     def test_clustering_is_unchanged(self, corpus, linkage):
         fps = _library(corpus, 2 * _BLOCK + 3, seed=1)
+        d = distance_matrix_oracle(fps)
         for k in (1, 16, 34, 2 * _BLOCK + 3):
-            ours = hier_cluster(distance_matrix(fps), linkage, k)
-            assert ours == hier_cluster(distance_matrix_oracle(fps), linkage, k)
+            assert _same_as_oracle(fps, linkage, k, d)
 
     def test_distance_matrix_memory_stays_near_one_output(self, corpus):
         # The output is 2.9 MB; one 600 x 2048 float64 copy of the rows is 9.8.
@@ -365,43 +379,29 @@ class TestBlockedKernelMatchesOracle:
 
 
 class TestMedoids:
+    """Representatives taken from member fingerprints against the medoids
+    read from the full distance matrix."""
+
+    @staticmethod
+    def _check(fps, k, expected):
+        a = hier_cluster(fps, "average", k)
+        assert list(a.representatives) == expected
+        assert medoid_representatives(a, distance_matrix(fps)) == expected
+
     def test_singleton(self):
-        d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        a = hier_cluster(d, "average", 2)
-        assert medoid_representatives(a, d) == [0, 1]
+        self._check([_vec({0, 1}), _vec({2, 3})], 2, [0, 1])
 
     def test_central_point(self):
-        # 0 and 2 far apart, 1 central
-        d = np.array(
-            [
-                [0.0, 0.3, 0.9],
-                [0.3, 0.0, 0.3],
-                [0.9, 0.3, 0.0],
-            ]
-        )
-        a = hier_cluster(d, "average", 1)
-        assert medoid_representatives(a, d) == [1]
+        # 0 and 2 share no bit; 1 shares half of its bits with each.
+        self._check([_vec(range(0, 10)), _vec(range(5, 15)), _vec(range(10, 20))], 1, [1])
 
     def test_symmetric_pair_picks_lower_id(self):
-        d = np.array([[0.0, 0.4], [0.4, 0.0]])
-        a = hier_cluster(d, "average", 1)
-        assert medoid_representatives(a, d) == [0]
-
-    @pytest.mark.parametrize("member, bad", [(1, np.nan), (2, np.inf), (2, 5.0)])
-    def test_diagonal_is_ignored(self, member, bad):
-        # Off the diagonal the totals are 1.0, 1.0 and 0.2, so member 2 is
-        # the medoid whatever the diagonal holds.
-        d = np.array([[0.0, 0.9, 0.1], [0.9, 0.0, 0.1], [0.1, 0.1, 0.0]])
-        d[member, member] = bad
-        a = hier_cluster(d, "average", 1)
-        assert a.representatives == (2,)
-        assert medoid_representatives(a, d) == [2]
+        self._check([_vec({0, 1}), _vec({1, 2})], 1, [0])
 
     def test_funnel_contract(self):
         # k clusters then one representative each yields exactly k items
-        d = two_blob_fixture()
+        fps = two_blob_fixture()
         for k in (1, 2, 5, 10):
-            a = hier_cluster(d, "average", k)
-            reps = medoid_representatives(a, d)
-            assert len(reps) == k
-            assert len(set(reps)) == k
+            a = hier_cluster(fps, "average", k)
+            assert len(set(a.representatives)) == k
+            assert list(a.representatives) == medoid_representatives(a, distance_matrix(fps))
