@@ -50,6 +50,9 @@ VALENCES = {
 
 SINGLE, DOUBLE, TRIPLE, AROMATIC = "single", "double", "triple", "aromatic"
 BOND_ORDER_VALUE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 1}
+# One code per bond order, aromatic apart: canonical ranks and fingerprint
+# environments key neighbours by it.
+BOND_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
 
 
 class SmilesError(ValueError):
@@ -92,9 +95,6 @@ class Bond(NamedTuple):
     b: int
     order: str = SINGLE
     direction: str | None = None  # recorded '/' or '\', never interpreted
-
-    def other(self, idx: int) -> int:
-        return self.b if idx == self.a else self.a
 
 
 @dataclass
@@ -478,9 +478,6 @@ def parse_smiles(text: str) -> Molecule:
 # Canonical ranks and canonical SMILES
 # ---------------------------------------------------------------------------
 
-_BOND_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
-
-
 def canonical_ranks(mol: Molecule) -> list[int]:
     """Canonical atom ranks via iterative neighborhood-invariant refinement.
 
@@ -518,7 +515,7 @@ def canonical_ranks(mol: Molecule) -> list[int]:
         by_invariant.setdefault(
             (a.element, a.formal_charge, a.isotope or 0, a.aromatic, len(nb), h), []
         ).append(i)
-        nbrs.append([(_BOND_CODE[b.order] * n, j) for j, b in nb])
+        nbrs.append([(BOND_CODE[b.order] * n, j) for j, b in nb])
     label = [0] * n
     # classes[s] lists the members of the class that starts at offset s;
     # nothing reads the stale list at an offset that starts no class.

@@ -14,6 +14,7 @@ weights stay additive.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -90,8 +91,17 @@ def _table_rows(text: str):
             yield line.split()
 
 
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def _keyvalue(text: str) -> dict[str, float]:
-    return {key: float(value) for key, value in _table_rows(text)}
+    """``key value`` rows, each value a finite decimal number in ASCII."""
+    table = {}
+    for key, value in _table_rows(text):
+        if not (_DECIMAL.fullmatch(value) and math.isfinite(number := float(value))):
+            raise ValueError(f"constant {key} = {value!r} is not a finite decimal number")
+        table[key] = number
+    return table
 
 
 @lru_cache(maxsize=None)

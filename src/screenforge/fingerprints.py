@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chem_graph import AROMATIC, BOND_ORDER_VALUE, Molecule, largest_fragment
+from .chem_graph import BOND_CODE, Molecule, largest_fragment
 
 
 class ConfigMismatch(ValueError):
@@ -83,10 +82,6 @@ def _new_env_id(key: tuple, text: str) -> int:
     return env_id
 
 
-def _bond_label(order: str) -> int:
-    return 4 if order == AROMATIC else BOND_ORDER_VALUE[order]
-
-
 def circular_fingerprint(
     mol: Molecule, cfg: FingerprintConfig = FingerprintConfig()
 ) -> FingerprintVector:
@@ -103,7 +98,7 @@ def _circular_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> FingerprintV
         inv = (a.element, a.formal_charge, a.aromatic, frag.degree(i), frag.total_h(i))
         key = (seed, *inv) if tuple(map(type, inv)) == _INVARIANT_TYPES else (seed, repr(inv))
         ids.append(_ENV_IDS.get(key) or _new_env_id(key, repr(inv)))
-    nbrs = [[(_bond_label(b.order), j) for j, b in frag.neighbors(i)] for i in range(len(ids))]
+    nbrs = [[(BOND_CODE[b.order], j) for j, b in frag.neighbors(i)] for i in range(len(ids))]
     all_ids = list(ids)
     for _ in range(cfg.radius):
         new_ids = []
@@ -127,20 +122,3 @@ def _circular_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> FingerprintV
 def to_hex(v: FingerprintVector) -> str:
     """Serialize as ``r<radius>b<nbits>s<seed>:<hex>`` (bit 0 first)."""
     return f"{v.config.tag()}:{np.packbits(v.bits).tobytes().hex()}"
-
-
-def from_hex(text: str) -> FingerprintVector:
-    head, _, payload = text.partition(":")
-    match = re.fullmatch(r"r(\d+)b(\d+)s(-?\d+)", head)
-    if not match or not payload:
-        raise ValueError(f"malformed fingerprint string {text!r}")
-    cfg = FingerprintConfig(
-        radius=int(match.group(1)),
-        nbits=int(match.group(2)),
-        hash_seed=int(match.group(3)),
-    )
-    raw = bytes.fromhex(payload)
-    if len(raw) != cfg.nbits // 8:
-        raise ValueError(f"fingerprint payload is {len(raw)} bytes, not {cfg.nbits // 8}")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    return FingerprintVector(bits=bits, config=cfg)

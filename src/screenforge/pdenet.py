@@ -72,7 +72,6 @@ class DatasetRecord:
     name: str | None = None
     ic50_nm: float | None = None
     pic50: float | None = None
-    target: str | None = None
     class_label: str | None = None
 
     def __post_init__(self):
@@ -512,12 +511,15 @@ def load_model(path: str) -> MlpModel:
         stats = None
         if doc.get("norm_stats"):
             ns = doc["norm_stats"]
+            kept = ns["kept"]
+            if not all(type(k) is int for k in kept) or kept != sorted(set(kept)):
+                raise ValueError("norm_stats.kept must be strictly increasing integers")
             stats = NormStats(
                 mean=np.asarray(ns["mean"], dtype=float),
                 std=np.asarray(ns["std"], dtype=float),
-                kept=np.asarray(ns["kept"], dtype=int),
+                kept=np.asarray(kept, dtype=int),
             )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model file: missing or bad field {exc}") from exc
     if activation not in ("relu", "tanh"):
         raise ValueError(f"unsupported activation {activation!r}")

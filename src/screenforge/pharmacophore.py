@@ -4,8 +4,8 @@ enumeration, fit scoring, cost-based validation and fit-ranked screening.
 Feature geometry is the bond-path distance between feature anchors, not
 3D coordinates: the fewest bonds from any atom of one anchor set to any
 atom of the other, found by one breadth-first search from each feature's
-anchors (infinite across fragments). The conformational generation
-parameters are recorded on every hypothesis as provenance only. A
+anchors (infinite across fragments). Every hypothesis file records the
+conformational generation parameters GEN_PARAMS as provenance only. A
 hypothesis of n features scores a molecule as
 
     fit = sum over feature pairs (i, j) of
@@ -34,7 +34,7 @@ import json
 import logging
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 
 from .chem_graph import DOUBLE, SINGLE, Molecule
@@ -54,8 +54,8 @@ DEFAULT_MAX_CANDIDATES = 255
 PAIR_TOLERANCE = 1
 # Complexity penalty weight in the total cost.
 COMPLEXITY_LAMBDA = 0.1
-# Generation parameters recorded verbatim on every hypothesis; topological
-# scoring does not consume them.
+# Generation parameters written verbatim into every hypothesis file; topological
+# scoring does not consume them, and loading ignores them.
 GEN_PARAMS = {"energy_threshold_kcal_per_mol": 10.0, "max_conformations": 255}
 
 
@@ -85,7 +85,6 @@ class Hypothesis:
     pair_constraints: dict[tuple[int, int], tuple[float, float]]  # (dist, tol)
     fit_regression: tuple[float, float] | None = None  # (slope, intercept)
     costs: HypothesisCosts | None = None
-    gen_params: dict = field(default_factory=lambda: dict(GEN_PARAMS))
     enumeration_index: int = 0
     seed_smiles: str | None = None
 
@@ -201,12 +200,6 @@ def _path_lengths(mol: Molecule, sources: Iterable[int]) -> list[float]:
     return dist
 
 
-def feature_distance(mol: Molecule, a: PharmFeature, b: PharmFeature) -> float:
-    """Shortest bond-path distance between the two anchor sets."""
-    dist = _path_lengths(mol, a.anchor)
-    return min(dist[j] for j in b.anchor)
-
-
 # ---------------------------------------------------------------------------
 # Hypothesis generation and scoring
 # ---------------------------------------------------------------------------
@@ -256,7 +249,8 @@ def generate_hypotheses(
 
 
 def _feature_distances(mol: Molecule) -> tuple[tuple[float, ...], ...]:
-    """feature_distance of every two features, in detect_features order."""
+    """The shortest bond-path distance between the anchor sets of every two
+    features, in detect_features order."""
     feats = mol.derived(_detect_features)
     return tuple(
         tuple(min(dist[j] for j in b.anchor) for b in feats)
@@ -483,7 +477,7 @@ def save_hypothesis(h: Hypothesis, path: str) -> None:
         "costs": None
         if h.costs is None
         else {"null_cost": h.costs.null_cost, "total_cost": h.costs.total_cost},
-        "gen_params": h.gen_params,
+        "gen_params": GEN_PARAMS,
         "enumeration_index": h.enumeration_index,
         "seed_smiles": h.seed_smiles,
     }
@@ -508,7 +502,6 @@ def load_hypothesis(path: str) -> Hypothesis:
                 (c["i"], c["j"]): (c["distance"], c["tolerance"])
                 for c in doc["pair_constraints"]
             },
-            gen_params=doc.get("gen_params", dict(GEN_PARAMS)),
             enumeration_index=doc.get("enumeration_index", 0),
             seed_smiles=doc.get("seed_smiles"),
         )
@@ -524,6 +517,9 @@ def load_hypothesis(path: str) -> Hypothesis:
             )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed hypothesis file: missing or bad field {exc}") from exc
+    for kind, _weight in h.features:
+        if kind not in FEATURE_KINDS:
+            raise ValueError(f"feature kind {kind!r} is not one of {', '.join(FEATURE_KINDS)}")
     n = len(h.features)
     for pair, (distance, _tol) in h.pair_constraints.items():
         if not all(isinstance(k, int) and 0 <= k < n for k in pair):

@@ -47,7 +47,7 @@ EXIT_EMPTY_ACTIVE_SET = 2
 EXIT_INPUT_ERROR = 3
 EXIT_CONFIG_ERROR = 4
 
-CSV_ROLES = ("id", "name", "smiles", "ic50_nm", "pic50", "class", "target")
+CSV_ROLES = ("id", "name", "smiles", "ic50_nm", "pic50", "class")
 
 # A compound of set A overlaps set B when its best Tanimoto against B
 # reaches this value.
@@ -128,7 +128,6 @@ def ingest(path: str) -> tuple[list[DatasetRecord], IngestStats]:
                 canonical_smiles=canonical,
                 ic50_nm=ic50,
                 pic50=pic50,
-                target=values.get("target"),
                 class_label=values.get("class"),
             )
         except (SmilesError, ValueError) as exc:
@@ -222,11 +221,7 @@ def run_screen(
 
     cluster_of: dict[str, int] = {}
     representative_ids: set[str] = set()
-    if len(actives) == 1:
-        cluster_of[actives[0][0].id] = 0
-        if p_eff >= 1:
-            representative_ids.add(actives[0][0].id)
-    elif len(actives) >= 2:
+    if actives:
         fps = [circular_fingerprint(mol) for _, mol, _, _ in actives]
         ids = [record.id for record, *_ in actives]
         assignment = hier_cluster(fps, linkage=linkage, k=k_eff)

@@ -12,6 +12,7 @@ without an n x nbits float64 copy. ``distance_matrix`` turns the output
 into 1 - T in place. ``hier_cluster`` merges in that one matrix and frees
 it before taking each cluster's medoid from a block of its members' own
 fingerprints, whose integer counts give exactly the full matrix's entries.
+One fingerprint is one cluster, its own medoid.
 
 Clustering merges greedily under single/complete/average linkage, exactly
 and deterministically: equal distances merge the smallest (i, j) cluster-id
@@ -68,15 +69,6 @@ def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def tanimoto_values(a: np.ndarray, b: np.ndarray) -> float:
-    """General-vector Tanimoto; both-zero inputs return 1.0 by convention."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ConfigMismatch("vectors have different lengths")
-    return float(tanimoto_matrix(a[None, :], b[None, :])[0, 0])
-
-
 def string_similarity(a: str, b: str) -> float:
     """Normalized longest-common-subsequence ratio 2*LCS/(|a|+|b|), with
     the bit-parallel LCS length of Hyyrö (2004): one bit per char of ``a``."""
@@ -94,9 +86,7 @@ def string_similarity(a: str, b: str) -> float:
 
 
 def distance_matrix(items: list[FingerprintVector]) -> np.ndarray:
-    """Pairwise Tanimoto distances 1 - T as an n x n array."""
-    if len(items) < 2:
-        raise ValueError("need at least 2 items")
+    """Pairwise Tanimoto distances 1 - T as an n x n array, n >= 1."""
     if any(v.config != items[0].config for v in items[1:]):
         raise ConfigMismatch("all fingerprints must share one config")
     rows = np.stack([v.bits for v in items])

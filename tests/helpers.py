@@ -1,12 +1,16 @@
 """Small helpers that only the test suite needs: renumbering a molecule,
-counting fingerprint bits and reading a report's header lines."""
+counting fingerprint bits, the Tanimoto of two vectors and reading a
+report's header lines."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from screenforge.chem_graph import Molecule, make_molecule
 from screenforge.fingerprints import FingerprintVector
+from screenforge.simcluster import tanimoto_matrix
 
 
 def renumbered(mol: Molecule, order: list[int]) -> Molecule:
@@ -21,6 +25,13 @@ def renumbered(mol: Molecule, order: list[int]) -> Molecule:
 
 def popcount(v: FingerprintVector) -> int:
     return int(v.bits.sum())
+
+
+def tanimoto_pair(a, b) -> float:
+    """``tanimoto_matrix`` of two vectors as one-row float64 matrices."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return float(tanimoto_matrix(a[None, :], b[None, :])[0, 0])
 
 
 def read_report_header(path: str) -> dict[str, str]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -132,8 +133,8 @@ def tanimoto_rows_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(denom > 0, dots / np.where(denom == 0, 1, denom), 1.0)
 
 
-def tanimoto_values_oracle(a, b) -> float:
-    """``tanimoto_values`` on the unblocked float64 kernel."""
+def tanimoto_pair_oracle(a, b) -> float:
+    """``helpers.tanimoto_pair`` on the unblocked float64 kernel."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return float(tanimoto_rows_oracle(a[None, :], b[None, :])[0, 0])
@@ -143,6 +144,16 @@ def distance_matrix_oracle(items) -> np.ndarray:
     """``distance_matrix`` with every fingerprint row copied to float64."""
     rows = np.stack([v.bits for v in items]).astype(np.float64)
     return 1.0 - tanimoto_rows_oracle(rows, rows)
+
+
+def from_hex_oracle(text: str) -> FingerprintVector:
+    """Decode ``fingerprints.to_hex``: ``r<radius>b<nbits>s<seed>:<hex>``,
+    bit 0 first."""
+    head, _, payload = text.partition(":")
+    radius, nbits, seed = map(int, re.fullmatch(r"r(\d+)b(\d+)s(-?\d+)", head).groups())
+    cfg = FingerprintConfig(radius=radius, nbits=nbits, hash_seed=seed)
+    bits = np.unpackbits(np.frombuffer(bytes.fromhex(payload), dtype=np.uint8))
+    return FingerprintVector(bits=bits, config=cfg)
 
 
 def hash64_oracle(data: str, seed: int) -> int:

@@ -43,7 +43,7 @@ from screenforge.pharmacophore import (
     select_best,
 )
 from screenforge.screenctl import run_screen
-from screenforge.simcluster import distance_matrix, hier_cluster, tanimoto_values
+from screenforge.simcluster import distance_matrix, hier_cluster, tanimoto_matrix
 from test_pdenet import gate_model
 from test_screenctl import constant_model
 
@@ -60,8 +60,9 @@ def test_c01_tanimoto_exactness():
     for _ in range(1000):
         a = np.array([rng.randint(0, 1) for _ in range(128)])
         b = np.array([rng.randint(0, 1) for _ in range(128)])
-        worst = max(worst, abs(tanimoto_values(a, b) - tanimoto_set_oracle(a, b)))
-    exact_third = tanimoto_values(np.array([1, 1, 0]), np.array([1, 0, 1]))
+        t = tanimoto_matrix(a[None], b[None])[0, 0]
+        worst = max(worst, abs(t - tanimoto_set_oracle(a, b)))
+    exact_third = tanimoto_matrix(np.array([[1, 1, 0]]), np.array([[1, 0, 1]]))[0, 0]
     ok = worst < 1e-12 and abs(exact_third - 1 / 3) < 1e-12
     report("C1 similarity formula exactness", ok, f"worst |diff| = {worst:.2e}")
 

@@ -151,7 +151,6 @@ class TestBond:
         bond = Bond(0, 1, DOUBLE, "/")
         moved = bond._replace(a=3, b=4)
         assert moved == Bond(3, 4, DOUBLE, "/")
-        assert moved.other(3) == 4 and moved.other(4) == 3
         assert bond == Bond(0, 1, DOUBLE, "/")
 
 

@@ -206,6 +206,21 @@ class TestAdmetConstantsFile:
         assert out.out == ""
         assert str(missing) in out.err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "1_000", "\u0663"])
+    def test_value_not_a_finite_ascii_decimal(self, library, tmp_path, capsys, value):
+        bundled = resources.files("screenforge").joinpath("data/admet_thresholds.txt")
+        lines = bundled.read_text("utf-8").splitlines()
+        constants = tmp_path / "th.txt"
+        constants.write_text("\n".join(
+            f"bbb_wlogp_max {value}" if ln.startswith("bbb_wlogp_max") else ln for ln in lines
+        ), encoding="utf-8")
+        error = f"error: constant bbb_wlogp_max = {value!r} is not a finite decimal number\n"
+        assert main(["descriptors", str(library), "--admet-constants", str(constants)]) == 4
+        assert capsys.readouterr() == ("", error)
+        assert self._screen(library, tmp_path, 6.0, constants) == 4
+        assert capsys.readouterr() == ("", error)
+        assert not (tmp_path / "report.csv").exists()
+
     def test_screen_missing_key_rejected_before_scoring(
         self, library, tmp_path, capsys, monkeypatch
     ):
@@ -463,6 +478,12 @@ class TestMalformedInputFiles:
         return main(["screen", str(library), "--model", str(path), "--clusters", "2",
                      "--picks", "1", "--out", str(tmp_path / "r.csv")])
 
+    def screen_hypothesis(self, library, tmp_path, doc) -> int:
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        return main(["screen", str(library), "--hypothesis", str(path), "--clusters", "2",
+                     "--picks", "1", "--out", str(tmp_path / "r.csv")])
+
     def model_doc(self, tmp_path) -> dict:
         path = tmp_path / "const.json"
         save_model(constant_model(6.0), str(path))
@@ -495,6 +516,49 @@ class TestMalformedInputFiles:
         doc["norm_stats"]["kept"] = [99999]
         assert self.predict(library, tmp_path, doc) == 4
         assert "kept index outside" in capsys.readouterr().err
+
+    def rejected_without_output(self, run, library, tmp_path, capsys, doc, message):
+        """``run`` exits 4 with the one error line, writing no stdout and no report."""
+        assert run(library, tmp_path, doc) == 4
+        out, err = capsys.readouterr()
+        assert (out, err.count("\n"), err.startswith("error: ")) == ("", 1, True)
+        assert message in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("kept, message", [
+        ([1e308], "kept"), ([2.5], "kept"), ([True], "kept"), (["0"], "kept"),
+        ([10**40], "too large"), (3, "bad field"),
+    ], ids=["1e308", "2.5", "true", "string", "10**40", "not-a-list"])
+    def test_kept_entries_not_integers(self, library, tmp_path, capsys, kept, message):
+        doc = self.model_doc(tmp_path)
+        doc["norm_stats"]["kept"] = kept
+        for run in (self.predict, self.screen):
+            self.rejected_without_output(run, library, tmp_path, capsys, doc, message)
+
+    def two_input_model_doc(self, tmp_path, kept) -> dict:
+        doc = self.model_doc(tmp_path)
+        doc["layer_sizes"], doc["weights"] = [2, 1], [[[0.0, 0.0]]]
+        doc["norm_stats"].update(mean=[0.0, 0.0], std=[1.0, 1.0], kept=kept)
+        return doc
+
+    @pytest.mark.parametrize("kept", [[5, 3], [3, 3]], ids=["decreasing", "repeated"])
+    def test_kept_not_strictly_increasing(self, library, tmp_path, capsys, kept):
+        assert self.predict(library, tmp_path, self.two_input_model_doc(tmp_path, [3, 5])) == 0
+        capsys.readouterr()
+        doc = self.two_input_model_doc(tmp_path, kept)
+        for run in (self.predict, self.screen):
+            self.rejected_without_output(run, library, tmp_path, capsys, doc,
+                                         "kept must be strictly increasing integers")
+
+    @pytest.mark.parametrize("kind", [["HBD"], {"HBD": 1}, "Nope", "hbd"],
+                             ids=["list", "object", "unknown", "lowercase"])
+    def test_feature_kind_outside_feature_kinds(self, library, tmp_path, capsys, kind):
+        doc = three_feature_hypothesis()
+        doc["features"][1]["kind"] = kind
+        doc["fit_regression"] = {"slope": 0.5, "intercept": 4.0}
+        for run in (self.pharm_screen, self.screen_hypothesis):
+            self.rejected_without_output(run, library, tmp_path, capsys, doc,
+                                         f"feature kind {kind!r} is not one of HBD, HBA")
 
     @pytest.mark.parametrize("distance", [None, "3.0"])
     def test_pair_distance_not_a_number(self, library, tmp_path, capsys, distance):

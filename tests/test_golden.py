@@ -1,10 +1,11 @@
 """Golden outputs: the sha256 of stdout, stderr, the exit code and every
 output file of each command, run as a user runs it, in a child process.
 
-The inputs are the bundled corpus, a salted copy of it, the bundled XO
-activity table and a small library from ``benchmarks/gen.py``. Commands run
-in one temporary directory with relative paths, so no path of the machine
-enters an output.
+The inputs are the bundled corpus, a salted copy of it, a CSV of it with a
+class label on most rows, the bundled XO activity table and a small
+library from ``benchmarks/gen.py``. Commands run in one temporary
+directory with relative paths, so no path of the machine enters an
+output.
 
 Two groups:
 
@@ -45,6 +46,8 @@ from gen import Generator, write_smi  # noqa: E402
 from run import platform_key, provenance  # noqa: E402
 
 SALTS = (".[Na+]", ".[Cl-]")
+# Cycled over the corpus rows of classes.csv; an empty label leaves a row unclassified.
+CLASSES = ("Alkaloids", "Flavonoids", "Terpenes", "")
 
 # (name, argv, output files, group), run in this order: later commands read
 # the models and the hypothesis that earlier ones write.
@@ -76,6 +79,8 @@ COMMANDS = [
     ("pharm_screen_library", ["pharm", "screen", "library.smi", "--hypothesis", "hyp.json"],
      [], "portable"),
     ("pharm_screen_salted", ["pharm", "screen", "salted.smi", "--hypothesis", "hyp.json"],
+     [], "portable"),
+    ("pharm_screen_classes", ["pharm", "screen", "classes.csv", "--hypothesis", "hyp.json"],
      [], "portable"),
     ("screen_hypothesis_csv",
      ["screen", "library.smi", "--hypothesis", "hyp.json", "--clusters", "5", "--picks", "3",
@@ -111,22 +116,24 @@ def sha256(data: bytes) -> str:
 
 
 def write_inputs(work: Path) -> dict[str, str]:
-    """Write the four inputs into ``work``; returns their digests."""
+    """Write the five inputs into ``work``; returns their digests."""
     data = resources.files("screenforge") / "data"
     corpus = (data / "corpus.smi").read_text("utf-8")
     (work / "corpus.smi").write_text(corpus, encoding="utf-8")
     (work / "xoi_ic50.csv").write_text((data / "xoi_ic50.csv").read_text("utf-8"),
                                        encoding="utf-8")
-    salted, n = [], 0
+    salted, classes, n = [], ["id,name,smiles,class"], 0
     for line in corpus.splitlines():
         if line.strip() and not line.startswith("#"):
             smiles, _, name = line.partition(" ")
             line = f"{smiles}{SALTS[n % 2]} {name}"
+            classes.append(f"c{n + 1},{name},{smiles},{CLASSES[n % len(CLASSES)]}")
             n += 1
         salted.append(line)
     (work / "salted.smi").write_text("\n".join(salted) + "\n", encoding="utf-8")
+    (work / "classes.csv").write_text("\n".join(classes) + "\n", encoding="utf-8")
     write_smi(work / "library.smi", Generator(3).grow(60), "G")
-    names = ("corpus.smi", "salted.smi", "xoi_ic50.csv", "library.smi")
+    names = ("corpus.smi", "salted.smi", "classes.csv", "xoi_ic50.csv", "library.smi")
     return {name: sha256((work / name).read_bytes()) for name in names}
 
 

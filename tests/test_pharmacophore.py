@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -17,9 +18,9 @@ from screenforge.pharmacophore import (
     Hypothesis,
     HypothesisCosts,
     InsufficientTraining,
+    _feature_distances,
     class_summary,
     detect_features,
-    feature_distance,
     fit_value,
     generate_hypotheses,
     load_hypothesis,
@@ -114,11 +115,13 @@ class TestGenerateHypotheses:
         with pytest.raises(ValueError, match=f"max_candidates {cap} must be at least 1"):
             generate_hypotheses(self.training(), max_candidates=cap)
 
-    def test_gen_params_recorded_verbatim(self):
-        h = generate_hypotheses(self.training())[0]
-        assert h.gen_params == GEN_PARAMS
-        assert h.gen_params["energy_threshold_kcal_per_mol"] == 10.0
-        assert h.gen_params["max_conformations"] == 255
+    def test_gen_params_recorded_verbatim(self, tmp_path):
+        path = tmp_path / "h.json"
+        save_hypothesis(generate_hypotheses(self.training())[0], str(path))
+        gen_params = json.loads(path.read_text())["gen_params"]
+        assert gen_params == GEN_PARAMS
+        assert gen_params["energy_threshold_kcal_per_mol"] == 10.0
+        assert gen_params["max_conformations"] == 255
 
     def test_default_cap_is_255(self):
         assert DEFAULT_MAX_CANDIDATES == 255
@@ -380,7 +383,6 @@ class TestPersistence:
         assert loaded.pair_constraints == h.pair_constraints
         assert loaded.fit_regression == pytest.approx(h.fit_regression)
         assert loaded.costs.delta == pytest.approx(h.costs.delta)
-        assert loaded.gen_params == GEN_PARAMS
         assert loaded.seed_smiles == "Oc1ccccc1"
         mol = parse_smiles("Oc1ccc(O)cc1")
         assert fit_value(loaded, mol) == pytest.approx(fit_value(h, mol))
@@ -396,30 +398,30 @@ class TestFeatureDistance:
     def test_bond_path_metric(self):
         mol = parse_smiles("NCCC")
         feats = detect_features(mol)
-        hbd = next(f for f in feats if f.kind == "HBD")
-        hyd = next(f for f in feats if f.kind == "Hydrophobe")
-        assert feature_distance(mol, hbd, hyd) == 1.0
+        hbd = next(i for i, f in enumerate(feats) if f.kind == "HBD")
+        hyd = next(i for i, f in enumerate(feats) if f.kind == "Hydrophobe")
+        assert _feature_distances(mol)[hbd][hyd] == 1.0
 
     def test_disconnected_fragments_are_infinite(self):
         mol = parse_smiles("N.CCC")
         feats = detect_features(mol)
-        hbd = next(f for f in feats if f.kind == "HBD")
-        hyd = next(f for f in feats if f.kind == "Hydrophobe")
-        assert math.isinf(feature_distance(mol, hbd, hyd))
+        hbd = next(i for i, f in enumerate(feats) if f.kind == "HBD")
+        hyd = next(i for i, f in enumerate(feats) if f.kind == "Hydrophobe")
+        assert math.isinf(_feature_distances(mol)[hbd][hyd])
 
 
 def seed_hypothesis(seed_smiles, picks, weights=None, tolerance=1):
     """A hypothesis on the given features of a seed molecule, with that
     molecule's distances as constraints, as generate_hypotheses builds it."""
     seed = parse_smiles(seed_smiles)
-    feats = [detect_features(seed)[i] for i in picks]
+    feats, dist = detect_features(seed), _feature_distances(seed)
     weights = weights or [1.0] * len(picks)
     return Hypothesis(
-        features=[(f.kind, w) for f, w in zip(feats, weights)],
+        features=[(feats[p].kind, w) for p, w in zip(picks, weights)],
         pair_constraints={
-            (i, j): (feature_distance(seed, feats[i], feats[j]), tolerance)
-            for i in range(len(feats))
-            for j in range(i + 1, len(feats))
+            (i, j): (dist[picks[i]][picks[j]], tolerance)
+            for i in range(len(picks))
+            for j in range(i + 1, len(picks))
         },
     )
 

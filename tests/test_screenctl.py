@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import read_report_header
+from helpers import read_report_header, tanimoto_pair
 from oracles import tanimoto_rows_oracle, tanimoto_set_oracle
 from screenforge import screenctl
 from screenforge.chem_graph import canonical_smiles, parse_smiles
@@ -17,7 +17,7 @@ from screenforge.screenctl import (
     ingest,
     run_screen,
 )
-from screenforge.simcluster import distance_matrix, string_similarity, tanimoto_values
+from screenforge.simcluster import distance_matrix, string_similarity
 
 
 def constant_model(value: float, target: str = "PDE4") -> MlpModel:
@@ -124,10 +124,10 @@ class TestIngestCsv:
 
     def test_columns_outside_roles_ignored(self, tmp_path):
         path = tmp_path / "lib.CSV"
-        path.write_text("Compound,id,smiles,Activity,ic50_nm\nc1,x1,CCO,5,100\n")
+        path.write_text("Compound,id,smiles,Activity,ic50_nm,target\nc1,x1,CCO,5,100,PDE4\n")
         records, stats = ingest(str(path))
         assert stats.parse_errors == 0
-        assert (records[0].id, records[0].name, records[0].target) == ("x1", None, None)
+        assert (records[0].id, records[0].name) == ("x1", None)
         assert records[0].pic50 == pytest.approx(7.0)
 
     def test_smiles_column_required(self, tmp_path):
@@ -207,7 +207,7 @@ class TestCompareRoutes:
         records = self.records([smiles for _, smiles, _ in corpus])
         cfg = FingerprintConfig()
         fps = [circular_fingerprint(parse_smiles(r.canonical_smiles), cfg) for r in records]
-        pairwise = np.array([[tanimoto_values(a.bits, b.bits) for b in fps] for a in fps])
+        pairwise = np.array([[tanimoto_pair(a.bits, b.bits) for b in fps] for a in fps])
         assert np.array_equal(distance_matrix(fps), 1.0 - pairwise)
         summary = compare_routes(records[:12], records)
         assert summary.max_sim == [float(x) for x in pairwise[:12].max(axis=1)]
@@ -293,6 +293,20 @@ class TestRunScreen:
         assert report.header["picks_effective"] == "0"
         assert not any(r.representative for r in report.rows)
         assert len({r.cluster_id for r in report.rows}) == 5
+
+    @pytest.mark.parametrize("picks", [0, 1])
+    def test_one_active_is_cluster_zero(self, picks):
+        dodecane = "C" * 12  # the only compound with the 12 heavy atoms the gate needs
+        records = thirty_compound_records()[:5] + [
+            DatasetRecord(id="big", smiles=dodecane, canonical_smiles=dodecane)
+        ]
+        report = run_screen(records, {"PDE4": heavy_atom_model()}, clusters=4, picks=picks,
+                            seed=1)
+        assert [(r.id, r.cluster_id, r.representative) for r in report.rows] == [
+            ("big", 0, picks == 1)
+        ]
+        assert report.header["clusters_effective"] == "1"
+        assert report.header["picks_effective"] == str(picks)
 
     def test_clamping_recorded(self):
         records = thirty_compound_records()[:3]

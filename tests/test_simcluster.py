@@ -4,15 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import tanimoto_pair
 from oracles import (
     distance_matrix_oracle,
     hier_cluster_oracle,
     medoid_representatives,
     string_similarity_oracle,
     tanimoto_formula_oracle,
+    tanimoto_pair_oracle,
     tanimoto_rows_oracle,
     tanimoto_set_oracle,
-    tanimoto_values_oracle,
 )
 from screenforge.fingerprints import (
     ConfigMismatch,
@@ -27,7 +28,6 @@ from screenforge.simcluster import (
     hier_cluster,
     string_similarity,
     tanimoto_matrix,
-    tanimoto_values,
 )
 
 
@@ -40,35 +40,35 @@ def _vec(bits, nbits=64, cfg=None):
 class TestTanimoto:
     def test_identical_nonzero_is_one(self):
         v = _vec({1, 5, 9})
-        assert tanimoto_values(v.bits, v.bits) == 1.0
+        assert tanimoto_pair(v.bits, v.bits) == 1.0
 
     def test_disjoint_is_zero(self):
-        assert tanimoto_values(_vec({0, 1}).bits, _vec({2, 3}).bits) == 0.0
+        assert tanimoto_pair(_vec({0, 1}).bits, _vec({2, 3}).bits) == 0.0
 
     def test_one_third_example(self):
-        assert tanimoto_values(np.array([1, 1, 0]), np.array([1, 0, 1])) == pytest.approx(1 / 3)
+        assert tanimoto_pair(np.array([1, 1, 0]), np.array([1, 0, 1])) == pytest.approx(1 / 3)
 
     def test_both_zero_convention(self):
-        assert tanimoto_values(_vec(set()).bits, _vec(set()).bits) == 1.0
+        assert tanimoto_pair(_vec(set()).bits, _vec(set()).bits) == 1.0
 
     def test_symmetry(self, rng):
         for _ in range(100):
             a = _vec({i for i in range(64) if rng.random() < 0.3})
             b = _vec({i for i in range(64) if rng.random() < 0.3})
-            assert tanimoto_values(a.bits, b.bits) == tanimoto_values(b.bits, a.bits)
+            assert tanimoto_pair(a.bits, b.bits) == tanimoto_pair(b.bits, a.bits)
 
     def test_matches_set_oracle_on_binary(self, rng):
         for _ in range(300):
             a = [rng.randint(0, 1) for _ in range(48)]
             b = [rng.randint(0, 1) for _ in range(48)]
-            ours = tanimoto_values(np.array(a), np.array(b))
+            ours = tanimoto_pair(np.array(a), np.array(b))
             assert abs(ours - tanimoto_set_oracle(a, b)) < 1e-12
 
     def test_continuous_vectors_follow_formula(self, rng):
         for _ in range(100):
             a = np.array([rng.uniform(0, 2) for _ in range(10)])
             b = np.array([rng.uniform(0, 2) for _ in range(10)])
-            assert tanimoto_values(a, b) == pytest.approx(tanimoto_formula_oracle(a, b), abs=1e-12)
+            assert tanimoto_pair(a, b) == pytest.approx(tanimoto_formula_oracle(a, b), abs=1e-12)
 
     def test_jaccard_distance_triangle_inequality(self, rng):
         for _ in range(200):
@@ -79,7 +79,7 @@ class TestTanimoto:
             if not any(v.any() for v in vs):
                 continue
             d = [
-                1 - tanimoto_values(vs[i], vs[j])
+                1 - tanimoto_pair(vs[i], vs[j])
                 for i, j in ((0, 1), (1, 2), (0, 2))
             ]
             assert d[2] <= d[0] + d[1] + 1e-12
@@ -148,9 +148,10 @@ class TestDistanceMatrix:
         with pytest.raises(ConfigMismatch):
             distance_matrix([_vec({1}, nbits=64), _vec({1}, nbits=128)])
 
-    def test_needs_two_items(self):
+    def test_needs_one_item(self):
+        assert distance_matrix([_vec({1})]).tolist() == [[0.0]]
         with pytest.raises(ValueError):
-            distance_matrix([_vec({1})])
+            distance_matrix([])
 
 
 def two_blob_fixture():
@@ -170,6 +171,11 @@ class TestHierCluster:
         a = hier_cluster(two_blob_fixture(), "average", 10)
         assert sorted(a.labels) == list(range(10))
         assert a.representatives == tuple(range(10))
+
+    @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
+    def test_one_item_is_its_own_cluster_and_medoid(self, linkage):
+        a = hier_cluster([_vec({1, 2})], linkage, 1)
+        assert (a.labels, a.representatives) == ((0,), (0,))
 
     def test_k_one_single_cluster(self):
         a = hier_cluster(two_blob_fixture(), "average", 1)
@@ -350,14 +356,14 @@ class TestBlockedKernelMatchesOracle:
                 a, b = gen.uniform(-1, 2, length), gen.uniform(0, 2, length)
                 if gen.random() < 0.2:
                     a[:] = 0
-                assert tanimoto_values(a, b) == tanimoto_values_oracle(a, b)
-                assert tanimoto_values(a, a) == tanimoto_values_oracle(a, a)
+                assert tanimoto_pair(a, b) == tanimoto_pair_oracle(a, b)
+                assert tanimoto_pair(a, a) == tanimoto_pair_oracle(a, a)
         zero = np.zeros(4)
-        assert tanimoto_values(zero, zero) == tanimoto_values_oracle(zero, zero) == 1.0
+        assert tanimoto_pair(zero, zero) == tanimoto_pair_oracle(zero, zero) == 1.0
         # A NaN denominator is not positive either, so it gives 1.0 as before.
         for odd in ([np.nan, 1.0], [np.inf, 0.0]):
             with np.errstate(invalid="ignore"):
-                assert tanimoto_values(odd, [1.0, 1.0]) == tanimoto_values_oracle(odd, [1.0, 1.0])
+                assert tanimoto_pair(odd, [1.0, 1.0]) == tanimoto_pair_oracle(odd, [1.0, 1.0])
 
     @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
     def test_clustering_is_unchanged(self, corpus, linkage):
