@@ -5,7 +5,9 @@ F, Cl, Br, I and their aromatic lowercase forms) plus bracket atoms with
 isotope, chirality tag, hydrogen count and charge. Bracket atoms may name
 a wider range of elements so salt counter-ions such as [Na+] survive
 ingestion. Stereo markers (``/ \\ @``) are accepted and recorded but never
-interpreted; bond direction markers are normalized away on writing.
+interpreted; bond direction markers are normalized away on writing. A
+molecule, parsed or built by hand, is made in one place: ``Molecule``'s
+constructor validates the bonds and derives everything else it holds.
 
 Aromaticity is taken from the input flags as written; there is no
 perception or kekulization pass. A ring bond is any bond on a cycle (a
@@ -101,16 +103,47 @@ class Bond(NamedTuple):
 class Molecule:
     """Attributed molecular graph. Treat as immutable after construction.
 
-    Derived values (ring bonds, fingerprints, descriptors, pharmacophore
-    features and their distances) are computed once, on first request, and
-    live as long as the molecule.
+    ``Molecule(atoms, bonds)`` keeps both lists, rejects a self-bond, an
+    out-of-range endpoint, a repeated atom pair, an aromatic bond touching a
+    non-aromatic atom and an impossible valence, and derives adjacency,
+    fragments and implicit hydrogens; equality compares atoms and bonds.
+    Other derived values (ring bonds, fingerprints, descriptors, features)
+    are computed once, on first request, and live as long as the molecule.
     """
 
     atoms: list[Atom]
     bonds: list[Bond]
-    fragment_count: int = 1
-    implicit_h: list[int] = field(default_factory=list)
+    implicit_h: list[int] = field(init=False, compare=False)
+    _adjacency: list[list[tuple[int, Bond]]] = field(init=False, repr=False, compare=False)
+    _fragment_list: list[list[int]] = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        atoms = self.atoms
+        n = len(atoms)
+        seen_pairs: set[tuple[int, int]] = set()
+        adj: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
+        for bond in self.bonds:
+            a, b = bond.a, bond.b
+            if a == b:
+                raise SmilesSyntaxError(f"bond between atom {a} and itself")
+            if not (0 <= a < n and 0 <= b < n):
+                raise SmilesSyntaxError("bond endpoint out of range")
+            key = (a, b) if a < b else (b, a)
+            if key in seen_pairs:
+                raise SmilesSyntaxError(f"duplicate bond between atoms {key}")
+            seen_pairs.add(key)
+            if bond.order == AROMATIC and not (atoms[a].aromatic and atoms[b].aromatic):
+                raise SmilesSyntaxError(f"aromatic bond {key} touches a non-aromatic atom")
+            adj[a].append((b, bond))
+            adj[b].append((a, bond))
+        self.implicit_h = _implicit_hydrogens(atoms, adj)
+        self._adjacency = adj
+        self._fragment_list = self.components(range(n))
+
+    @property
+    def fragment_count(self) -> int:
+        return len(self._fragment_list)
 
     def derived(self, compute, *args):
         """``compute(self, *args)``, computed on the first request for that
@@ -210,7 +243,7 @@ def _ring_bonds(mol: Molecule) -> frozenset[tuple[int, int]]:
     return frozenset(ring)
 
 
-def _implicit_hydrogens(atoms: list[Atom], bonds: list[Bond], adj) -> list[int]:
+def _implicit_hydrogens(atoms: list[Atom], adj) -> list[int]:
     out = [0] * len(atoms)
     for idx, atom in enumerate(atoms):
         if atom.explicit_h is not None:
@@ -248,36 +281,6 @@ def _implicit_hydrogens(atoms: list[Atom], bonds: list[Bond], adj) -> list[int]:
             )
         out[idx] = h
     return out
-
-
-def make_molecule(atoms: list[Atom], bonds: list[Bond]) -> Molecule:
-    """Validate parts and derive fragments and implicit hydrogens."""
-    n = len(atoms)
-    seen_pairs: set[tuple[int, int]] = set()
-    adj: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
-    for bond in bonds:
-        a, b = bond.a, bond.b
-        if a == b:
-            raise SmilesSyntaxError(f"bond between atom {a} and itself")
-        if not (0 <= a < n and 0 <= b < n):
-            raise SmilesSyntaxError("bond endpoint out of range")
-        key = (a, b) if a < b else (b, a)
-        if key in seen_pairs:
-            raise SmilesSyntaxError(f"duplicate bond between atoms {key}")
-        seen_pairs.add(key)
-        if bond.order == AROMATIC and not (atoms[a].aromatic and atoms[b].aromatic):
-            raise SmilesSyntaxError(f"aromatic bond {key} touches a non-aromatic atom")
-        adj[a].append((b, bond))
-        adj[b].append((a, bond))
-    mol = Molecule(
-        atoms=list(atoms),
-        bonds=list(bonds),
-        implicit_h=_implicit_hydrogens(atoms, bonds, adj),
-    )
-    mol._adjacency = adj
-    mol._fragment_list = mol.components(range(n))
-    mol.fragment_count = len(mol._fragment_list)
-    return mol
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +474,7 @@ def parse_smiles(text: str) -> Molecule:
         raise UnclosedRing(f"unmatched ring closure digit(s): {nums}")
     if not atoms:
         raise SmilesSyntaxError("no atoms in SMILES")
-    return make_molecule(atoms, bonds)
+    return Molecule(atoms, bonds)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +779,7 @@ def _largest_fragment(mol: Molecule) -> Molecule:
         for b in mol.bonds
         if b.a in index_map
     ]
-    return make_molecule([mol.atoms[i] for i in frag], bonds)
+    return Molecule([mol.atoms[i] for i in frag], bonds)
 
 
 def iter_smi_lines(text: str):

@@ -11,7 +11,7 @@ import csv
 import sys
 
 from . import __version__, fingerprints
-from .chem_graph import SmilesError, molecular_formula, parse_smiles
+from .chem_graph import molecular_formula, parse_smiles
 from .descriptors import admet_flags, compute_descriptors, load_admet_thresholds
 from .fingerprints import FingerprintConfig, circular_fingerprint, to_hex
 from .pdenet import (
@@ -86,7 +86,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_descriptors(args) -> int:
-    load_admet_thresholds(args.admet_constants)  # a bad table fails before any output
+    thresholds = load_admet_thresholds(args.admet_constants)  # fails before any output
     records, _ = _load_records(args.file)
     out = _writer()
     out.writerow(
@@ -99,7 +99,7 @@ def cmd_descriptors(args) -> int:
     for r in records:
         mol = parse_smiles(r.canonical_smiles)
         d = compute_descriptors(mol)
-        flags = admet_flags(d, args.admet_constants)
+        flags = admet_flags(d, thresholds)
         out.writerow(
             (
                 r.id, r.name or "", r.canonical_smiles, molecular_formula(mol),
@@ -261,7 +261,6 @@ def cmd_screen(args) -> int:
         model = load_model(path)
         models[model.target] = model
     hypothesis = load_hypothesis(args.hypothesis) if args.hypothesis else None
-    seed = args.seed if args.seed is not None else default_seed()
     report = run_screen(
         records,
         models,
@@ -270,7 +269,7 @@ def cmd_screen(args) -> int:
         picks=args.picks,
         threshold=args.threshold,
         linkage=args.linkage,
-        seed=seed,
+        seed=args.seed,
         admet_constants=args.admet_constants,
     )
     emit_report(report, args.out)
@@ -369,13 +368,12 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (SmilesError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     finally:
         # Each command starts with empty caches, as a new process does.
         fingerprints._ENV_IDS.clear()
-        load_admet_thresholds.cache_clear()
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 All numeric constants (polar-surface fragment contributions, logP atom
 contributions, ADME thresholds) live in versioned plain-text tables under
-``screenforge/data`` and are loaded once at first use. The ADME flags are
-transparent threshold rules, labeled approximate in every report; they do
-not reproduce any vendor model.
+``screenforge/data``. The contribution tables are loaded once at first use.
+The ADME threshold table is read once per command, bundled or from a user
+file, and passed to ``admet_flags`` as a value; it is not cached. The ADME
+flags are transparent threshold rules, labeled approximate in every report;
+they do not reproduce any vendor model.
 
 Descriptor computation operates on the largest fragment (salts stripped);
 ``molecular_weight`` alone sums whatever it is given so multi-fragment
@@ -118,7 +120,6 @@ def load_logp_table() -> dict[str, float]:
     return _keyvalue(_data_text("logp_contributions.txt"))
 
 
-@lru_cache(maxsize=None)
 def load_admet_thresholds(path: str | None = None) -> dict[str, float]:
     """The bundled threshold table, or the file at ``path``, which must
     define every bundled key."""
@@ -363,9 +364,9 @@ def lipinski_violations(d: DescriptorSet, th: dict[str, float]) -> int:
     )
 
 
-def admet_flags(d: DescriptorSet, thresholds_path: str | None = None) -> AdmetFlags:
-    """Categorical ADME flags from the threshold table (approximate)."""
-    th = load_admet_thresholds(thresholds_path)
+def admet_flags(d: DescriptorSet, th: dict[str, float]) -> AdmetFlags:
+    """Categorical ADME flags from a threshold table (approximate), as
+    ``load_admet_thresholds`` returns it."""
     gi = GI_HIGH if (d.tpsa <= th["gi_tpsa_max"] and d.wlogp <= th["gi_wlogp_max"]) else GI_LOW
     bbb = (
         YES

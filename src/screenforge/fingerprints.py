@@ -25,10 +25,6 @@ import numpy as np
 from .chem_graph import BOND_CODE, Molecule, largest_fragment
 
 
-class ConfigMismatch(ValueError):
-    """Two fingerprints with different configurations were compared."""
-
-
 @dataclass(frozen=True)
 class FingerprintConfig:
     radius: int = 2

@@ -37,30 +37,10 @@ TRAIN_ACTIVATION = "relu"
 DESCRIPTOR_FEATURES = ("mw", "tpsa", "wlogp", "hbd", "hba", "rotatable_bonds", "heavy_atoms")
 
 
-class NonPositiveIC50(ValueError):
-    pass
-
-
-class TooFewRecords(ValueError):
-    pass
-
-
-class ShapeMismatch(ValueError):
-    pass
-
-
-class LengthMismatch(ValueError):
-    pass
-
-
-class FeaturizationFailure(ValueError):
-    pass
-
-
 def ic50_to_pic50(ic50_nm: float) -> float:
     """pIC50 = 9 - log10(IC50 in nanomolar)."""
     if not ic50_nm > 0:
-        raise NonPositiveIC50(f"IC50 must be positive, got {ic50_nm}")
+        raise ValueError(f"IC50 must be positive, got {ic50_nm}")
     return 9.0 - math.log10(ic50_nm)
 
 
@@ -192,9 +172,7 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     feature vector or a batch (rows); returns scalar predictions."""
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.shape[1] != model.layer_sizes[0]:
-        raise ShapeMismatch(
-            f"input width {X.shape[1]} != model input {model.layer_sizes[0]}"
-        )
+        raise ValueError(f"input width {X.shape[1]} != model input {model.layer_sizes[0]}")
     out = _forward_pass(model, X)[0]
     return float(out[0]) if np.ndim(x) == 1 else out
 
@@ -203,7 +181,7 @@ def mse_loss(predictions, targets) -> float:
     p = np.asarray(predictions, dtype=float)
     t = np.asarray(targets, dtype=float)
     if p.shape != t.shape or p.size == 0:
-        raise LengthMismatch("predictions and targets must have equal nonzero length")
+        raise ValueError("predictions and targets must have equal nonzero length")
     return float(np.mean((p - t) ** 2))
 
 
@@ -230,7 +208,7 @@ def backprop(model: MlpModel, X: np.ndarray, y: np.ndarray,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.shape[0] != y.shape[0]:
-        raise LengthMismatch("X rows and y length differ")
+        raise ValueError("X rows and y length differ")
     pred, zs, activations = _forward_pass(model, X)
     batch = X.shape[0]
     loss = float(np.mean((pred - y) ** 2))
@@ -256,10 +234,10 @@ def adam_step(model: MlpModel, gradients: list[np.ndarray], lr: float) -> MlpMod
         )
         model.adam_state = state
     if len(gradients) != len(params):
-        raise ShapeMismatch("gradient count != parameter count")
+        raise ValueError("gradient count != parameter count")
     for g, p in zip(gradients, params):
         if g.shape != p.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} != parameter {p.shape}")
+            raise ValueError(f"gradient shape {g.shape} != parameter {p.shape}")
         if not p.flags.c_contiguous:  # the flat views below must not be copies
             raise ValueError("adam_step needs C-contiguous parameters")
     state.t += 1
@@ -322,7 +300,7 @@ def split_dataset(records: list, cfg: TrainConfig) -> tuple[list, list, list]:
     float rounding."""
     n = len(records)
     if n < 10:
-        raise TooFewRecords(f"need at least 10 records, got {n}")
+        raise ValueError(f"need at least 10 records, got {n}")
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(n)
     n_train = int(math.floor(TRAIN_FRAC * n + 1e-9))
@@ -352,7 +330,7 @@ def featurize_records(records: list[DatasetRecord], spec: FeatureSpec) -> np.nda
         try:
             rows.append(featurize_molecule(parse_smiles(record.canonical_smiles), spec))
         except ValueError as exc:
-            raise FeaturizationFailure(f"record {record.id}: {exc}") from exc
+            raise ValueError(f"record {record.id}: {exc}") from exc
     return np.stack(rows)
 
 
@@ -417,7 +395,7 @@ class EvalResult:
 def evaluate(model: MlpModel, X: np.ndarray, y: np.ndarray) -> EvalResult:
     y = np.asarray(y, dtype=float)
     if y.size == 0:
-        raise LengthMismatch("empty test set")
+        raise ValueError("empty test set")
     pred = np.atleast_1d(forward(model, np.asarray(X, dtype=float)))
     mse = mse_loss(pred, y)
     ss_tot = float(np.sum((y - y.mean()) ** 2))

@@ -59,10 +59,6 @@ COMPLEXITY_LAMBDA = 0.1
 GEN_PARAMS = {"energy_threshold_kcal_per_mol": 10.0, "max_conformations": 255}
 
 
-class InsufficientTraining(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class PharmFeature:
     kind: str
@@ -219,15 +215,11 @@ def generate_hypotheses(
         raise ValueError(f"max_candidates {max_candidates} must be at least 1")
     labeled = [(m, p) for m, p in training if p is not None]
     if len(labeled) < 4:
-        raise InsufficientTraining(
-            f"need at least 4 training records with pIC50, got {len(labeled)}"
-        )
+        raise ValueError(f"need at least 4 training records with pIC50, got {len(labeled)}")
     seed_mol, _ = max(enumerate(labeled), key=lambda t: (t[1][1], -t[0]))[1]
     feats = detect_features(seed_mol)
     if len(feats) < MIN_FEATURES:
-        raise InsufficientTraining(
-            f"most active molecule exposes only {len(feats)} features"
-        )
+        raise ValueError(f"most active molecule exposes only {len(feats)} features")
     dist = seed_mol.derived(_feature_distances)
     candidates: list[Hypothesis] = []
     for size in range(MIN_FEATURES, min(5, len(feats)) + 1):

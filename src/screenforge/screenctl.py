@@ -26,7 +26,7 @@ from .chem_graph import (
     molecular_formula,
     parse_smiles,
 )
-from .descriptors import AdmetFlags, admet_flags, compute_descriptors
+from .descriptors import AdmetFlags, admet_flags, compute_descriptors, load_admet_thresholds
 from .fingerprints import FingerprintConfig, circular_fingerprint
 from .pdenet import (
     DEFAULT_GATE_THRESHOLD,
@@ -130,7 +130,7 @@ def ingest(path: str) -> tuple[list[DatasetRecord], IngestStats]:
                 pic50=pic50,
                 class_label=values.get("class"),
             )
-        except (SmilesError, ValueError) as exc:
+        except ValueError as exc:
             stats.parse_errors += 1
             stats.errors.append(f"{where}: {exc}")
             continue
@@ -156,7 +156,7 @@ class ReportRow:
     mw: float
     fit: float | None
     pic50_per_target: dict[str, float]
-    cluster_id: int | None
+    cluster_id: int
     representative: bool
     admet: AdmetFlags
 
@@ -187,13 +187,14 @@ def run_screen(
     cluster/pick counts are clamped to the active-set size and both the
     requested and effective values land in the header.
     """
+    seed = default_seed() if seed is None else seed
     if not models and hypothesis is None:
         raise ValueError("need at least one model or a hypothesis")
     if clusters < 1 or picks < 0:
         raise ValueError(f"need clusters >= 1 and picks >= 0, got {clusters} and {picks}")
     if picks > clusters:
         raise ValueError("picks must not exceed clusters")
-    seed = default_seed() if seed is None else seed
+    thresholds = load_admet_thresholds(admet_constants)
     targets = sorted(models)
 
     actives = []  # (record, mol, pic50s, fit); inactive molecules are dropped
@@ -246,14 +247,14 @@ def run_screen(
                 mw=desc.mw,
                 fit=fit,
                 pic50_per_target=pic50s,
-                cluster_id=cluster_of.get(record.id),
+                cluster_id=cluster_of[record.id],
                 representative=record.id in representative_ids,
-                admet=admet_flags(desc, admet_constants),
+                admet=admet_flags(desc, thresholds),
             )
         )
     rows.sort(key=_row_sort_key)
 
-    report_targets = targets if targets else (["hypothesis"] if hypothesis else [])
+    report_targets = targets or ["hypothesis"]
     header = {
         "toolchain": f"screenforge {__version__}",
         "seed": str(seed),
@@ -275,12 +276,7 @@ def run_screen(
 
 
 def _row_sort_key(row: ReportRow):
-    score = (
-        sum(row.pic50_per_target.values()) / len(row.pic50_per_target)
-        if row.pic50_per_target
-        else (row.fit or 0.0)
-    )
-    return (-score, row.id)
+    return (-sum(row.pic50_per_target.values()) / len(row.pic50_per_target), row.id)
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +361,8 @@ def _row_values(row: ReportRow, report: ScreeningReport) -> list[str]:
         row.formula,
         f"{row.mw:.2f}",
         "" if row.fit is None else f"{row.fit:.2f}",
-        *(
-            f"{row.pic50_per_target[t]:.2f}" if t in row.pic50_per_target else ""
-            for t in report.targets
-        ),
-        "" if row.cluster_id is None else str(row.cluster_id),
+        *(f"{row.pic50_per_target[t]:.2f}" for t in report.targets),
+        str(row.cluster_id),
         "true" if row.representative else "false",
         row.admet.gi_absorption,
         row.admet.bbb_permeant,

@@ -28,13 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fingerprints import ConfigMismatch, FingerprintVector
+from .fingerprints import FingerprintVector
 
 LINKAGES = ("single", "complete", "average")
-
-
-class InvalidK(ValueError):
-    """Requested cluster count outside [1, n]."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,7 @@ def string_similarity(a: str, b: str) -> float:
 def distance_matrix(items: list[FingerprintVector]) -> np.ndarray:
     """Pairwise Tanimoto distances 1 - T as an n x n array, n >= 1."""
     if any(v.config != items[0].config for v in items[1:]):
-        raise ConfigMismatch("all fingerprints must share one config")
+        raise ValueError("all fingerprints must share one config")
     rows = np.stack([v.bits for v in items])
     dist = tanimoto_matrix(rows, rows)
     return np.subtract(1.0, dist, out=dist)
@@ -104,7 +100,7 @@ def hier_cluster(
     """
     n = len(items)
     if not 1 <= k <= n:
-        raise InvalidK(f"k={k} outside [1, {n}]")
+        raise ValueError(f"k={k} outside [1, {n}]")
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}")
     owner = _merge(distance_matrix(items), linkage, k)  # the matrix dies here

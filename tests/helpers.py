@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from screenforge.chem_graph import Molecule, make_molecule
+from screenforge.chem_graph import Molecule
 from screenforge.fingerprints import FingerprintVector
 from screenforge.simcluster import tanimoto_matrix
 
@@ -20,7 +20,7 @@ def renumbered(mol: Molecule, order: list[int]) -> Molecule:
     inverse = {old: new for new, old in enumerate(order)}
     atoms = [mol.atoms[old] for old in order]
     bonds = [b._replace(a=inverse[b.a], b=inverse[b.b]) for b in mol.bonds]
-    return make_molecule(atoms, bonds)
+    return Molecule(atoms, bonds)
 
 
 def popcount(v: FingerprintVector) -> int:

@@ -32,7 +32,6 @@ from screenforge.chem_graph import (
     _parse_bracket,
     element_counts,
     largest_fragment,
-    make_molecule,
 )
 from screenforge.fingerprints import FingerprintConfig, FingerprintVector
 from screenforge.pdenet import (
@@ -40,8 +39,6 @@ from screenforge.pdenet import (
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
-    LengthMismatch,
-    ShapeMismatch,
     _act_grad,
     _forward_pass,
 )
@@ -210,7 +207,7 @@ def backprop_oracle(model, X, y):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.shape[0] != y.shape[0]:
-        raise LengthMismatch("X rows and y length differ")
+        raise ValueError("X rows and y length differ")
     pred, zs, activations = _forward_pass(model, X)
     batch = X.shape[0]
     loss = float(np.mean((pred - y) ** 2))
@@ -239,10 +236,10 @@ def adam_step_oracle(model, gradients, lr: float):
         )
         model.adam_state = state
     if len(gradients) != len(params):
-        raise ShapeMismatch("gradient count != parameter count")
+        raise ValueError("gradient count != parameter count")
     for g, p in zip(gradients, params):
         if g.shape != p.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} != parameter {p.shape}")
+            raise ValueError(f"gradient shape {g.shape} != parameter {p.shape}")
     state.t += 1
     t = state.t
     for i, (g, p) in enumerate(zip(gradients, params)):
@@ -568,7 +565,7 @@ def largest_fragment_oracle(mol: Molecule) -> Molecule:
             for b in mol.bonds
             if b.a in index_map and b.b in index_map
         ]
-        frags.append((frag[0], make_molecule([mol.atoms[i] for i in frag], bonds)))
+        frags.append((frag[0], Molecule([mol.atoms[i] for i in frag], bonds)))
 
     def mass(m: Molecule) -> float:
         return sum(ATOMIC_WEIGHTS[e] * c for e, c in element_counts(m).items())
@@ -784,7 +781,7 @@ def parse_smiles_oracle(text: str) -> Molecule:
         raise UnclosedRing(f"unmatched ring closure digit(s): {nums}")
     if not atoms:
         raise SmilesSyntaxError("no atoms in SMILES")
-    return make_molecule(atoms, bonds)
+    return Molecule(atoms, bonds)
 
 
 def _initial_invariants(mol: Molecule) -> list[tuple]:

@@ -19,10 +19,10 @@ from test_canonical_random import random_molecule
 from screenforge.chem_graph import (
     Atom,
     Bond,
+    Molecule,
     SmilesError,
     canonical_ranks,
     canonical_smiles,
-    make_molecule,
     parse_smiles,
 )
 from helpers import renumbered
@@ -136,7 +136,7 @@ def ladder(rungs: int):
     bonds = [Bond(i, rungs + i) for i in range(rungs)]
     bonds += [Bond(i, i + 1) for i in range(rungs - 1)]
     bonds += [Bond(rungs + i, rungs + i + 1) for i in range(rungs - 1)]
-    return make_molecule([Atom("C")] * (2 * rungs), bonds)
+    return Molecule([Atom("C")] * (2 * rungs), bonds)
 
 
 def ladder_smiles(rungs: int) -> str:

@@ -14,9 +14,9 @@ from oracles import brute_force_isomorphic
 from screenforge.chem_graph import (
     Atom,
     Bond,
+    Molecule,
     canonical_smiles,
     element_counts,
-    make_molecule,
     parse_smiles,
 )
 from helpers import renumbered
@@ -91,7 +91,7 @@ def random_molecule(rng: random.Random):
         atoms.append(
             Atom(element, formal_charge=charge, isotope=isotope, explicit_h=explicit_h)
         )
-    return make_molecule(atoms, [Bond(i, j, order) for i, j, order in bonds])
+    return Molecule(atoms, [Bond(i, j, order) for i, j, order in bonds])
 
 
 @pytest.fixture(scope="module")

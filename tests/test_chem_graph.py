@@ -9,9 +9,11 @@ from oracles import (
     largest_fragment_oracle,
 )
 from screenforge.chem_graph import (
+    AROMATIC,
     DOUBLE,
     Atom,
     Bond,
+    Molecule,
     SmilesError,
     UnbalancedParenthesis,
     UnclosedRing,
@@ -21,7 +23,6 @@ from screenforge.chem_graph import (
     element_counts,
     iter_smi_lines,
     largest_fragment,
-    make_molecule,
     molecular_formula,
     parse_smiles,
 )
@@ -282,16 +283,34 @@ class TestSmiFormat:
         ]
 
 
-class TestMakeMolecule:
+class TestMoleculeConstructor:
+    def test_hand_built_equals_parsed(self, corpus):
+        # Pyridinium chloride: an aromatic ring, a charged bracket N and a
+        # second fragment, written atom by atom.
+        c, n = Atom("C", aromatic=True), Atom("N", formal_charge=1, aromatic=True, explicit_h=1)
+        atoms = [c, c, c, c, c, n, Atom("Cl", formal_charge=-1, explicit_h=0)]
+        bonds = [Bond(i, i + 1, AROMATIC) for i in range(5)] + [Bond(0, 5, AROMATIC)]
+        cases = [(Molecule(atoms, bonds), parse_smiles("c1cccc[nH+]1.[Cl-]"))]
+        cases += [(Molecule(list(m.atoms), list(m.bonds)), m) for _, _, m in corpus]
+        for built, parsed in cases:
+            assert built == parsed
+            assert built.implicit_h == parsed.implicit_h
+            assert built.fragment_count == parsed.fragment_count
+            assert [built.neighbors(i) for i in range(len(built.atoms))] == [
+                parsed.neighbors(i) for i in range(len(parsed.atoms))
+            ]
+            assert canonical_smiles(built) == canonical_smiles(parsed)
+        assert cases[0][0].fragment_count == 2 and cases[0][0].implicit_h[:5] == [1] * 5
+
     def test_duplicate_bond_rejected(self):
         atoms = [Atom("C"), Atom("C")]
         bonds = [Bond(0, 1), Bond(1, 0)]
         with pytest.raises(SmilesError):
-            make_molecule(atoms, bonds)
+            Molecule(atoms, bonds)
 
     def test_self_bond_rejected(self):
         with pytest.raises(SmilesError):
-            make_molecule([Atom("C")], [Bond(0, 0)])
+            Molecule([Atom("C")], [Bond(0, 0)])
 
     def test_renumbered_requires_permutation(self):
         mol = parse_smiles("CCO")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from screenforge.chem_graph import Atom, Bond, UnknownElement, make_molecule, parse_smiles
+from screenforge.chem_graph import Atom, Bond, Molecule, UnknownElement, parse_smiles
 from screenforge.descriptors import (
     BIOAVAILABILITY_BUCKETS,
     AdmetFlags,
@@ -79,7 +79,7 @@ class TestTpsa:
                 continue
             atoms = list(mol.atoms) + [Atom("O")]
             bonds = list(mol.bonds) + [Bond(carbon, len(mol.atoms))]
-            grown = make_molecule(atoms, bonds)
+            grown = Molecule(atoms, bonds)
             assert tpsa(grown) > tpsa(mol), name
 
 
@@ -146,18 +146,18 @@ class TestRotatableBonds:
 class TestAdmetFlags:
     def test_gi_low_when_tpsa_high(self):
         d = DescriptorSet(mw=300, tpsa=150, wlogp=1.0, hbd=1, hba=3, rotatable_bonds=2, heavy_atoms=20)
-        assert admet_flags(d).gi_absorption == "Low"
+        assert admet_flags(d, load_admet_thresholds()).gi_absorption == "Low"
 
     def test_friendly_compound(self):
         d = DescriptorSet(mw=300, tpsa=50, wlogp=2.0, hbd=1, hba=3, rotatable_bonds=2, heavy_atoms=20)
-        flags = admet_flags(d)
+        flags = admet_flags(d, load_admet_thresholds())
         assert flags.gi_absorption == "High"
         assert flags.bbb_permeant == "Yes"
         assert flags.bioavailability_score == 0.55
 
     def test_pgp_heuristic(self):
         d = DescriptorSet(mw=450, tpsa=80, wlogp=2.0, hbd=1, hba=3, rotatable_bonds=2, heavy_atoms=30)
-        assert admet_flags(d).pgp_substrate == "Yes"
+        assert admet_flags(d, load_admet_thresholds()).pgp_substrate == "Yes"
 
     def test_invariant_rejects_nonpositive_mw(self):
         with pytest.raises(ValueError):
@@ -165,10 +165,11 @@ class TestAdmetFlags:
 
     def test_determinism(self):
         d = DescriptorSet(mw=410, tpsa=90, wlogp=5.5, hbd=2, hba=9, rotatable_bonds=8, heavy_atoms=28)
-        assert admet_flags(d) == admet_flags(d)
+        assert admet_flags(d, load_admet_thresholds()) == admet_flags(d, load_admet_thresholds())
 
     def test_bucket_closure_over_randomized_inputs(self):
         rng = random.Random(99)
+        th = load_admet_thresholds()
         for _ in range(1000):
             d = DescriptorSet(
                 mw=rng.uniform(10, 1200),
@@ -179,7 +180,7 @@ class TestAdmetFlags:
                 rotatable_bonds=rng.randrange(0, 20),
                 heavy_atoms=rng.randrange(1, 90),
             )
-            assert admet_flags(d).bioavailability_score in BIOAVAILABILITY_BUCKETS
+            assert admet_flags(d, th).bioavailability_score in BIOAVAILABILITY_BUCKETS
 
     def test_score_outside_buckets_rejected(self):
         with pytest.raises(ValueError):
@@ -192,13 +193,13 @@ class TestAdmetFlags:
 
     def test_constants_override_path(self, tmp_path):
         override = tmp_path / "th.txt"
-        text = load_admet_thresholds.__wrapped__()  # bundled values
-        lines = [f"{k} {v}" for k, v in text.items()]
+        bundled = load_admet_thresholds()
+        lines = [f"{k} {v}" for k, v in bundled.items()]
         lines[lines.index("gi_tpsa_max 142.0")] = "gi_tpsa_max 10"
         override.write_text("\n".join(lines))
         d = DescriptorSet(mw=300, tpsa=50, wlogp=2.0, hbd=1, hba=3, rotatable_bonds=2, heavy_atoms=20)
-        assert admet_flags(d).gi_absorption == "High"
-        assert admet_flags(d, str(override)).gi_absorption == "Low"
+        assert admet_flags(d, bundled).gi_absorption == "High"
+        assert admet_flags(d, load_admet_thresholds(str(override))).gi_absorption == "Low"
 
 
 class TestComputeDescriptors:

@@ -1,5 +1,6 @@
 """Every public function, method and property of the screenforge modules is
-entered by some golden command, so ``src/`` holds only what a command runs.
+entered by some golden command, so ``src/`` holds only what a command runs;
+and every exception class defined there is one some code tells apart.
 
 The golden command list of ``test_golden.py`` runs in-process through
 ``cli.main`` under ``sys.setprofile``, which records the code object of every
@@ -7,14 +8,22 @@ Python frame entered. A public name that no command enters is either code
 only tests call, to delete with its tests moved to the code it wraps or to
 ``oracles.py``, or a gap in the golden set, to close with a golden command.
 Dunders are exempt.
+
+An exception class earns its name only if an ``except`` clause in ``src/``
+names it, or if it belongs to the parser's documented ``SmilesError``
+family; any other failure is raised as the built-in it derives from, with
+its message.
 """
 
 from __future__ import annotations
 
+import ast
+import builtins
 import contextlib
 import inspect
 import io
 import sys
+from pathlib import Path
 
 from screenforge import (
     chem_graph,
@@ -92,3 +101,41 @@ def test_every_public_entry_point_is_entered_by_a_golden_command(tmp_path, monke
         if code not in entered
     )
     assert not never, f"public names no golden command enters: {', '.join(never)}"
+
+
+def _caught_names(handler: ast.ExceptHandler) -> set[str]:
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {t.attr if isinstance(t, ast.Attribute) else t.id for t in types if t is not None}
+
+
+def test_every_exception_class_is_caught_by_name_or_a_smiles_error():
+    trees = [ast.parse(path.read_text("utf-8")) for path in
+             sorted(Path(chem_graph.__file__).parent.glob("*.py"))]
+    bases = {
+        node.name: [b.attr if isinstance(b, ast.Attribute) else b.id for b in node.bases]
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def derives(name: str, root: type | str) -> bool:
+        if name == root:
+            return True
+        if name in bases:
+            return any(derives(base, root) for base in bases[name])
+        builtin = getattr(builtins, name, None)
+        return isinstance(root, type) and isinstance(builtin, type) and issubclass(builtin, root)
+
+    caught = {
+        name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        for name in _caught_names(node)
+    }
+    exceptions = [name for name in bases if derives(name, BaseException)]
+    assert "SmilesError" in exceptions and "InputError" in exceptions
+    uncaught = sorted(
+        name for name in exceptions if name not in caught and not derives(name, "SmilesError")
+    )
+    assert not uncaught, f"exception classes no except clause names: {', '.join(uncaught)}"

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from screenforge import fingerprints
-from screenforge.chem_graph import AROMATIC, Atom, Bond, make_molecule, parse_smiles
+from screenforge.chem_graph import AROMATIC, Atom, Bond, Molecule, parse_smiles
 from screenforge.fingerprints import (
-    ConfigMismatch,
     FingerprintConfig,
     FingerprintVector,
     circular_fingerprint,
@@ -102,14 +101,14 @@ class TestConfigMismatch:
     def test_comparison_between_configs_raises(self):
         a = circular_fingerprint(parse_smiles("CCO"), FingerprintConfig(nbits=64))
         b = circular_fingerprint(parse_smiles("CCO"), FingerprintConfig(nbits=128))
-        with pytest.raises(ConfigMismatch):
+        with pytest.raises(ValueError, match="all fingerprints must share one config"):
             distance_matrix([a, b])
 
 
 def _ring(aromatic, charge=0):
     """Benzene built from parts, with the given aromatic and charge values."""
     atoms = [Atom("C", formal_charge=charge, aromatic=aromatic) for _ in range(6)]
-    return make_molecule(atoms, [Bond(i, (i + 1) % 6, AROMATIC) for i in range(6)])
+    return Molecule(atoms, [Bond(i, (i + 1) % 6, AROMATIC) for i in range(6)])
 
 
 SALTS = [

@@ -69,12 +69,12 @@ class TestComputedOnce:
     def test_salt_builds_its_largest_fragment_once(self, monkeypatch):
         mol = parse_smiles("[Na+].[Cl-].OC(=O)c1ccccc1.O")
         splits = counting(monkeypatch, chem_graph, "_largest_fragment")
-        builds = counting(monkeypatch, chem_graph, "make_molecule")
+        builds = counting(monkeypatch, chem_graph.Molecule, "__post_init__")
         circular_fingerprint(mol)
         compute_descriptors(mol)
         frag = largest_fragment(mol)
         assert splits == [mol]
-        assert len(builds) == 1  # the winning fragment only
+        assert builds == [frag] and builds[0] is frag  # the winning fragment only
         assert molecular_formula(frag) == "C7H6O2"
 
     def test_score_costs_detects_features_once_per_molecule(self, monkeypatch):

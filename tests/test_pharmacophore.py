@@ -17,7 +17,6 @@ from screenforge.pharmacophore import (
     MIN_FEATURES,
     Hypothesis,
     HypothesisCosts,
-    InsufficientTraining,
     _feature_distances,
     class_summary,
     detect_features,
@@ -107,7 +106,9 @@ class TestGenerateHypotheses:
         assert sizes == sorted(sizes)  # size-ascending enumeration order
 
     def test_insufficient_training(self):
-        with pytest.raises(InsufficientTraining):
+        with pytest.raises(
+            ValueError, match="need at least 4 training records with pIC50, got 3"
+        ):
             generate_hypotheses(self.training()[:3])
 
     @pytest.mark.parametrize("cap", [0, -5])
