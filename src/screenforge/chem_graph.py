@@ -106,14 +106,18 @@ class Molecule:
     ``Molecule(atoms, bonds)`` keeps both lists, rejects a self-bond, an
     out-of-range endpoint, a repeated atom pair, an aromatic bond touching a
     non-aromatic atom and an impossible valence, and derives adjacency,
-    fragments and implicit hydrogens; equality compares atoms and bonds.
+    fragments and hydrogen counts; equality compares atoms and bonds.
+    ``hydrogens[i]`` counts the hydrogens on atom i that are not atoms of
+    the graph: the bracket count if one is written, else the valence-derived
+    count. ``total_h[i]`` adds the atom's ``[H]`` neighbours.
     Other derived values (ring bonds, fingerprints, descriptors, features)
     are computed once, on first request, and live as long as the molecule.
     """
 
     atoms: list[Atom]
     bonds: list[Bond]
-    implicit_h: list[int] = field(init=False, compare=False)
+    hydrogens: list[int] = field(init=False, compare=False)
+    total_h: list[int] = field(init=False, compare=False)
     _adjacency: list[list[tuple[int, Bond]]] = field(init=False, repr=False, compare=False)
     _fragment_list: list[list[int]] = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -137,7 +141,7 @@ class Molecule:
                 raise SmilesSyntaxError(f"aromatic bond {key} touches a non-aromatic atom")
             adj[a].append((b, bond))
             adj[b].append((a, bond))
-        self.implicit_h = _implicit_hydrogens(atoms, adj)
+        self.hydrogens, self.total_h = _hydrogen_counts(atoms, adj)
         self._adjacency = adj
         self._fragment_list = self.components(range(n))
 
@@ -161,15 +165,6 @@ class Molecule:
 
     def neighbors(self, idx: int) -> list[tuple[int, Bond]]:
         return self._adjacency[idx]
-
-    def total_h(self, idx: int) -> int:
-        """Hydrogens on an atom: implicit or pinned, plus [H] neighbors."""
-        atom = self.atoms[idx]
-        own = atom.explicit_h if atom.explicit_h is not None else self.implicit_h[idx]
-        for j, _ in self._adjacency[idx]:
-            if self.atoms[j].element == "H":
-                own += 1
-        return own
 
     def heavy_atom_count(self) -> int:
         return sum(1 for a in self.atoms if a.element != "H")
@@ -243,44 +238,48 @@ def _ring_bonds(mol: Molecule) -> frozenset[tuple[int, int]]:
     return frozenset(ring)
 
 
-def _implicit_hydrogens(atoms: list[Atom], adj) -> list[int]:
-    out = [0] * len(atoms)
+def _hydrogen_counts(atoms: list[Atom], adj) -> tuple[list[int], list[int]]:
+    """``(hydrogens, total_h)`` as ``Molecule`` documents them."""
+    hydrogens, total_h = [], []
     for idx, atom in enumerate(atoms):
-        if atom.explicit_h is not None:
-            continue
-        valences = VALENCES.get(atom.element)
-        if valences is None:
-            # Bracket-only element without a pinned H count: no implicit H.
-            continue
-        sigma = 0
-        for _, bond in adj[idx]:
+        sigma = h_atoms = 0
+        for j, bond in adj[idx]:
             sigma += BOND_ORDER_VALUE[bond.order]
-        if atom.aromatic:
-            # One ring pi bond is assumed for aromatic C/B, and for
-            # two-connected aromatic N/P (pyridine-like). Aromatic O/S
-            # contribute a lone pair instead, as do three-connected N/P.
-            pi = 0
-            if sigma == len(adj[idx]):  # no double or triple bond
-                if atom.element in ("C", "B"):
-                    pi = 1
-                elif atom.element in ("N", "P") and len(adj[idx]) == 2:
-                    pi = 1
-            sigma += pi
-            candidates = (valences[0],)
-        else:
-            candidates = valences
-        h = -1
-        for v in candidates:
-            if v >= sigma:
-                h = v - sigma
-                break
-        if h < 0:
-            raise ValenceViolation(
-                f"atom {idx} ({atom.element}): bond order sum {sigma} exceeds "
-                f"allowed valences {candidates}"
-            )
-        out[idx] = h
-    return out
+            if atoms[j].element == "H":
+                h_atoms += 1
+        h = atom.explicit_h
+        valences = VALENCES.get(atom.element)
+        if h is None and valences is None:
+            # Bracket-only element without a pinned H count: no implicit H.
+            h = 0
+        elif h is None:
+            if atom.aromatic:
+                # One ring pi bond is assumed for aromatic C/B, and for
+                # two-connected aromatic N/P (pyridine-like). Aromatic O/S
+                # contribute a lone pair instead, as do three-connected N/P.
+                pi = 0
+                if sigma == len(adj[idx]):  # no double or triple bond
+                    if atom.element in ("C", "B"):
+                        pi = 1
+                    elif atom.element in ("N", "P") and len(adj[idx]) == 2:
+                        pi = 1
+                sigma += pi
+                candidates = (valences[0],)
+            else:
+                candidates = valences
+            h = -1
+            for v in candidates:
+                if v >= sigma:
+                    h = v - sigma
+                    break
+            if h < 0:
+                raise ValenceViolation(
+                    f"atom {idx} ({atom.element}): bond order sum {sigma} exceeds "
+                    f"allowed valences {candidates}"
+                )
+        hydrogens.append(h)
+        total_h.append(h + h_atoms)
+    return hydrogens, total_h
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +501,7 @@ def canonical_ranks(mol: Molecule) -> list[int]:
     equal counts into the old class and into the other pieces give equal
     counts into it.
     """
-    atoms, adj, implicit_h = mol.atoms, mol._adjacency, mol.implicit_h
+    atoms, adj, total_h = mol.atoms, mol._adjacency, mol.total_h
     n = len(atoms)
     # One pass over the adjacency groups the atoms by initial invariant and
     # gives each its (bond code * n, neighbour) pairs: code * n + label
@@ -511,12 +510,8 @@ def canonical_ranks(mol: Molecule) -> list[int]:
     by_invariant: dict[tuple, list[int]] = {}
     for i, a in enumerate(atoms):
         nb = adj[i]
-        h = a.explicit_h if a.explicit_h is not None else implicit_h[i]
-        for j, _ in nb:
-            if atoms[j].element == "H":
-                h += 1
         by_invariant.setdefault(
-            (a.element, a.formal_charge, a.isotope or 0, a.aromatic, len(nb), h), []
+            (a.element, a.formal_charge, a.isotope or 0, a.aromatic, len(nb), total_h[i]), []
         ).append(i)
         nbrs.append([(BOND_CODE[b.order] * n, j) for j, b in nb])
     label = [0] * n
@@ -730,7 +725,7 @@ def _element_counts(mol: Molecule, indices) -> dict[str, int]:
     for i in indices:
         atom = mol.atoms[i]
         counts[atom.element] = counts.get(atom.element, 0) + 1
-        h = atom.explicit_h if atom.explicit_h is not None else mol.implicit_h[i]
+        h = mol.hydrogens[i]
         if h:
             counts["H"] = counts.get("H", 0) + h
     return counts

@@ -23,6 +23,7 @@ from .pdenet import (
     train_pipeline,
 )
 from .pharmacophore import (
+    DEFAULT_MAX_CANDIDATES,
     class_summary,
     generate_hypotheses,
     load_hypothesis,
@@ -44,7 +45,7 @@ from .screenctl import (
     ingest,
     run_screen,
 )
-from .simcluster import hier_cluster
+from .simcluster import LINKAGES, hier_cluster
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,12 +199,7 @@ def cmd_pharm_train(args) -> int:
     ]
     if len(training) < 4:
         raise InputError("need at least 4 rows with activity data")
-    seed_smiles = max(
-        (r for r in records if r.pic50 is not None), key=lambda r: r.pic50
-    ).canonical_smiles
-    candidates = generate_hypotheses(
-        training, max_candidates=args.max_candidates, seed_smiles=seed_smiles
-    )
+    candidates = generate_hypotheses(training, max_candidates=args.max_candidates)
     for candidate in candidates:
         score_costs(candidate, training)
     best = select_best(candidates)
@@ -297,9 +293,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fingerprint", help="circular fingerprints as hex strings")
     p.add_argument("file")
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--nbits", type=int, default=2048)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--radius", type=int, default=FingerprintConfig.radius)
+    p.add_argument("--nbits", type=int, default=FingerprintConfig.nbits)
+    p.add_argument("--seed", type=int, default=FingerprintConfig.hash_seed)
     p.set_defaults(func=cmd_fingerprint)
 
     p = sub.add_parser("similarity", help="cross-set similarity summary")
@@ -311,16 +307,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cluster", help="hierarchical clustering with medoid picks")
     p.add_argument("file")
     p.add_argument("--clusters", type=int, required=True)
-    p.add_argument("--linkage", choices=("average", "single", "complete"), default="average")
+    p.add_argument("--linkage", choices=LINKAGES, default=LINKAGES[0])
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("train", help="train a pIC50 regressor")
     p.add_argument("csv")
     p.add_argument("--target", choices=("PDE4", "PDE7", "XO", "custom"), required=True)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--hidden", default="256,64")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--hidden", default=",".join(map(str, TrainConfig.hidden_layers)))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -336,7 +332,7 @@ def build_parser() -> _Parser:
 
     p = pharm_sub.add_parser("train", help="build and select a hypothesis")
     p.add_argument("csv")
-    p.add_argument("--max-candidates", type=int, default=255)
+    p.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pharm_train)
 
@@ -352,7 +348,7 @@ def build_parser() -> _Parser:
     p.add_argument("--clusters", type=int, required=True)
     p.add_argument("--picks", type=int, required=True)
     p.add_argument("--threshold", type=float, default=DEFAULT_GATE_THRESHOLD)
-    p.add_argument("--linkage", choices=("average", "single", "complete"), default="average")
+    p.add_argument("--linkage", choices=LINKAGES, default=LINKAGES[0])
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--admet-constants", default=None, metavar="PATH")
     p.add_argument("--out", required=True)

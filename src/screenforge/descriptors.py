@@ -1,12 +1,17 @@
 """Physicochemical descriptors and rule-based ADME flags.
 
 All numeric constants (polar-surface fragment contributions, logP atom
-contributions, ADME thresholds) live in versioned plain-text tables under
-``screenforge/data``. The contribution tables are loaded once at first use.
-The ADME threshold table is read once per command, bundled or from a user
-file, and passed to ``admet_flags`` as a value; it is not cached. The ADME
-flags are transparent threshold rules, labeled approximate in every report;
-they do not reproduce any vendor model.
+contributions, ADME thresholds and the four bioavailability scores) live in
+versioned plain-text tables under ``screenforge/data``, and nowhere else.
+The contribution tables are loaded once at first use. The ADME threshold
+table is read once per command, bundled or from a user file, and passed to
+``admet_flags`` as a value; it is not cached, and a user table's scores are
+reported as written. The ADME flags are transparent threshold rules,
+labeled approximate in every report; they do not reproduce any vendor model.
+
+Hydrogen counts come from the molecule: ``Molecule.hydrogens`` for the
+hydrogens that are not graph atoms, ``Molecule.total_h`` with the ``[H]``
+neighbours added.
 
 Descriptor computation operates on the largest fragment (salts stripped);
 ``molecular_weight`` alone sums whatever it is given so multi-fragment
@@ -39,7 +44,6 @@ log = logging.getLogger(__name__)
 GI_HIGH, GI_LOW = "High", "Low"
 YES, NO = "Yes", "No"
 
-BIOAVAILABILITY_BUCKETS = (0.11, 0.17, 0.55, 0.85)
 
 @dataclass(frozen=True)
 class DescriptorSet:
@@ -67,13 +71,6 @@ class AdmetFlags:
     bbb_permeant: str
     pgp_substrate: str
     bioavailability_score: float
-
-    def __post_init__(self):
-        if self.bioavailability_score not in BIOAVAILABILITY_BUCKETS:
-            raise ValueError(
-                f"bioavailability_score {self.bioavailability_score} outside "
-                f"the bucket set {BIOAVAILABILITY_BUCKETS}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +199,7 @@ def tpsa(mol: Molecule) -> float:
             atom.element,
             int(atom.aromatic),
             atom.formal_charge,
-            mol.total_h(idx),
+            mol.total_h[idx],
             s, d, t, a,
             int(_in_three_ring(mol, idx)),
         )
@@ -236,7 +233,7 @@ def hbd_hba(mol: Molecule) -> tuple[int, int]:
     hba = 0
     for idx, atom in enumerate(mol.atoms):
         if atom.element in ("N", "O"):
-            hbd += mol.total_h(idx)
+            hbd += mol.total_h[idx]
             if is_acceptor(mol, idx):
                 hba += 1
     return hbd, hba
@@ -308,7 +305,7 @@ def wlogp(mol: Molecule) -> float:
                 key = "O_negative"
             elif any(b.order == DOUBLE for _, b in mol.neighbors(idx)):
                 key = "O_carbonyl"
-            elif mol.total_h(idx) > 0:
+            elif mol.total_h[idx] > 0:
                 key = "O_hydroxyl"
             else:
                 key = "O_ether"
@@ -323,7 +320,7 @@ def wlogp(mol: Molecule) -> float:
             total += table["fallback"]
             continue
         total += table[key]
-        h = atom.explicit_h if atom.explicit_h is not None else mol.implicit_h[idx]
+        h = mol.hydrogens[idx]
         if h:
             h_key = "H_on_hetero" if el in ("N", "O", "S", "P") else "H_on_carbon"
             total += h * table[h_key]

@@ -91,7 +91,7 @@ def _circular_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> FingerprintV
     seed = cfg.hash_seed
     ids = []
     for i, a in enumerate(frag.atoms):
-        inv = (a.element, a.formal_charge, a.aromatic, frag.degree(i), frag.total_h(i))
+        inv = (a.element, a.formal_charge, a.aromatic, frag.degree(i), frag.total_h[i])
         key = (seed, *inv) if tuple(map(type, inv)) == _INVARIANT_TYPES else (seed, repr(inv))
         ids.append(_ENV_IDS.get(key) or _new_env_id(key, repr(inv)))
     nbrs = [[(BOND_CODE[b.order], j) for j, b in frag.neighbors(i)] for i in range(len(ids))]

@@ -448,7 +448,7 @@ def save_model(model: MlpModel, path: str) -> None:
     # The bytes of json.dumps(doc), which takes the C encoder (json.dump
     # never does), but one weight row per call, so neither the text nor the
     # nested lists of the largest layer are held whole.
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         for n, (key, value) in enumerate(doc.items()):
             handle.write(("{" if n == 0 else ", ") + json.dumps(key) + ": ")
             if key != "weights":
@@ -466,7 +466,7 @@ def save_model(model: MlpModel, path: str) -> None:
 
 def load_model(path: str) -> MlpModel:
     """Read a model file; a malformed one raises ValueError."""
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:  # a leading BOM is skipped
         doc = json.load(handle)
     if not isinstance(doc, dict):
         raise ValueError("model file is not a JSON object")

@@ -37,7 +37,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import add
 
-from .chem_graph import DOUBLE, SINGLE, Molecule
+from .chem_graph import DOUBLE, SINGLE, Molecule, canonical_smiles
 from .descriptors import is_acceptor
 
 log = logging.getLogger(__name__)
@@ -117,7 +117,7 @@ def _carboxyl_carbons(mol: Molecule) -> set[int]:
             for j, b in mol.neighbors(idx)
         )
         has_hydroxyl = any(
-            b.order == SINGLE and mol.atoms[j].element == "O" and mol.total_h(j) > 0
+            b.order == SINGLE and mol.atoms[j].element == "O" and mol.total_h[j] > 0
             for j, b in mol.neighbors(idx)
         )
         if has_carbonyl and has_hydroxyl:
@@ -153,7 +153,7 @@ def detect_features(mol: Molecule) -> tuple[PharmFeature, ...]:
 def _detect_features(mol: Molecule) -> tuple[PharmFeature, ...]:
     feats: list[PharmFeature] = []
     for idx, atom in enumerate(mol.atoms):
-        if atom.element in ("N", "O") and mol.total_h(idx) > 0:
+        if atom.element in ("N", "O") and mol.total_h[idx] > 0:
             feats.append(PharmFeature(HBD, (idx,)))
         if is_acceptor(mol, idx):
             feats.append(PharmFeature(HBA, (idx,)))
@@ -203,13 +203,14 @@ def _path_lengths(mol: Molecule, sources: Iterable[int]) -> list[float]:
 def generate_hypotheses(
     training: list[tuple[Molecule, float]],
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    seed_smiles: str | None = None,
 ) -> list[Hypothesis]:
     """Enumerate 3-5 feature subsets of the most-active molecule's features.
 
-    Pair constraints come from that molecule's bond-path distances with
-    tolerance PAIR_TOLERANCE. Enumeration order is subset size ascending, then
-    lexicographic by feature index; the candidate cap keeps that prefix.
+    That seed molecule is the first one with the highest pIC50, and every
+    candidate records its canonical SMILES. Pair constraints come from its
+    bond-path distances with tolerance PAIR_TOLERANCE. Enumeration order is
+    subset size ascending, then lexicographic by feature index; the
+    candidate cap keeps that prefix.
     """
     if max_candidates < 1:
         raise ValueError(f"max_candidates {max_candidates} must be at least 1")
@@ -221,6 +222,7 @@ def generate_hypotheses(
     if len(feats) < MIN_FEATURES:
         raise ValueError(f"most active molecule exposes only {len(feats)} features")
     dist = seed_mol.derived(_feature_distances)
+    seed_smiles = canonical_smiles(seed_mol)
     candidates: list[Hypothesis] = []
     for size in range(MIN_FEATURES, min(5, len(feats)) + 1):
         for combo in itertools.combinations(range(len(feats)), size):
@@ -473,13 +475,13 @@ def save_hypothesis(h: Hypothesis, path: str) -> None:
         "enumeration_index": h.enumeration_index,
         "seed_smiles": h.seed_smiles,
     }
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)
 
 
 def load_hypothesis(path: str) -> Hypothesis:
     """Read a hypothesis file; a malformed one raises ValueError."""
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:  # a leading BOM is skipped
         doc = json.load(handle)
     if not isinstance(doc, dict):
         raise ValueError("hypothesis file is not a JSON object")

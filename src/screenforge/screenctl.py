@@ -35,7 +35,7 @@ from .pdenet import (
     predict_pic50,
 )
 from .pharmacophore import Hypothesis, fit_value
-from .simcluster import hier_cluster, string_similarity, tanimoto_matrix
+from .simcluster import LINKAGES, hier_cluster, string_similarity, tanimoto_matrix
 
 log = logging.getLogger(__name__)
 
@@ -175,7 +175,7 @@ def run_screen(
     clusters: int = 34,
     picks: int = 16,
     threshold: float = DEFAULT_GATE_THRESHOLD,
-    linkage: str = "average",
+    linkage: str = LINKAGES[0],
     seed: int | None = None,
     admet_constants: str | None = None,
 ) -> ScreeningReport:
@@ -220,23 +220,19 @@ def run_screen(
     k_eff = min(clusters, len(actives))
     p_eff = min(picks, k_eff)
 
-    cluster_of: dict[str, int] = {}
-    representative_ids: set[str] = set()
+    # Cluster labels and picks are by position in ``actives``: ids need not
+    # be unique.
+    labels: tuple[int, ...] = ()
+    picked: set[int] = set()
     if actives:
         fps = [circular_fingerprint(mol) for _, mol, _, _ in actives]
-        ids = [record.id for record, *_ in actives]
         assignment = hier_cluster(fps, linkage=linkage, k=k_eff)
-        for item_id, label in zip(ids, assignment.labels):
-            cluster_of[item_id] = label
-        by_size = sorted(
-            range(k_eff),
-            key=lambda c: (-len(assignment.members(c)), c),
-        )
-        for c in by_size[:p_eff]:
-            representative_ids.add(ids[assignment.representatives[c]])
+        labels = assignment.labels
+        by_size = sorted(range(k_eff), key=lambda c: (-labels.count(c), c))
+        picked = {assignment.representatives[c] for c in by_size[:p_eff]}
 
     rows = []
-    for record, mol, pic50s, fit in actives:
+    for n, (record, mol, pic50s, fit) in enumerate(actives):
         desc = compute_descriptors(mol)
         rows.append(
             ReportRow(
@@ -247,8 +243,8 @@ def run_screen(
                 mw=desc.mw,
                 fit=fit,
                 pic50_per_target=pic50s,
-                cluster_id=cluster_of[record.id],
-                representative=record.id in representative_ids,
+                cluster_id=labels[n],
+                representative=n in picked,
                 admet=admet_flags(desc, thresholds),
             )
         )

@@ -30,16 +30,13 @@ import numpy as np
 
 from .fingerprints import FingerprintVector
 
-LINKAGES = ("single", "complete", "average")
+LINKAGES = ("average", "single", "complete")  # the first is the default
 
 
 @dataclass(frozen=True)
 class ClusterAssignment:
     labels: tuple[int, ...]
     representatives: tuple[int, ...]
-
-    def members(self, cluster: int) -> list[int]:
-        return [i for i, lab in enumerate(self.labels) if lab == cluster]
 
 
 _BLOCK = 128  # rows per block; a 2048-bit float32 block takes 1 MB
@@ -91,7 +88,7 @@ def distance_matrix(items: list[FingerprintVector]) -> np.ndarray:
 
 
 def hier_cluster(
-    items: list[FingerprintVector], linkage: str = "average", k: int = 1
+    items: list[FingerprintVector], linkage: str = LINKAGES[0], k: int = 1
 ) -> ClusterAssignment:
     """Agglomerative clustering of fingerprints by Tanimoto distance down to
     k clusters. Cluster ids during merging are the smallest original member

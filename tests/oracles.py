@@ -19,8 +19,11 @@ from screenforge.chem_graph import (
     AROMATIC_ORGANIC,
     ATOMIC_WEIGHTS,
     BOND_ORDER_VALUE,
+    DOUBLE,
     ORGANIC_SUBSET,
     SINGLE,
+    TRIPLE,
+    VALENCES,
     Atom,
     Bond,
     Molecule,
@@ -44,9 +47,49 @@ from screenforge.pdenet import (
 )
 
 
-def _atom_key(mol: Molecule, i: int):
-    a = mol.atoms[i]
-    return (a.element, a.formal_charge, a.isotope or 0, a.aromatic, mol.total_h(i))
+def hydrogens_oracle(mol: Molecule) -> tuple[list[int], list[int]]:
+    """``(hydrogens, total_h)`` re-derived from the bond list alone.
+
+    An atom's hydrogens are its bracket count if one is written; else, for
+    an element with standard valences, the lowest valence that covers its
+    bond-order sum minus that sum, where an aromatic atom tries only its
+    first valence and counts one ring pi bond when it has no double or
+    triple bond and is C or B, or a two-connected N or P; else none. Its
+    total adds the ``[H]`` atoms bonded to it.
+    """
+    n = len(mol.atoms)
+    order_sum, degree, h_atoms = [0] * n, [0] * n, [0] * n
+    multiple = [False] * n
+    for bond in mol.bonds:
+        for u, v in ((bond.a, bond.b), (bond.b, bond.a)):
+            order_sum[u] += BOND_ORDER_VALUE[bond.order]
+            degree[u] += 1
+            multiple[u] = multiple[u] or bond.order in (DOUBLE, TRIPLE)
+            h_atoms[u] += mol.atoms[v].element == "H"
+    hydrogens = []
+    for i, a in enumerate(mol.atoms):
+        if a.explicit_h is not None:
+            hydrogens.append(a.explicit_h)
+            continue
+        if a.element not in VALENCES:
+            hydrogens.append(0)
+            continue
+        valences, total = VALENCES[a.element], order_sum[i]
+        if a.aromatic:
+            valences = valences[:1]
+            pi_capable = a.element in ("C", "B") or (a.element in ("N", "P") and degree[i] == 2)
+            if pi_capable and not multiple[i]:
+                total += 1
+        hydrogens.append(min(v - total for v in valences if v >= total))
+    return hydrogens, [h + k for h, k in zip(hydrogens, h_atoms)]
+
+
+def _atom_keys(mol: Molecule) -> list[tuple]:
+    total_h = hydrogens_oracle(mol)[1]
+    return [
+        (a.element, a.formal_charge, a.isotope or 0, a.aromatic, total_h[i])
+        for i, a in enumerate(mol.atoms)
+    ]
 
 
 def brute_force_isomorphic(a: Molecule, b: Molecule) -> bool:
@@ -54,15 +97,14 @@ def brute_force_isomorphic(a: Molecule, b: Molecule) -> bool:
     n = len(a.atoms)
     if n != len(b.atoms) or len(a.bonds) != len(b.bonds):
         return False
-    keys_a = sorted(_atom_key(a, i) for i in range(n))
-    keys_b = sorted(_atom_key(b, i) for i in range(n))
-    if keys_a != keys_b:
+    atom_keys_a, atom_keys_b = _atom_keys(a), _atom_keys(b)
+    if sorted(atom_keys_a) != sorted(atom_keys_b):
         return False
 
     bonds_a = {(min(x.a, x.b), max(x.a, x.b)): x.order for x in a.bonds}
     bonds_b = {(min(x.a, x.b), max(x.a, x.b)): x.order for x in b.bonds}
     candidates = [
-        [j for j in range(n) if _atom_key(b, j) == _atom_key(a, i)] for i in range(n)
+        [j for j in range(n) if atom_keys_b[j] == atom_keys_a[i]] for i in range(n)
     ]
     mapping: dict[int, int] = {}
     used: set[int] = set()
@@ -171,6 +213,7 @@ def circular_fingerprint_oracle(mol: Molecule, cfg: FingerprintConfig) -> Finger
     environment of every round, one bit set at a time."""
     frag = largest_fragment(mol)
     seed = cfg.hash_seed
+    total_h = hydrogens_oracle(frag)[1]
     ids = [
         hash64_oracle(
             repr(
@@ -179,7 +222,7 @@ def circular_fingerprint_oracle(mol: Molecule, cfg: FingerprintConfig) -> Finger
                     a.formal_charge,
                     a.aromatic,
                     frag.degree(i),
-                    frag.total_h(i),
+                    total_h[i],
                 )
             ),
             seed,
@@ -511,9 +554,14 @@ def medoids_oracle(clusters: list[list[int]], dist) -> list[int]:
     return out
 
 
+def cluster_members(assignment, cluster: int) -> list[int]:
+    """The items an assignment labels ``cluster``, in ascending order."""
+    return [i for i, label in enumerate(assignment.labels) if label == cluster]
+
+
 def medoid_representatives(assignment, dist) -> list[int]:
     """``medoids_oracle`` of a given assignment's clusters."""
-    clusters = [assignment.members(c) for c in range(len(assignment.representatives))]
+    clusters = [cluster_members(assignment, c) for c in range(len(assignment.representatives))]
     return medoids_oracle(clusters, dist)
 
 
@@ -785,6 +833,7 @@ def parse_smiles_oracle(text: str) -> Molecule:
 
 
 def _initial_invariants(mol: Molecule) -> list[tuple]:
+    total_h = hydrogens_oracle(mol)[1]
     return [
         (
             a.element,
@@ -792,7 +841,7 @@ def _initial_invariants(mol: Molecule) -> list[tuple]:
             a.isotope or 0,
             a.aromatic,
             mol.degree(i),
-            mol.total_h(i),
+            total_h[i],
         )
         for i, a in enumerate(mol.atoms)
     ]

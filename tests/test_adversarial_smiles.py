@@ -1,9 +1,10 @@
 """Property tests on adversarial SMILES: long chains, deep branch nesting,
-many ring-closure digits with ``%nn`` reuse, salts and large bracket
-hydrogen counts.
+many ring-closure digits with ``%nn`` reuse, salts, large bracket
+hydrogen counts and hydrogens written as atoms.
 
 The table-driven parser and the incremental canonical ranks are checked
-against the implementations they replaced, kept in ``oracles.py``.
+against the implementations they replaced, and the molecule's hydrogen
+counts against a re-derivation, all kept in ``oracles.py``.
 """
 
 import random
@@ -14,7 +15,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_ranks_oracle, components_oracle, parse_smiles_oracle
+from oracles import (
+    canonical_ranks_oracle,
+    components_oracle,
+    hydrogens_oracle,
+    parse_smiles_oracle,
+)
 from test_canonical_random import random_molecule
 from screenforge.chem_graph import (
     Atom,
@@ -101,6 +107,20 @@ def bracket_hydrogens(draw):
     return draw(st.sampled_from([atom, f"C{atom}C", f"{atom}.{atom}", f"OC({atom})=O"]))
 
 
+# A heavy atom (the first of a core) with hydrogen atoms ([H], [2H], [3H])
+# and methyls bonded to it, written before it and as branches after it.
+HYDROGEN_CORES = [("C", ""), ("N", ""), ("O", ""), ("S", ""), ("P", ""), ("c", "1ccccc1"),
+                  ("[nH]", "1cccc1"), ("[NH4+]", ""), ("[CH2]", "C"), ("[O-]", ""), ("[Na+]", "")]
+
+
+@st.composite
+def hydrogen_atoms(draw):
+    first, rest = draw(st.sampled_from(HYDROGEN_CORES))
+    before = draw(st.sampled_from(["", "[H]", "[2H]"]))
+    branches = draw(st.lists(st.sampled_from(["[H]", "[2H]", "[3H]", "C"]), max_size=4))
+    return before + first + "".join(f"({h})" for h in branches) + rest
+
+
 # Digits of other scripts, for which ``str.isdigit`` is true (Arabic-Indic
 # one and three, superscript two, fullwidth five, NKo one, Devanagari six),
 # each where the parser reads a digit: a ring digit, a ``%nn`` pair, an
@@ -114,7 +134,8 @@ NON_ASCII_DIGIT_SMILES = [
 
 
 ADVERSARIAL = st.one_of(long_chains(), deep_branches(), ring_digit_heavy(), salts(),
-                        bracket_hydrogens(), st.sampled_from(NON_ASCII_DIGIT_SMILES))
+                        bracket_hydrogens(), hydrogen_atoms(),
+                        st.sampled_from(NON_ASCII_DIGIT_SMILES))
 SMILES_ALPHABET = "CcNnOoSsPpBbFlIrHK[]()=#:/\\.@+-%0123456789"
 
 
@@ -265,6 +286,36 @@ class TestCanonicalSmiles:
         order = list(range(len(mol.atoms)))
         rng.shuffle(order)
         assert canonical_smiles(renumbered(mol, order)) == canonical
+
+
+class TestHydrogenCounts:
+    @given(ADVERSARIAL)
+    @settings(max_examples=300, deadline=None)
+    def test_adversarial_smiles_match_oracle(self, text):
+        try:
+            mol = parse_smiles(text)
+        except SmilesError:
+            assume(False)
+        assert (mol.hydrogens, mol.total_h) == hydrogens_oracle(mol)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_random_graph_generator(self, rng):
+        mol = random_molecule(rng)
+        assert (mol.hydrogens, mol.total_h) == hydrogens_oracle(mol)
+
+    @pytest.mark.parametrize("smiles, hydrogens, total_h", [
+        ("[NH4+]", [4], [4]),
+        ("C[NH3+]", [3, 3], [3, 3]),
+        ("[H]O[H]", [0, 0, 0], [0, 2, 0]),
+        ("[2H]C([2H])([2H])O", [0, 0, 0, 0, 1], [0, 3, 0, 0, 1]),
+        ("[2H][nH]1cccc1", [0, 1, 1, 1, 1, 1], [0, 2, 1, 1, 1, 1]),
+        ("[Na+].[OH-]", [0, 1], [0, 1]),
+    ])
+    def test_examples(self, smiles, hydrogens, total_h):
+        mol = parse_smiles(smiles)
+        assert (mol.hydrogens, mol.total_h) == (hydrogens, total_h)
+        assert hydrogens_oracle(mol) == (hydrogens, total_h)
 
 
 CAGES = [

@@ -33,13 +33,13 @@ class TestParsing:
     def test_methane(self):
         mol = parse_smiles("C")
         assert mol.heavy_atom_count() == 1
-        assert mol.implicit_h[0] == 4
+        assert mol.hydrogens[0] == 4
 
     def test_benzene(self):
         mol = parse_smiles("c1ccccc1")
         assert len(mol.atoms) == 6
         assert all(a.aromatic and a.element == "C" for a in mol.atoms)
-        assert all(mol.implicit_h[i] == 1 for i in range(6))
+        assert mol.hydrogens == mol.total_h == [1] * 6
         assert len(_cycle_basis(mol)) == 1
         assert sorted(_cycle_basis(mol)[0]) == list(range(6))
 
@@ -119,10 +119,10 @@ class TestParsing:
     def test_pyridine_and_furan_hydrogens(self):
         pyridine = parse_smiles("c1ccncc1")
         n_idx = next(i for i, a in enumerate(pyridine.atoms) if a.element == "N")
-        assert pyridine.implicit_h[n_idx] == 0
+        assert pyridine.hydrogens[n_idx] == 0
         furan = parse_smiles("c1ccoc1")
         o_idx = next(i for i, a in enumerate(furan.atoms) if a.element == "O")
-        assert furan.implicit_h[o_idx] == 0
+        assert furan.hydrogens[o_idx] == 0
 
     @given(st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=256))
     @settings(max_examples=300, deadline=None)
@@ -294,13 +294,14 @@ class TestMoleculeConstructor:
         cases += [(Molecule(list(m.atoms), list(m.bonds)), m) for _, _, m in corpus]
         for built, parsed in cases:
             assert built == parsed
-            assert built.implicit_h == parsed.implicit_h
+            assert built.hydrogens == parsed.hydrogens
+            assert built.total_h == parsed.total_h
             assert built.fragment_count == parsed.fragment_count
             assert [built.neighbors(i) for i in range(len(built.atoms))] == [
                 parsed.neighbors(i) for i in range(len(parsed.atoms))
             ]
             assert canonical_smiles(built) == canonical_smiles(parsed)
-        assert cases[0][0].fragment_count == 2 and cases[0][0].implicit_h[:5] == [1] * 5
+        assert cases[0][0].fragment_count == 2 and cases[0][0].hydrogens == [1] * 6 + [0]
 
     def test_duplicate_bond_rejected(self):
         atoms = [Atom("C"), Atom("C")]

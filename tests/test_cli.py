@@ -152,8 +152,43 @@ class TestByteOrderMark:
         assert main(["descriptors", str(library), "--admet-constants", str(constants)]) == 0
         assert capsys.readouterr() == expected
 
+    def test_bom_model(self, library, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        save_model(constant_model(6.0), str(model))
+        bom_model = tmp_path / "bom_model.json"
+        bom_model.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+        assert main(["predict", str(library), "--model", str(model)]) == 0
+        expected = capsys.readouterr()
+        assert main(["predict", str(library), "--model", str(bom_model)]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_bom_hypothesis(self, train_csv, library, tmp_path, capsys):
+        hypo = tmp_path / "h.json"
+        assert main(["pharm", "train", str(train_csv), "--out", str(hypo)]) == 0
+        bom_hypo = tmp_path / "bom_h.json"
+        bom_hypo.write_bytes(b"\xef\xbb\xbf" + hypo.read_bytes())
+        capsys.readouterr()
+        assert main(["pharm", "screen", str(library), "--hypothesis", str(hypo)]) == 0
+        expected = capsys.readouterr()
+        assert main(["pharm", "screen", str(library), "--hypothesis", str(bom_hypo)]) == 0
+        assert capsys.readouterr() == expected
+
 
 class TestAdmetConstantsFile:
+    def test_bioavailability_scores_come_from_the_table(self, tmp_path, capsys):
+        bundled = resources.files("screenforge").joinpath("data/admet_thresholds.txt")
+        lines = bundled.read_text("utf-8").splitlines()
+        constants = tmp_path / "th.txt"
+        constants.write_text("\n".join(
+            "bioavail_pass 0.5" if ln.startswith("bioavail_pass") else ln for ln in lines
+        ))
+        lib = tmp_path / "lib.smi"
+        lib.write_text("CCO x\n")
+        assert main(["descriptors", str(lib), "--admet-constants", str(constants)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out.splitlines()[1].rsplit(",", 1)[1] == "0.50"
+
     @pytest.mark.parametrize("smiles", ["c1ccccc1", "CCO"])
     def test_missing_key_rejected_before_output(self, tmp_path, capsys, smiles):
         bundled = resources.files("screenforge").joinpath("data/admet_thresholds.txt")

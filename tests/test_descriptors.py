@@ -4,8 +4,6 @@ import pytest
 
 from screenforge.chem_graph import Atom, Bond, Molecule, UnknownElement, parse_smiles
 from screenforge.descriptors import (
-    BIOAVAILABILITY_BUCKETS,
-    AdmetFlags,
     DescriptorSet,
     admet_flags,
     compute_descriptors,
@@ -71,7 +69,7 @@ class TestTpsa:
                 (
                     i
                     for i, a in enumerate(mol.atoms)
-                    if a.element == "C" and a.explicit_h is None and mol.implicit_h[i] > 0
+                    if a.element == "C" and a.explicit_h is None and mol.hydrogens[i] > 0
                 ),
                 None,
             )
@@ -170,6 +168,8 @@ class TestAdmetFlags:
     def test_bucket_closure_over_randomized_inputs(self):
         rng = random.Random(99)
         th = load_admet_thresholds()
+        buckets = {th[f"bioavail_{k}"] for k in ("pass", "low_tpsa", "high_tpsa", "default_fail")}
+        assert buckets == {0.11, 0.17, 0.55, 0.85}
         for _ in range(1000):
             d = DescriptorSet(
                 mw=rng.uniform(10, 1200),
@@ -180,11 +180,13 @@ class TestAdmetFlags:
                 rotatable_bonds=rng.randrange(0, 20),
                 heavy_atoms=rng.randrange(1, 90),
             )
-            assert admet_flags(d, th).bioavailability_score in BIOAVAILABILITY_BUCKETS
+            assert admet_flags(d, th).bioavailability_score in buckets
 
-    def test_score_outside_buckets_rejected(self):
-        with pytest.raises(ValueError):
-            AdmetFlags("High", "Yes", "No", 0.56)
+    def test_score_is_read_from_the_table(self):
+        th = load_admet_thresholds()
+        d = DescriptorSet(mw=180, tpsa=60, wlogp=1, hbd=1, hba=4, rotatable_bonds=3, heavy_atoms=13)
+        assert admet_flags(d, th).bioavailability_score == 0.55
+        assert admet_flags(d, {**th, "bioavail_pass": 0.56}).bioavailability_score == 0.56
 
     def test_lipinski_violation_count(self):
         th = load_admet_thresholds()

@@ -308,6 +308,16 @@ class TestRunScreen:
         assert report.header["clusters_effective"] == "1"
         assert report.header["picks_effective"] == str(picks)
 
+    def test_rows_sharing_an_id_keep_their_own_cluster_and_pick(self, tmp_path):
+        path = tmp_path / "lib.csv"
+        path.write_text("id,smiles\nA,CCO\nA,c1ccccc1\nB,CCCO\nC,Cc1ccccc1\n")
+        records, _ = ingest(str(path))
+        assert [r.id for r in records] == ["A", "A", "B", "C"]
+        report = run_screen(records, {"PDE4": constant_model(6.0)}, clusters=2, picks=1, seed=1)
+        cluster = {r.canonical_smiles: r.cluster_id for r in report.rows}
+        assert cluster["CCO"] == cluster["CCCO"] != cluster["c1ccccc1"] == cluster["Cc1ccccc1"]
+        assert len([r for r in report.rows if r.representative]) == 1
+
     def test_clamping_recorded(self):
         records = thirty_compound_records()[:3]
         report = run_screen(records, {"PDE4": constant_model(6.0)}, clusters=10, picks=10, seed=1)
