@@ -28,7 +28,7 @@ from .pharmacophore import (
     generate_hypotheses,
     load_hypothesis,
     save_hypothesis,
-    score_costs,
+    score_candidates,
     screen_by_fit,
     select_best,
 )
@@ -37,6 +37,7 @@ from .screenctl import (
     EXIT_EMPTY_ACTIVE_SET,
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    METRICS,
     OVERLAP_CUTOFF,
     compare_routes,
     default_seed,
@@ -132,7 +133,7 @@ def cmd_similarity(args) -> int:
     out.writerow(("id", f"max_{args.metric}", f"mean_{args.metric}"))
     for item_id, best, mean in zip(summary.ids_a, summary.max_sim, summary.mean_sim):
         out.writerow((item_id, f"{best:.4f}", f"{mean:.4f}"))
-    if args.metric == "tanimoto":
+    if args.metric == METRICS[0]:
         print(f"overlap(T >= {OVERLAP_CUTOFF})={summary.overlap}", file=sys.stderr)
     return EXIT_OK
 
@@ -200,8 +201,7 @@ def cmd_pharm_train(args) -> int:
     if len(training) < 4:
         raise InputError("need at least 4 rows with activity data")
     candidates = generate_hypotheses(training, max_candidates=args.max_candidates)
-    for candidate in candidates:
-        score_costs(candidate, training)
+    score_candidates(candidates, training)
     best = select_best(candidates)
     save_hypothesis(best, args.out)
     print(
@@ -301,7 +301,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("similarity", help="cross-set similarity summary")
     p.add_argument("fileA")
     p.add_argument("fileB")
-    p.add_argument("--metric", choices=("tanimoto", "string"), default="tanimoto")
+    p.add_argument("--metric", choices=METRICS, default=METRICS[0])
     p.set_defaults(func=cmd_similarity)
 
     p = sub.add_parser("cluster", help="hierarchical clustering with medoid picks")

@@ -25,6 +25,10 @@ pair of open slots, its best term) fall short of the best fit so far by
 more than 1e-9 times the weight sum, a margin that covers float rounding.
 Mappings left are scored in pair_constraints order, so the fit is the same
 float as exhaustive search.
+
+Training scores each distinct candidate once: candidates with the same
+kinds, weights and pair constraints in the same order get the same fits,
+so they share one regression and one cost.
 """
 
 from __future__ import annotations
@@ -91,8 +95,11 @@ class Hypothesis:
                 f"[{MIN_FEATURES}, {MAX_FEATURES}]"
             )
         # written so that a NaN fails the test too
-        if not all(w > 0 for _, w in self.features):
-            raise ValueError("feature weights must be positive")
+        if not all(0 < w < math.inf for _, w in self.features):
+            raise ValueError("feature weights must be positive and finite")
+        # bounds every pair weight (w_i + w_j) / (n - 1) and every fit
+        if not math.isfinite(sum(w for _, w in self.features)):
+            raise ValueError("feature weights must have a finite sum")
         if not all(t >= 0 for _, t in self.pair_constraints.values()):
             raise ValueError("tolerances must be non-negative")
 
@@ -376,6 +383,21 @@ def score_costs(
     null = sum((mean_y - y) ** 2 for y in pic50s)
     h.costs = HypothesisCosts(null_cost=null, total_cost=total)
     return h.costs
+
+
+def score_candidates(
+    candidates: list[Hypothesis], training: list[tuple[Molecule, float]]
+) -> None:
+    """score_costs each candidate, once per distinct hypothesis: a candidate
+    whose features and pair constraint items, in order, equal an earlier
+    one's (all fit_value reads) takes that one's regression and costs."""
+    first: dict[tuple, Hypothesis] = {}
+    for h in candidates:
+        scored = first.setdefault((tuple(h.features), tuple(h.pair_constraints.items())), h)
+        if scored is h:
+            score_costs(h, training)
+        else:
+            h.fit_regression, h.costs = scored.fit_regression, scored.costs
 
 
 def select_best(candidates: list[Hypothesis]) -> Hypothesis:

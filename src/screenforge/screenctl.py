@@ -49,6 +49,9 @@ EXIT_CONFIG_ERROR = 4
 
 CSV_ROLES = ("id", "name", "smiles", "ic50_nm", "pic50", "class")
 
+# Similarity metrics: fingerprint Tanimoto, the default and the one an
+# overlap count is reported for, and character-sequence similarity.
+METRICS = ("tanimoto", "string")
 # A compound of set A overlaps set B when its best Tanimoto against B
 # reaches this value.
 OVERLAP_CUTOFF = 0.85
@@ -290,13 +293,15 @@ class RouteComparison:
 def compare_routes(
     set_a: list[DatasetRecord],
     set_b: list[DatasetRecord],
-    metric: str = "tanimoto",
+    metric: str = METRICS[0],
 ) -> RouteComparison:
     """Cross-set structural similarity in one metric (fingerprint Tanimoto
     or character-sequence): per compound of A, the max and mean against B,
     plus the count of A compounds whose max reaches OVERLAP_CUTOFF."""
     if not set_a or not set_b:
         raise ValueError("both sets must be non-empty")
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
 
     def fingerprint_rows(records: list[DatasetRecord]) -> np.ndarray:
         return np.stack(
@@ -306,17 +311,15 @@ def compare_routes(
             ]
         )
 
-    if metric == "tanimoto":
+    if metric == METRICS[0]:
         sims = tanimoto_matrix(fingerprint_rows(set_a), fingerprint_rows(set_b))
-    elif metric == "string":
+    else:
         sims = np.array(
             [
                 [string_similarity(a.canonical_smiles, b.canonical_smiles) for b in set_b]
                 for a in set_a
             ]
         )
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
     best = sims.max(axis=1)
     return RouteComparison(
         ids_a=[r.id for r in set_a],

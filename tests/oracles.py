@@ -413,6 +413,15 @@ def fit_value_product_oracle(h, mol: Molecule) -> float:
     return best
 
 
+def score_candidates_oracle(candidates, training) -> None:
+    """The scoring loop ``pharm train`` ran before ``score_candidates``:
+    ``score_costs`` on every candidate, duplicates included."""
+    from screenforge.pharmacophore import score_costs
+
+    for candidate in candidates:
+        score_costs(candidate, training)
+
+
 def least_squares_oracle(xs, ys):
     """Closed-form 1-D least squares (slope, intercept)."""
     n = len(xs)

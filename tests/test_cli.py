@@ -595,6 +595,19 @@ class TestMalformedInputFiles:
             self.rejected_without_output(run, library, tmp_path, capsys, doc,
                                          f"feature kind {kind!r} is not one of HBD, HBA")
 
+    @pytest.mark.parametrize("weights, message", [
+        ([float("inf"), 1.0, 1.0], "feature weights must be positive and finite"),
+        ([1e308, 1e308, 1.0], "feature weights must have a finite sum"),
+    ], ids=["infinity", "overflowing-sum"])
+    def test_non_finite_or_overflowing_weights(self, library, tmp_path, capsys, weights,
+                                               message):
+        doc = three_feature_hypothesis()
+        for feature, weight in zip(doc["features"], weights):
+            feature["weight"] = weight
+        doc["fit_regression"] = {"slope": 0.5, "intercept": 4.0}
+        for run in (self.pharm_screen, self.screen_hypothesis):
+            self.rejected_without_output(run, library, tmp_path, capsys, doc, message)
+
     @pytest.mark.parametrize("distance", [None, "3.0"])
     def test_pair_distance_not_a_number(self, library, tmp_path, capsys, distance):
         doc = three_feature_hypothesis()

@@ -1,14 +1,24 @@
 import json
 import math
+import random
+import sys
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import renumbered
-from oracles import fit_value_oracle, fit_value_product_oracle, least_squares_oracle
+from oracles import (
+    fit_value_oracle,
+    fit_value_product_oracle,
+    least_squares_oracle,
+    score_candidates_oracle,
+)
 from screenforge import pharmacophore
 from screenforge.chem_graph import parse_smiles
+from screenforge.descriptors import compute_descriptors
 from screenforge.pharmacophore import (
     COMPLEXITY_LAMBDA,
     DEFAULT_MAX_CANDIDATES,
@@ -24,10 +34,15 @@ from screenforge.pharmacophore import (
     generate_hypotheses,
     load_hypothesis,
     save_hypothesis,
+    score_candidates,
     score_costs,
     screen_by_fit,
     select_best,
 )
+from screenforge.screenctl import ingest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from gen import Generator, donor_labels  # noqa: E402
 
 SEED_5FEATURE = "OCCCC(N)=O"  # HBD x2 (O-H, N-H), HBA x2 (both O), hydrophobe
 
@@ -255,6 +270,72 @@ class TestScoreCosts:
     def test_delta_is_derived_not_stored(self):
         c = HypothesisCosts(null_cost=5.0, total_cost=1.5)
         assert c.delta == 3.5
+
+
+def learn_training(seed, polyols, few_donors):
+    """A training set built as the learn benchmark builds its pharm set:
+    polyols and glycosides, then compounds with at most three donors, with
+    labels that rise with donor count, so a polyol seeds the hypotheses."""
+    g = Generator(seed)
+    smiles = g.polyol_slice(polyols)
+    grown = []
+    while len(grown) < few_donors:
+        grown += [s for s in g.grow(few_donors - len(grown))
+                  if compute_descriptors(parse_smiles(s)).hbd <= 3]
+    smiles += grown
+    labels = donor_labels(smiles, random.Random(seed))
+    return [(parse_smiles(s), p) for s, p in zip(smiles, labels)]
+
+
+def xoi_training():
+    records, _ = ingest(str(resources.files("screenforge") / "data/xoi_ic50.csv"))
+    return [(parse_smiles(r.canonical_smiles), r.pic50) for r in records if r.pic50 is not None]
+
+
+def candidate_key(h):
+    return tuple(h.features), tuple(h.pair_constraints.items())
+
+
+def score_bits(h):
+    """The regression and costs as exact text (repr round-trips a float)."""
+    return repr((h.fit_regression, h.costs))
+
+
+class TestScoreCandidates:
+    @pytest.mark.parametrize("build, total, distinct", [
+        (lambda: learn_training(0, 12, 16), 255, 115),
+        (lambda: learn_training(1, 4, 8), 255, 188),
+        (lambda: learn_training(3, 2, 6), 255, 204),
+        (xoi_training, 1, 1),
+    ], ids=["learn-seed0", "glycoside-seed1", "glycoside-seed3", "xoi"])
+    def test_matches_scoring_every_candidate(self, tmp_path, build, total, distinct):
+        training = build()
+        candidates = generate_hypotheses(training)
+        reference = generate_hypotheses(training)
+        assert len(candidates) == total
+        assert len({candidate_key(h) for h in candidates}) == distinct
+        score_candidates(candidates, training)
+        score_candidates_oracle(reference, training)
+        assert [score_bits(h) for h in candidates] == [score_bits(h) for h in reference]
+        best, best_reference = select_best(candidates), select_best(reference)
+        assert best.enumeration_index == best_reference.enumeration_index
+        save_hypothesis(best, str(tmp_path / "a.json"))
+        save_hypothesis(best_reference, str(tmp_path / "b.json"))
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_reordered_constraints_are_scored_apart(self, monkeypatch):
+        seed = parse_smiles(GLYCEROL_GLUCOSIDE)
+        training = [(seed, 8.0)] + [(parse_smiles(s), p) for s, p in
+                                    zip(SAME_KIND_HEAVY[:3], (7.0, 6.0, 5.0))]
+        h = seed_hypothesis(GLYCEROL_GLUCOSIDE, kind_indices(GLYCEROL_GLUCOSIDE, "HBD")[:4])
+        copy = Hypothesis(list(h.features), dict(h.pair_constraints))
+        reordered = Hypothesis(list(h.features), dict(reversed(h.pair_constraints.items())))
+        scored = []
+        monkeypatch.setattr(pharmacophore, "score_costs",
+                            lambda c, t: scored.append(c) or score_costs(c, t))
+        score_candidates([h, copy, reordered], training)
+        assert len(scored) == 2 and scored[0] is h and scored[1] is reordered
+        assert copy.costs is h.costs and copy.fit_regression is h.fit_regression
 
 
 class TestSelectBest:
