@@ -542,8 +542,13 @@ def load_hypothesis(path: str) -> Hypothesis:
             raise ValueError(f"pair constraint {pair} outside the {n} features")
         if not isinstance(distance, (int, float)) or math.isnan(distance):
             raise ValueError(f"pair constraint {pair} distance {distance!r} is not a number")
-    if h.fit_regression is not None and not all(
-        isinstance(x, (int, float)) and math.isfinite(x) for x in h.fit_regression
-    ):
-        raise ValueError(f"fit_regression {h.fit_regression!r} is not a pair of finite numbers")
+    if h.fit_regression is not None:
+        if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in h.fit_regression):
+            raise ValueError(f"fit_regression {h.fit_regression!r} is not a pair of finite numbers")
+        slope, intercept = h.fit_regression
+        # Every fit lies in [0, sum of weights], so every prediction lies
+        # between the intercept and its value at the top of that range.
+        top = sum(w for _, w in h.features)
+        if not math.isfinite(slope * top + intercept):
+            raise ValueError(f"fit_regression {h.fit_regression!r} overflows at fit {top!r}")
     return h

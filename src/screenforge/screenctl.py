@@ -200,7 +200,9 @@ def run_screen(
     thresholds = load_admet_thresholds(admet_constants)
     targets = sorted(models)
 
-    actives = []  # (record, mol, pic50s, fit); inactive molecules are dropped
+    # Each active keeps what clustering and the report read; every
+    # molecule is dropped at the gate.
+    actives = []  # (record, fingerprint, descriptors, formula, pic50s, fit)
     for record in records:
         try:
             mol = parse_smiles(record.canonical_smiles)
@@ -218,7 +220,8 @@ def run_screen(
             pic50s = {"hypothesis": predicted}
             active = predicted > threshold
         if active:
-            actives.append((record, mol, pic50s, fit))
+            actives.append((record, circular_fingerprint(mol), compute_descriptors(mol),
+                            molecular_formula(mol), pic50s, fit))
 
     k_eff = min(clusters, len(actives))
     p_eff = min(picks, k_eff)
@@ -228,29 +231,26 @@ def run_screen(
     labels: tuple[int, ...] = ()
     picked: set[int] = set()
     if actives:
-        fps = [circular_fingerprint(mol) for _, mol, _, _ in actives]
-        assignment = hier_cluster(fps, linkage=linkage, k=k_eff)
+        assignment = hier_cluster([fp for _, fp, *_ in actives], linkage=linkage, k=k_eff)
         labels = assignment.labels
         by_size = sorted(range(k_eff), key=lambda c: (-labels.count(c), c))
         picked = {assignment.representatives[c] for c in by_size[:p_eff]}
 
-    rows = []
-    for n, (record, mol, pic50s, fit) in enumerate(actives):
-        desc = compute_descriptors(mol)
-        rows.append(
-            ReportRow(
-                id=record.id,
-                name=record.name,
-                canonical_smiles=record.canonical_smiles,
-                formula=molecular_formula(mol),
-                mw=desc.mw,
-                fit=fit,
-                pic50_per_target=pic50s,
-                cluster_id=labels[n],
-                representative=n in picked,
-                admet=admet_flags(desc, thresholds),
-            )
+    rows = [
+        ReportRow(
+            id=record.id,
+            name=record.name,
+            canonical_smiles=record.canonical_smiles,
+            formula=formula,
+            mw=desc.mw,
+            fit=fit,
+            pic50_per_target=pic50s,
+            cluster_id=labels[n],
+            representative=n in picked,
+            admet=admet_flags(desc, thresholds),
         )
+        for n, (record, _, desc, formula, pic50s, fit) in enumerate(actives)
+    ]
     rows.sort(key=_row_sort_key)
 
     report_targets = targets or ["hypothesis"]

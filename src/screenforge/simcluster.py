@@ -1,4 +1,4 @@
-"""Tanimoto similarity, distance matrices, agglomerative clustering and
+"""Tanimoto similarity, condensed distances, agglomerative clustering and
 medoid-based diversity picking.
 
 The similarity is the general vector form T(A, B) = A.B / (|A|^2 + |B|^2
@@ -8,10 +8,14 @@ block of ``_BLOCK`` rows at a time, straight into one float64 output (after
 chemfp, Dalke 2019). On 0/1 uint8 rows a block's counts are a float32 GEMM,
 exact because each is an integer below 2^24, so the float64 division sees
 the same integers as an all-float64 evaluation: bit-identical results
-without an n x nbits float64 copy. ``distance_matrix`` turns the output
-into 1 - T in place. ``hier_cluster`` merges in that one matrix and frees
-it before taking each cluster's medoid from a block of its members' own
-fingerprints, whose integer counts give exactly the full matrix's entries.
+without an n x nbits float64 copy.
+
+``hier_cluster`` holds its distances 1 - T as one condensed upper triangle,
+n(n-1)/2 float64 in scipy's ``squareform`` order, filled one ``_BLOCK``-row
+strip at a time and merged in place (Müllner's generic layout). It frees
+that array before taking each cluster's medoid from its members' own
+fingerprints, one ``_BLOCK``-row slab of distances at a time: O(_BLOCK x m)
+memory for m members, and the same totals as the full matrix's rows.
 One fingerprint is one cluster, its own medoid.
 
 Clustering merges greedily under single/complete/average linkage, exactly
@@ -47,18 +51,24 @@ def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``b`` (an A x B float64 array; bit rows as 0/1 uint8). A pair whose
     denominator is not positive (two all-zero rows) gives 1.0."""
     work = np.float32 if a.dtype == np.uint8 else np.float64
+    na, nb = _squared_norms(a, work)[:, None], _squared_norms(b, work)[None, :]
     out = np.empty((len(a), len(b)))
     for i in range(0, len(a), _BLOCK):
         fa = a[i : i + _BLOCK].astype(work, copy=False)
-        na = (fa * fa).sum(axis=1).astype(np.float64)[:, None]
-        for j in range(i if b is a else 0, len(b), _BLOCK):
-            fb = b[j : j + _BLOCK].astype(work, copy=False)
+        for j in range(0, len(b), _BLOCK):
             o = out[i : i + _BLOCK, j : j + _BLOCK]
-            o[...] = fa @ fb.T
-            denom = na + (fb * fb).sum(axis=1).astype(np.float64)[None, :] - o
+            o[...] = fa @ b[j : j + _BLOCK].astype(work, copy=False).T
+            denom = na[i : i + _BLOCK] + nb[:, j : j + _BLOCK] - o
             o[...] = np.where(denom > 0, o / np.where(denom == 0, 1, denom), 1.0)
-            if b is a and j > i:  # a square computes j >= i and mirrors
-                out[j : j + _BLOCK, i : i + _BLOCK] = o.T
+    return out
+
+
+def _squared_norms(x: np.ndarray, work: type) -> np.ndarray:
+    """Each row's sum of squares, taken in ``work`` one block at a time."""
+    out = np.empty(len(x))
+    for i in range(0, len(x), _BLOCK):
+        f = x[i : i + _BLOCK].astype(work, copy=False)
+        out[i : i + _BLOCK] = (f * f).sum(axis=1)
     return out
 
 
@@ -78,15 +88,6 @@ def string_similarity(a: str, b: str) -> float:
     return 2.0 * (len(a) - v.bit_count()) / (len(a) + len(b))
 
 
-def distance_matrix(items: list[FingerprintVector]) -> np.ndarray:
-    """Pairwise Tanimoto distances 1 - T as an n x n array, n >= 1."""
-    if any(v.config != items[0].config for v in items[1:]):
-        raise ValueError("all fingerprints must share one config")
-    rows = np.stack([v.bits for v in items])
-    dist = tanimoto_matrix(rows, rows)
-    return np.subtract(1.0, dist, out=dist)
-
-
 def hier_cluster(
     items: list[FingerprintVector], linkage: str = LINKAGES[0], k: int = 1
 ) -> ClusterAssignment:
@@ -100,7 +101,9 @@ def hier_cluster(
         raise ValueError(f"k={k} outside [1, {n}]")
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}")
-    owner = _merge(distance_matrix(items), linkage, k)  # the matrix dies here
+    if any(v.config != items[0].config for v in items[1:]):
+        raise ValueError("all fingerprints must share one config")
+    owner = _merge(_condensed_distances(items), n, linkage, k)  # the array dies here
     roots, labels = np.unique(owner, return_inverse=True)
     clusters = [np.flatnonzero(owner == c).tolist() for c in roots]
     return ClusterAssignment(
@@ -109,20 +112,44 @@ def hier_cluster(
     )
 
 
-def _merge(work: np.ndarray, linkage: str, k: int) -> np.ndarray:
-    """Merge down to k clusters in ``work`` (overwritten); return each item's cluster id."""
-    n = len(work)
-    np.fill_diagonal(work, np.inf)
+def _condensed_distances(items: list[FingerprintVector]) -> np.ndarray:
+    """Distances 1 - T(i, j) for i < j as n(n-1)/2 float64 in scipy's
+    ``squareform`` order, filled one ``_BLOCK``-row strip at a time."""
+    rows = np.stack([v.bits for v in items])
+    n = len(rows)
+    out = np.empty(n * (n - 1) // 2)
+    at = 0
+    for i in range(0, n, _BLOCK):
+        strip = tanimoto_matrix(rows[i : i + _BLOCK], rows[i:])
+        for t in range(1, len(strip) + 1):  # row i + t - 1 from column i + t on
+            np.subtract(1.0, strip[t - 1, t:], out=out[at : at + n - i - t])
+            at += n - i - t
+        del strip  # before the next strip is computed
+    return out
+
+
+def _merge(work: np.ndarray, n: int, linkage: str, k: int) -> np.ndarray:
+    """Merge down to k clusters in the condensed distances ``work``
+    (overwritten); return each item's cluster id."""
+    ids = np.arange(n)
+    # d(r, c) for r < c is work[base[r] + c]: row r's run to its right is
+    # one contiguous slice, and column c above the diagonal a gather.
+    base = ids * (2 * n - ids - 3) // 2 - 1
+    first = (base + ids + 1).tolist()
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=float)
-    owner = np.arange(n)  # each item's cluster id: its smallest member index
-    # nn[r] is the first argmin of work[r, r+1:] over active columns and
+    owner = ids.copy()  # each item's cluster id: its smallest member index
+    # nn[r] is the first argmin of d(r, c > r) over active columns and
     # best[r] its value; inactive rows and the last row keep best = inf.
     nn = np.full(n, n)
     best = np.full(n, np.inf)
+    diagonal = np.full(1, np.inf)
+
+    def run(r: int) -> np.ndarray:
+        return work[first[r] : first[r] + n - 1 - r]
 
     def scan(r: int) -> None:
-        row = np.where(active[r + 1 :], work[r, r + 1 :], np.inf)
+        row = np.where(active[r + 1 :], run(r), np.inf)
         c = int(np.argmin(row))
         nn[r], best[r] = r + 1 + c, row[c]
 
@@ -131,22 +158,24 @@ def _merge(work: np.ndarray, linkage: str, k: int) -> np.ndarray:
     for _ in range(n - k):
         i = int(np.argmin(best))  # first occurrence = smallest (i, j)
         j = int(nn[i])
+        above = base[:i] + i  # column i
+        di = np.concatenate((work[above], diagonal, run(i)))  # full rows, by column
+        dj = np.concatenate((work[base[:j] + j], diagonal, run(j)))
         if linkage == "single":
-            merged = np.minimum(work[i], work[j])
+            merged = np.minimum(di, dj)
         elif linkage == "complete":
-            merged = np.maximum(work[i], work[j])
+            merged = np.maximum(di, dj)
         else:
-            merged = (sizes[i] * work[i] + sizes[j] * work[j]) / (sizes[i] + sizes[j])
-        work[i], work[:, i] = merged, merged
-        work[i, i] = np.inf
+            merged = (sizes[i] * di + sizes[j] * dj) / (sizes[i] + sizes[j])
+        work[above], run(i)[:] = merged[:i], merged[i + 1 :]
         active[j], best[j] = False, np.inf
         sizes[i] += sizes[j]
         owner[owner == j] = i
 
         stale = np.flatnonzero(active & ((nn == i) | (nn == j)))  # row i too
-        # In rows r < i only column i changed: the cached neighbour moves to
+        # In rows r < i only d(r, i) changed: the cached neighbour moves to
         # i when i is now strictly closer, or as close and earlier.
-        col, head = work[:i, i], best[:i]
+        col, head = merged[:i], best[:i]
         closer = active[:i] & ((col < head) | ((col == head) & (nn[:i] > i)))
         nn[:i][closer], head[closer] = i, col[closer]
         for r in stale:
@@ -158,5 +187,15 @@ def _merge(work: np.ndarray, linkage: str, k: int) -> np.ndarray:
 def _medoid(items: list[FingerprintVector], members: list[int]) -> int:
     if len(members) == 1:
         return members[0]
-    totals = distance_matrix([items[i] for i in members]).sum(axis=1)
+    totals = _distance_totals(np.stack([items[i].bits for i in members]))
     return members[int(np.argmin(totals))]  # ties -> lowest id
+
+
+def _distance_totals(rows: np.ndarray) -> np.ndarray:
+    """Each row's summed Tanimoto distance to all rows, from one
+    ``_BLOCK``-row slab of distances at a time; each row is summed whole."""
+    totals = np.empty(len(rows))
+    for s in range(0, len(rows), _BLOCK):
+        slab = tanimoto_matrix(rows[s : s + _BLOCK], rows)
+        totals[s : s + _BLOCK] = np.subtract(1.0, slab, out=slab).sum(axis=1)
+    return totals

@@ -45,6 +45,7 @@ from screenforge.pdenet import (
     _act_grad,
     _forward_pass,
 )
+from screenforge.simcluster import tanimoto_matrix
 
 
 def hydrogens_oracle(mol: Molecule) -> tuple[list[int], list[int]]:
@@ -177,6 +178,17 @@ def tanimoto_pair_oracle(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return float(tanimoto_rows_oracle(a[None, :], b[None, :])[0, 0])
+
+
+def distance_matrix(items) -> np.ndarray:
+    """Pairwise Tanimoto distances 1 - T as an n x n array from the blocked
+    kernel, n >= 1: the square form of the condensed distances
+    ``hier_cluster`` merges in."""
+    if any(v.config != items[0].config for v in items[1:]):
+        raise ValueError("all fingerprints must share one config")
+    rows = np.stack([v.bits for v in items])
+    dist = tanimoto_matrix(rows, rows)
+    return np.subtract(1.0, dist, out=dist)
 
 
 def distance_matrix_oracle(items) -> np.ndarray:
@@ -551,16 +563,18 @@ def hier_cluster_oracle(dist, linkage="average", k=1):
     )
 
 
+def distance_totals_oracle(member_list: list[int], dist) -> np.ndarray:
+    """Each member's summed distance to its co-members, read from the full
+    matrix."""
+    sub = dist[np.ix_(member_list, member_list)]  # a copy
+    np.fill_diagonal(sub, 0.0)  # as in merging, the diagonal is ignored
+    return sub.sum(axis=1)
+
+
 def medoids_oracle(clusters: list[list[int]], dist) -> list[int]:
     """Per cluster, the member with the least summed distance to its
     co-members (the lowest id on a tie), read from the full matrix."""
-    out = []
-    for member_list in clusters:
-        sub = dist[np.ix_(member_list, member_list)]  # a copy
-        np.fill_diagonal(sub, 0.0)  # as in merging, the diagonal is ignored
-        totals = sub.sum(axis=1)
-        out.append(member_list[int(np.argmin(totals))])
-    return out
+    return [m[int(np.argmin(distance_totals_oracle(m, dist)))] for m in clusters]
 
 
 def cluster_members(assignment, cluster: int) -> list[int]:

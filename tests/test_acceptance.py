@@ -14,6 +14,7 @@ import numpy as np
 from helpers import renumbered
 from oracles import (
     brute_force_isomorphic,
+    distance_matrix,
     fit_value_oracle,
     least_squares_oracle,
     tanimoto_set_oracle,
@@ -43,7 +44,7 @@ from screenforge.pharmacophore import (
     select_best,
 )
 from screenforge.screenctl import run_screen
-from screenforge.simcluster import distance_matrix, hier_cluster, tanimoto_matrix
+from screenforge.simcluster import hier_cluster, tanimoto_matrix
 from test_pdenet import gate_model
 from test_screenctl import constant_model
 

@@ -659,6 +659,16 @@ class TestMalformedInputFiles:
         assert self.pharm_screen(library, tmp_path, doc) == 4
         assert "fit_regression" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("slope, intercept", [(1e308, 1e308), (-1e308, -1e308)])
+    def test_fit_regression_overflowing_over_the_fit_range(self, library, tmp_path, capsys,
+                                                           slope, intercept):
+        # Both numbers are finite, but a fit of 1 already predicts +-inf.
+        doc = three_feature_hypothesis()
+        doc["fit_regression"] = {"slope": slope, "intercept": intercept}
+        for run in (self.pharm_screen, self.screen_hypothesis):
+            self.rejected_without_output(run, library, tmp_path, capsys, doc,
+                                         "fit_regression (%r, %r) overflows" % (slope, intercept))
+
     @pytest.mark.parametrize("path, value", [
         (("norm_stats", "std"), [0.0]),
         (("norm_stats", "std"), [float("nan")]),

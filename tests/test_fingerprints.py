@@ -12,7 +12,7 @@ from screenforge.fingerprints import (
     circular_fingerprint,
     to_hex,
 )
-from screenforge.simcluster import distance_matrix
+from screenforge.simcluster import hier_cluster
 
 from helpers import popcount, renumbered
 from oracles import circular_fingerprint_oracle, from_hex_oracle
@@ -102,7 +102,7 @@ class TestConfigMismatch:
         a = circular_fingerprint(parse_smiles("CCO"), FingerprintConfig(nbits=64))
         b = circular_fingerprint(parse_smiles("CCO"), FingerprintConfig(nbits=128))
         with pytest.raises(ValueError, match="all fingerprints must share one config"):
-            distance_matrix([a, b])
+            hier_cluster([a, b])
 
 
 def _ring(aromatic, charge=0):

@@ -1,9 +1,13 @@
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import read_report_header, tanimoto_pair
-from oracles import tanimoto_rows_oracle, tanimoto_set_oracle
-from screenforge import screenctl
+from oracles import distance_matrix, tanimoto_rows_oracle, tanimoto_set_oracle
+from screenforge import fingerprints, screenctl
 from screenforge.chem_graph import canonical_smiles, parse_smiles
 from screenforge.fingerprints import FingerprintConfig, circular_fingerprint
 from screenforge.pdenet import DatasetRecord, FeatureSpec, MlpModel, NormStats
@@ -17,7 +21,10 @@ from screenforge.screenctl import (
     ingest,
     run_screen,
 )
-from screenforge.simcluster import distance_matrix, string_similarity
+from screenforge.simcluster import string_similarity
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from gen import Generator  # noqa: E402
 
 
 def constant_model(value: float, target: str = "PDE4") -> MlpModel:
@@ -253,6 +260,26 @@ class TestRunScreen:
         assert len(reps) == 5
         assert len({r.cluster_id for r in report.rows}) == 5
         assert report.header["clusters_effective"] == "5"
+
+    def test_memory_holds_no_molecule(self):
+        # 600 actives: the run peaks at 8.1 MB, of which the condensed
+        # distances take 1.4 MB. Holding every active's molecule, with its
+        # memoized fingerprint, descriptors and graph, until the report
+        # rows are built reads 13.3 MB.
+        smiles = Generator(3).grow(600)
+        records = [
+            DatasetRecord(id=str(n), smiles=s, canonical_smiles=canonical_smiles(parse_smiles(s)))
+            for n, s in enumerate(smiles)
+        ]
+        fingerprints._ENV_IDS.clear()  # each run hashes every environment afresh
+        tracemalloc.start()
+        try:
+            report = run_screen(records, {"PDE4": constant_model(9.0)}, clusters=34, picks=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.rows) == 600
+        assert peak < 10e6
 
     def test_gate_excludes_all(self):
         records = thirty_compound_records()

@@ -7,7 +7,9 @@ import pytest
 from helpers import tanimoto_pair
 from oracles import (
     cluster_members,
+    distance_matrix,
     distance_matrix_oracle,
+    distance_totals_oracle,
     hier_cluster_oracle,
     medoid_representatives,
     string_similarity_oracle,
@@ -23,7 +25,8 @@ from screenforge.fingerprints import (
 )
 from screenforge.simcluster import (
     _BLOCK,
-    distance_matrix,
+    _condensed_distances,
+    _distance_totals,
     hier_cluster,
     string_similarity,
     tanimoto_matrix,
@@ -230,10 +233,18 @@ class TestHierCluster:
             checked += 1
         assert checked >= 5
 
+    def test_config_mismatch(self):
+        with pytest.raises(ValueError, match="all fingerprints must share one config"):
+            hier_cluster([_vec({1}, nbits=64), _vec({1}, nbits=128)])
+
     @pytest.mark.parametrize("k", [1, 34])
-    def test_memory_stays_below_one_and_a_half_matrices(self, corpus, k):
-        # One 2000 x 2000 float64 matrix is 32 MB. Merging in a copy of it,
-        # or keeping it alive to read medoids from, takes two.
+    def test_memory_stays_below_four_fifths_of_a_matrix(self, corpus, k):
+        # One 2000 x 2000 float64 matrix is 32 MB; its condensed upper
+        # triangle is half of that. The 2000 x 2048 uint8 rows (4.1 MB) and
+        # one strip's scratch (4.4 MB) bring the peak to 0.76 of a matrix.
+        # Merging in the square matrix reads 1.23, and summing a cluster's
+        # rows from its whole m x m block instead of slabs adds one more
+        # block at k=1.
         fps = _library(corpus, 2000, seed=2)
         tracemalloc.start()
         try:
@@ -241,7 +252,7 @@ class TestHierCluster:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 2000 * 2000 * 8
+        assert peak < 0.8 * 2000 * 2000 * 8
 
 
 def _corpus_fps(corpus):
@@ -251,7 +262,7 @@ def _corpus_fps(corpus):
 def _same_as_oracle(fps, linkage, k, dist=None):
     """``hier_cluster`` on fingerprints equals the full-scan oracle on their
     distance matrix."""
-    dist = distance_matrix(fps) if dist is None else dist
+    dist = distance_matrix_oracle(fps) if dist is None else dist
     return hier_cluster(fps, linkage, k) == hier_cluster_oracle(dist, linkage, k)
 
 
@@ -295,10 +306,10 @@ class TestHierClusterMatchesOracle:
 
     @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
     def test_generated_libraries_up_to_2000(self, corpus, linkage):
-        for n, ks in ((600, (1, 34)), (2000, (34,))):
+        for n in (600, 2000):
             fps = _library(corpus, n, seed=n)
-            d = distance_matrix(fps)
-            for k in ks:
+            d = distance_matrix_oracle(fps)
+            for k in (1, 34):
                 assert _same_as_oracle(fps, linkage, k, d)
 
 
@@ -371,6 +382,12 @@ class TestBlockedKernelMatchesOracle:
         for k in (1, 16, 34, 2 * _BLOCK + 3):
             assert _same_as_oracle(fps, linkage, k, d)
 
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_condensed_distances_are_the_upper_triangle(self, corpus, n):
+        fps = _library(corpus, n, seed=n)
+        upper = distance_matrix_oracle(fps)[np.triu_indices(n, 1)]  # squareform order
+        assert np.array_equal(_condensed_distances(fps), upper)
+
     def test_distance_matrix_memory_stays_near_one_output(self, corpus):
         # The output is 2.9 MB; one 600 x 2048 float64 copy of the rows is 9.8.
         fps = _library(corpus, 600, seed=2)
@@ -395,6 +412,14 @@ class TestMedoids:
 
     def test_singleton(self):
         self._check([_vec({0, 1}), _vec({2, 3})], 2, [0, 1])
+
+    @pytest.mark.parametrize("m", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 600])
+    def test_slab_totals_equal_full_matrix_rows(self, corpus, m):
+        # Bit for bit, also when the last slab is short.
+        fps = _library(corpus, 700, seed=m)
+        members = sorted(np.random.default_rng(m).choice(700, m, replace=False).tolist())
+        totals = _distance_totals(np.stack([fps[i].bits for i in members]))
+        assert np.array_equal(totals, distance_totals_oracle(members, distance_matrix_oracle(fps)))
 
     def test_central_point(self):
         # 0 and 2 share no bit; 1 shares half of its bits with each.
