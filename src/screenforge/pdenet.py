@@ -107,7 +107,12 @@ class NormStats:
     kept: np.ndarray  # indices of retained (non-constant) raw features
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return (X[:, self.kept] - self.mean) / self.std
+        """``(X[:, kept] - mean) / std`` as a new float64 matrix: one gathered
+        copy, normalized in place. ``X`` itself is never written."""
+        out = X[:, self.kept].astype(float, copy=False)
+        out -= self.mean
+        out /= self.std
+        return out
 
 
 @dataclass
@@ -325,13 +330,17 @@ def featurize_molecule(mol: Molecule, spec: FeatureSpec) -> np.ndarray:
 
 
 def featurize_records(records: list[DatasetRecord], spec: FeatureSpec) -> np.ndarray:
-    rows = []
-    for record in records:
+    """One row per record, written into one preallocated float64 matrix of
+    ``spec.width()`` columns; no records, or a failing one, raise ValueError."""
+    if not records:
+        raise ValueError("no records to featurize")
+    X = np.empty((len(records), spec.width()))
+    for i, record in enumerate(records):
         try:
-            rows.append(featurize_molecule(parse_smiles(record.canonical_smiles), spec))
+            X[i] = featurize_molecule(parse_smiles(record.canonical_smiles), spec)
         except ValueError as exc:
             raise ValueError(f"record {record.id}: {exc}") from exc
-    return np.stack(rows)
+    return X
 
 
 def fit_norm_stats(X: np.ndarray) -> NormStats:
@@ -543,6 +552,7 @@ def train_pipeline(
     X_train = featurize_records(train_recs, spec)
     stats = fit_norm_stats(X_train)
     Xn_train = stats.apply(X_train)
+    del X_train  # the raw features are not read again; free them before the weights
     y_train = np.array([r.pic50 for r in train_recs])
     sizes = [int(stats.kept.size), *cfg.hidden_layers, 1]
     model = init_model(sizes, TRAIN_ACTIVATION, cfg.seed, target)
@@ -558,6 +568,7 @@ def train_pipeline(
         "n_holdout": len(holdout_recs),
     }
     losses = train(model, (Xn_train, y_train), cfg)
+    model.adam_state = None  # save_model never writes the moments
     X_test = stats.apply(featurize_records(test_recs, spec))
     y_test = np.array([r.pic50 for r in test_recs])
     return model, losses, evaluate(model, X_test, y_test)

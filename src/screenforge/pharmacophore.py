@@ -531,24 +531,26 @@ def load_hypothesis(path: str) -> Hypothesis:
                 null_cost=doc["costs"]["null_cost"],
                 total_cost=doc["costs"]["total_cost"],
             )
-    except (KeyError, TypeError) as exc:
+        for kind, _weight in h.features:
+            if kind not in FEATURE_KINDS:
+                raise ValueError(f"feature kind {kind!r} is not one of {', '.join(FEATURE_KINDS)}")
+        n = len(h.features)
+        for pair, (distance, _tol) in h.pair_constraints.items():
+            if not all(isinstance(k, int) and 0 <= k < n for k in pair):
+                raise ValueError(f"pair constraint {pair} outside the {n} features")
+            if not isinstance(distance, (int, float)) or math.isnan(distance):
+                raise ValueError(f"pair constraint {pair} distance {distance!r} is not a number")
+        if h.fit_regression is not None:
+            if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in h.fit_regression):
+                raise ValueError(f"fit_regression {h.fit_regression!r} is not a pair of "
+                                 "finite numbers")
+            slope, intercept = h.fit_regression
+            # Every fit lies in [0, sum of weights], so every prediction lies
+            # between the intercept and its value at the top of that range.
+            top = sum(w for _, w in h.features)
+            if not math.isfinite(slope * top + intercept):
+                raise ValueError(f"fit_regression {h.fit_regression!r} overflows at fit {top!r}")
+    # OverflowError: a JSON integer beyond float range met by a math check
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed hypothesis file: missing or bad field {exc}") from exc
-    for kind, _weight in h.features:
-        if kind not in FEATURE_KINDS:
-            raise ValueError(f"feature kind {kind!r} is not one of {', '.join(FEATURE_KINDS)}")
-    n = len(h.features)
-    for pair, (distance, _tol) in h.pair_constraints.items():
-        if not all(isinstance(k, int) and 0 <= k < n for k in pair):
-            raise ValueError(f"pair constraint {pair} outside the {n} features")
-        if not isinstance(distance, (int, float)) or math.isnan(distance):
-            raise ValueError(f"pair constraint {pair} distance {distance!r} is not a number")
-    if h.fit_regression is not None:
-        if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in h.fit_regression):
-            raise ValueError(f"fit_regression {h.fit_regression!r} is not a pair of finite numbers")
-        slope, intercept = h.fit_regression
-        # Every fit lies in [0, sum of weights], so every prediction lies
-        # between the intercept and its value at the top of that range.
-        top = sum(w for _, w in h.features)
-        if not math.isfinite(slope * top + intercept):
-            raise ValueError(f"fit_regression {h.fit_regression!r} overflows at fit {top!r}")
     return h

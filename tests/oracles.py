@@ -35,6 +35,7 @@ from screenforge.chem_graph import (
     _parse_bracket,
     element_counts,
     largest_fragment,
+    parse_smiles,
 )
 from screenforge.fingerprints import FingerprintConfig, FingerprintVector
 from screenforge.pdenet import (
@@ -44,6 +45,7 @@ from screenforge.pdenet import (
     AdamState,
     _act_grad,
     _forward_pass,
+    featurize_molecule,
 )
 from screenforge.simcluster import tanimoto_matrix
 
@@ -304,6 +306,24 @@ def adam_step_oracle(model, gradients, lr: float):
         v_hat = state.v[i] / (1 - ADAM_BETA2**t)
         p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return model
+
+
+def featurize_records_oracle(records, spec) -> np.ndarray:
+    """The seed's featurize_records: a list of rows, then an np.stack copy
+    (which raises ValueError on an empty list)."""
+    rows = []
+    for record in records:
+        try:
+            rows.append(featurize_molecule(parse_smiles(record.canonical_smiles), spec))
+        except ValueError as exc:
+            raise ValueError(f"record {record.id}: {exc}") from exc
+    return np.stack(rows)
+
+
+def norm_apply_oracle(stats, X) -> np.ndarray:
+    """The seed's NormStats.apply: gather, subtract and divide, each into a
+    fresh array."""
+    return (X[:, stats.kept] - stats.mean) / stats.std
 
 
 def mlp_forward_oracle(weights, biases, activation, x):

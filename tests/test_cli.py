@@ -669,6 +669,23 @@ class TestMalformedInputFiles:
             self.rejected_without_output(run, library, tmp_path, capsys, doc,
                                          "fit_regression (%r, %r) overflows" % (slope, intercept))
 
+    @pytest.mark.parametrize("path", [
+        ("fit_regression", "slope"), ("fit_regression", "intercept"),
+        ("features", 0, "weight"), ("pair_constraints", 0, "distance"),
+    ], ids=["slope", "intercept", "weight", "distance"])
+    def test_integer_beyond_float_range(self, library, tmp_path, capsys, path):
+        # A 401-digit JSON integer parses to an int that math.isfinite and
+        # math.isnan cannot convert.
+        doc = three_feature_hypothesis()
+        doc["fit_regression"] = {"slope": 0.5, "intercept": 4.0}
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = 10**400
+        for run in (self.pharm_screen, self.screen_hypothesis):
+            self.rejected_without_output(run, library, tmp_path, capsys, doc,
+                                         "int too large to convert to float")
+
     @pytest.mark.parametrize("path, value", [
         (("norm_stats", "std"), [0.0]),
         (("norm_stats", "std"), [float("nan")]),

@@ -1,14 +1,23 @@
 import io
 import json
 import math
+import random
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import adam_step_oracle, backprop_oracle, mlp_forward_oracle
-from screenforge import pdenet
+from oracles import (
+    adam_step_oracle,
+    backprop_oracle,
+    featurize_records_oracle,
+    mlp_forward_oracle,
+    norm_apply_oracle,
+)
+from screenforge import fingerprints, pdenet
 from screenforge.chem_graph import parse_smiles
 from screenforge.pdenet import (
     DatasetRecord,
@@ -31,7 +40,24 @@ from screenforge.pdenet import (
     save_model,
     split_dataset,
     train,
+    train_pipeline,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from gen import Generator, descriptor_labels  # noqa: E402
+
+
+def records_of(smiles: list[str], labels=None) -> list[DatasetRecord]:
+    labels = labels or [None] * len(smiles)
+    return [DatasetRecord(id=str(i), smiles=s, canonical_smiles=s, pic50=y)
+            for i, (s, y) in enumerate(zip(smiles, labels))]
+
+
+@pytest.fixture(scope="module")
+def feature_records(corpus):
+    """Records of the bundled corpus and of generated compounds."""
+    return {"corpus": records_of([smi for _, smi, _ in corpus]),
+            "generator": records_of(Generator(4).grow(150))}
 
 
 class TestPic50:
@@ -393,6 +419,20 @@ class TestNormalization:
         with pytest.raises(ValueError):
             fit_norm_stats(np.ones((5, 3)))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.bool_])
+    @pytest.mark.parametrize("source", ["corpus", "generator"])
+    def test_apply_equals_out_of_place_oracle_and_leaves_its_input(
+            self, feature_records, source, dtype):
+        X = featurize_records(feature_records[source], FeatureSpec())
+        stats = fit_norm_stats(X)
+        X = X.astype(dtype)
+        before = X.copy()
+        Z = stats.apply(X)
+        expected = norm_apply_oracle(stats, X)
+        assert Z.dtype == expected.dtype == np.float64
+        assert np.array_equal(Z, expected)
+        assert X.dtype == before.dtype and np.array_equal(X, before)
+
 
 def gate_model(nbits=2048):
     """Single linear unit reading the heavy-atom-count feature so C, CC and
@@ -585,8 +625,44 @@ class TestFeaturize:
         with pytest.raises(RuntimeError):
             featurize_records(records, FeatureSpec())
 
+    @pytest.mark.parametrize("source", ["corpus", "generator"])
+    def test_matrix_equals_stacked_rows_oracle(self, feature_records, source):
+        X = featurize_records(feature_records[source], FeatureSpec())
+        expected = featurize_records_oracle(feature_records[source], FeatureSpec())
+        assert X.dtype == expected.dtype == np.float64
+        assert np.array_equal(X, expected)
+
+    def test_no_records_raise(self):
+        for featurize in (featurize_records, featurize_records_oracle):
+            with pytest.raises(ValueError):
+                featurize([], FeatureSpec())
+
     def test_width_and_descriptor_tail(self):
         spec = FeatureSpec()
         x = featurize_molecule(parse_smiles("CCO"), spec)
         assert len(x) == spec.width() == 2048 + 7
         assert x[-1] == 3  # heavy atoms is the last configured descriptor
+
+
+class TestTrainPipeline:
+    def test_peak_memory_in_units_of_its_arrays(self):
+        # Training must hold the weights, their gradients and two Adam moments
+        # (four times the parameter bytes) and the normalized training matrix;
+        # the epoch-loss forward pass and Adam's scratch add the rest. The
+        # peak reads 1.17 times those arrays, and 1.50 when the raw feature
+        # matrix stays alive through training. The memo of environment ids is
+        # filled first, so its growth is not counted.
+        smiles = Generator(7).grow(300)
+        records = records_of(smiles, descriptor_labels(smiles, random.Random(7), 6.0))
+        fingerprints._ENV_IDS.clear()
+        featurize_records(records, FeatureSpec())
+        tracemalloc.start()
+        try:
+            model, _, _ = train_pipeline(records, TrainConfig(epochs=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(p.nbytes for p in model.parameter_list())
+        normalized_bytes = model.train_meta["n_train"] * model.layer_sizes[0] * 8
+        assert peak < 1.3 * (4 * param_bytes + normalized_bytes)
+        assert model.adam_state is None  # save_model never writes the moments
