@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .fields import text_lines
+
 # Abridged standard atomic weights (g/mol).
 ATOMIC_WEIGHTS = {
     "H": 1.008, "B": 10.81, "C": 12.011, "N": 14.007, "O": 15.999,
@@ -778,16 +780,8 @@ def _largest_fragment(mol: Molecule) -> Molecule:
 
 
 def iter_smi_lines(text: str):
-    """Yield ``(line_number, smiles, name)`` from .smi content.
-
-    Format: ``<SMILES><whitespace><optional name>``; ``#`` lines and blank
-    lines are skipped; handles LF and CRLF.
-    """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(None, 1)
-        smiles = parts[0]
-        name = parts[1].strip() if len(parts) > 1 else None
-        yield lineno, smiles, name
+    """Yield ``(line_number, smiles, name)`` from .smi content: lines of
+    ``<SMILES><whitespace><optional name>``, read by ``text_lines``."""
+    for lineno, line in text_lines(text):
+        smiles, *name = line.split(None, 1)
+        yield lineno, smiles, name[0] if name else None

@@ -21,7 +21,6 @@ weights stay additive.
 from __future__ import annotations
 
 import logging
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,6 +37,7 @@ from .chem_graph import (
     element_counts,
     largest_fragment,
 )
+from .fields import decimal, text_lines
 
 log = logging.getLogger(__name__)
 
@@ -81,48 +81,42 @@ def _data_text(name: str) -> str:
     return resources.files("screenforge").joinpath(f"data/{name}").read_text("utf-8")
 
 
-def _table_rows(text: str):
-    """Whitespace-split fields of each line of a constants table; blank
-    lines and ``#`` comments are skipped."""
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield line.split()
-
-
-_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-
-
-def _keyvalue(text: str) -> dict[str, float]:
-    """``key value`` rows, each value a finite decimal number in ASCII."""
+def _keyvalue(text: str, source: str) -> dict[str, float]:
+    """``key value`` rows, each key once and each value a finite decimal
+    number in ASCII."""
     table = {}
-    for key, value in _table_rows(text):
-        if not (_DECIMAL.fullmatch(value) and math.isfinite(number := float(value))):
-            raise ValueError(f"constant {key} = {value!r} is not a finite decimal number")
-        table[key] = number
+    for lineno, line in text_lines(text):
+        fields = line.split()
+        if len(fields) != 2:
+            raise ValueError(f"{source}: line {lineno}: {len(fields)} fields, not 'key value'")
+        key, value = fields
+        if key in table:
+            raise ValueError(f"{source}: line {lineno}: key {key} repeated")
+        table[key] = decimal(value, f"constant {key}")
     return table
 
 
 @lru_cache(maxsize=None)
 def load_tpsa_table() -> dict[tuple, float]:
     table: dict[tuple, float] = {}
-    for fields in _table_rows(_data_text("tpsa_contributions.txt")):
+    for _, line in text_lines(_data_text("tpsa_contributions.txt")):
+        fields = line.split()
         element, rest = fields[0], [int(x) for x in fields[1:9]]
-        table[(element, *rest)] = float(fields[9])
+        table[(element, *rest)] = decimal(fields[9], f"constant {' '.join(fields[:9])}")
     return table
 
 
 @lru_cache(maxsize=None)
 def load_logp_table() -> dict[str, float]:
-    return _keyvalue(_data_text("logp_contributions.txt"))
+    return _keyvalue(_data_text("logp_contributions.txt"), "logp_contributions.txt")
 
 
 def load_admet_thresholds(path: str | None = None) -> dict[str, float]:
     """The bundled threshold table, or the file at ``path``, which must
     define every bundled key."""
     if path is None:
-        return _keyvalue(_data_text("admet_thresholds.txt"))
-    table = _keyvalue(Path(path).read_text("utf-8-sig"))
+        return _keyvalue(_data_text("admet_thresholds.txt"), "admet_thresholds.txt")
+    table = _keyvalue(Path(path).read_text("utf-8-sig"), path)
     missing = sorted(load_admet_thresholds().keys() - table.keys())
     if missing:
         raise ValueError(f"{path}: missing thresholds {', '.join(missing)}")

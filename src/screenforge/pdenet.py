@@ -19,6 +19,7 @@ import numpy as np
 
 from .chem_graph import Molecule, parse_smiles
 from .descriptors import compute_descriptors
+from .fields import json_document
 from .fingerprints import FingerprintConfig, circular_fingerprint
 
 log = logging.getLogger(__name__)
@@ -420,16 +421,12 @@ def evaluate(model: MlpModel, X: np.ndarray, y: np.ndarray) -> EvalResult:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _require_finite(layer: int, w: np.ndarray, b: np.ndarray) -> None:
-    if not (np.isfinite(w).all() and np.isfinite(b).all()):
-        raise ValueError(f"non-finite weight or bias in layer {layer}")
-
-
 def save_model(model: MlpModel, path: str) -> None:
     """Write the model as JSON. A non-finite weight or bias (a diverged run)
     raises ValueError before the file is opened, as load_model would refuse it."""
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        _require_finite(layer, w, b)
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"non-finite weight or bias in layer {layer}")
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "target": model.target,
@@ -474,69 +471,35 @@ def save_model(model: MlpModel, path: str) -> None:
 
 
 def load_model(path: str) -> MlpModel:
-    """Read a model file; a malformed one raises ValueError."""
-    with open(path, encoding="utf-8-sig") as handle:  # a leading BOM is skipped
-        doc = json.load(handle)
-    if not isinstance(doc, dict):
-        raise ValueError("model file is not a JSON object")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {doc.get('format_version')}")
-    try:
-        sizes = list(doc["layer_sizes"])
-        weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
-        biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
-        activation, target = doc["activation"], doc["target"]
-        spec = None
-        if doc.get("feature_config"):
-            fc = doc["feature_config"]
-            spec = FeatureSpec(
-                fingerprint=FingerprintConfig(
-                    radius=fc["radius"], nbits=fc["nbits"], hash_seed=fc["hash_seed"]
-                ),
-                descriptors=tuple(fc["descriptors"]),
-            )
-        stats = None
-        if doc.get("norm_stats"):
-            ns = doc["norm_stats"]
-            kept = ns["kept"]
-            if not all(type(k) is int for k in kept) or kept != sorted(set(kept)):
-                raise ValueError("norm_stats.kept must be strictly increasing integers")
-            stats = NormStats(
-                mean=np.asarray(ns["mean"], dtype=float),
-                std=np.asarray(ns["std"], dtype=float),
-                kept=np.asarray(kept, dtype=int),
-            )
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed model file: missing or bad field {exc}") from exc
-    if activation not in ("relu", "tanh"):
-        raise ValueError(f"unsupported activation {activation!r}")
-    if not isinstance(target, str):
-        raise ValueError(f"model target {target!r} is not a string")
+    """Read a model file; a malformed one raises ValueError naming the field."""
+    doc = json_document(path, "model", MODEL_FORMAT_VERSION)
+    if doc.get("feature_config") is None or doc.get("norm_stats") is None:
+        raise ValueError("model file lacks featurization config or norm stats")
+    sizes = [size.integer(lo=1) for size in doc["layer_sizes"]]
+    weights = [w.floats(2) for w in doc["weights"]]
+    biases = [b.floats(1) for b in doc["biases"]]
     if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
         raise ValueError("layer count mismatch in model file")
     for idx, (w, b) in enumerate(zip(weights, biases)):
         if w.shape != (sizes[idx + 1], sizes[idx]) or b.shape != (sizes[idx + 1],):
             raise ValueError(f"bad shape for layer {idx}: {w.shape}/{b.shape}")
-        _require_finite(idx, w, b)
-    if stats is not None:
-        if stats.kept.size != sizes[0]:
-            raise ValueError("normalization width != model input width")
-        if not stats.mean.shape == stats.std.shape == stats.kept.shape:
-            raise ValueError("norm_stats mean, std and kept differ in length")
-        if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()
-                and (stats.std > 0).all()):
-            raise ValueError("norm_stats mean must be finite and std finite and positive")
-        if spec is not None and not all(0 <= k < spec.width() for k in stats.kept.tolist()):
-            raise ValueError(f"norm_stats.kept index outside [0, {spec.width()})")
+    fc, ns = doc["feature_config"], doc["norm_stats"]
+    fingerprint = fc.build(FingerprintConfig, "radius", "nbits", "hash_seed")
+    fc["radius"].integer()  # FingerprintConfig takes a bool for an int
+    fc["hash_seed"].integer(hi=2**64)  # fingerprints use the seed modulo 2**64
+    spec = FeatureSpec(fingerprint, fc["descriptors"].names(DESCRIPTOR_FEATURES))
+    kept = np.asarray(ns["kept"].indices(spec.width()), dtype=int)
+    stats = NormStats(mean=ns["mean"].floats(1), std=ns["std"].floats(1), kept=kept)
+    if kept.size != sizes[0]:
+        raise ValueError("normalization width != model input width")
+    if not stats.mean.shape == stats.std.shape == kept.shape:
+        raise ValueError("norm_stats mean, std and kept differ in length")
+    if not (stats.std > 0).all():
+        raise ValueError("norm_stats.std must be positive")
+    meta = doc.get("train_meta")
     return MlpModel(
-        layer_sizes=sizes,
-        weights=weights,
-        biases=biases,
-        activation=activation,
-        target=target,
-        feature_spec=spec,
-        norm_stats=stats,
-        train_meta=doc.get("train_meta", {}),
+        sizes, weights, biases, doc["activation"].one_of(("relu", "tanh")), doc["target"].text(),
+        feature_spec=spec, norm_stats=stats, train_meta={} if meta is None else meta.object(),
     )
 
 

@@ -43,6 +43,7 @@ from operator import add
 
 from .chem_graph import DOUBLE, SINGLE, Molecule, canonical_smiles
 from .descriptors import is_acceptor
+from .fields import json_document
 
 log = logging.getLogger(__name__)
 
@@ -502,55 +503,33 @@ def save_hypothesis(h: Hypothesis, path: str) -> None:
 
 
 def load_hypothesis(path: str) -> Hypothesis:
-    """Read a hypothesis file; a malformed one raises ValueError."""
-    with open(path, encoding="utf-8-sig") as handle:  # a leading BOM is skipped
-        doc = json.load(handle)
-    if not isinstance(doc, dict):
-        raise ValueError("hypothesis file is not a JSON object")
-    if doc.get("format_version") != HYPOTHESIS_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported hypothesis format_version {doc.get('format_version')}"
-        )
-    try:
-        h = Hypothesis(
-            features=[(f["kind"], f["weight"]) for f in doc["features"]],
-            pair_constraints={
-                (c["i"], c["j"]): (c["distance"], c["tolerance"])
-                for c in doc["pair_constraints"]
-            },
-            enumeration_index=doc.get("enumeration_index", 0),
-            seed_smiles=doc.get("seed_smiles"),
-        )
-        if doc.get("fit_regression"):
-            h.fit_regression = (
-                doc["fit_regression"]["slope"],
-                doc["fit_regression"]["intercept"],
-            )
-        if doc.get("costs"):
-            h.costs = HypothesisCosts(
-                null_cost=doc["costs"]["null_cost"],
-                total_cost=doc["costs"]["total_cost"],
-            )
-        for kind, _weight in h.features:
-            if kind not in FEATURE_KINDS:
-                raise ValueError(f"feature kind {kind!r} is not one of {', '.join(FEATURE_KINDS)}")
-        n = len(h.features)
-        for pair, (distance, _tol) in h.pair_constraints.items():
-            if not all(isinstance(k, int) and 0 <= k < n for k in pair):
-                raise ValueError(f"pair constraint {pair} outside the {n} features")
-            if not isinstance(distance, (int, float)) or math.isnan(distance):
-                raise ValueError(f"pair constraint {pair} distance {distance!r} is not a number")
-        if h.fit_regression is not None:
-            if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in h.fit_regression):
-                raise ValueError(f"fit_regression {h.fit_regression!r} is not a pair of "
-                                 "finite numbers")
-            slope, intercept = h.fit_regression
-            # Every fit lies in [0, sum of weights], so every prediction lies
-            # between the intercept and its value at the top of that range.
-            top = sum(w for _, w in h.features)
-            if not math.isfinite(slope * top + intercept):
-                raise ValueError(f"fit_regression {h.fit_regression!r} overflows at fit {top!r}")
-    # OverflowError: a JSON integer beyond float range met by a math check
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed hypothesis file: missing or bad field {exc}") from exc
+    """Read a hypothesis file; a malformed one raises ValueError naming the field."""
+    doc = json_document(path, "hypothesis", HYPOTHESIS_FORMAT_VERSION)
+    features = [(f["kind"].one_of(FEATURE_KINDS, "feature kind"), f["weight"].number(finite=False))
+                for f in doc["features"]]
+    pairs = {}
+    for c in doc["pair_constraints"]:
+        pair = (c["i"].integer(), c["j"].integer())
+        if max(pair) >= len(features):
+            raise ValueError(f"pair constraint {pair} outside the {len(features)} features")
+        # the distance between features on two fragments is infinite
+        pairs[pair] = (c["distance"].number(finite=False), c["tolerance"].number())
+    fit, costs = doc.get("fit_regression"), doc.get("costs")
+    index, seed = doc.get("enumeration_index"), doc.get("seed_smiles")
+    h = Hypothesis(
+        features,
+        pairs,
+        fit_regression=None if fit is None else (fit["slope"].number(), fit["intercept"].number()),
+        costs=None if costs is None else HypothesisCosts(
+            costs["null_cost"].number(), costs["total_cost"].number()),
+        enumeration_index=0 if index is None else index.integer(),
+        seed_smiles=None if seed is None else seed.text(),
+    )
+    if h.fit_regression is not None:
+        # Every fit lies in [0, sum of weights], so every prediction lies
+        # between the intercept and its value at the top of that range.
+        slope, intercept = h.fit_regression
+        top = sum(w for _, w in features)
+        if not math.isfinite(slope * top + intercept):
+            raise ValueError(f"fit_regression {h.fit_regression!r} overflows at fit {top!r}")
     return h

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import logging
 import os
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from .chem_graph import (
     parse_smiles,
 )
 from .descriptors import AdmetFlags, admet_flags, compute_descriptors, load_admet_thresholds
+from .fields import decimal
 from .fingerprints import FingerprintConfig, circular_fingerprint
 from .pdenet import (
     DEFAULT_GATE_THRESHOLD,
@@ -85,7 +87,8 @@ class IngestStats:
 
 def _library_rows(path: str, text: str):
     """``(where, id, values)`` for each row of a library file, ``values``
-    mapping the roles in CSV_ROLES that the row fills to their text."""
+    mapping the roles in CSV_ROLES that the row fills to their text, or a
+    ValueError for a CSV record that cannot be split into fields."""
     if not path.lower().endswith(".csv"):
         for n, (lineno, smiles, name) in enumerate(iter_smi_lines(text), start=1):
             yield f"line {lineno}", str(n), {"smiles": smiles, "name": name}
@@ -93,7 +96,14 @@ def _library_rows(path: str, text: str):
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise ValueError(f"{path}: empty csv")
-    for rownum, raw in enumerate(reader, start=2):
+    for rownum in itertools.count(2):
+        try:
+            raw = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # an oversized field; the reader goes on at the next record
+            yield f"row {rownum}", str(rownum - 1), ValueError(str(exc))
+            continue
         values = {
             column: value.strip()
             for column, value in raw.items()
@@ -119,10 +129,13 @@ def ingest(path: str) -> tuple[list[DatasetRecord], IngestStats]:
     for where, row_id, values in _library_rows(path, text):
         stats.read += 1
         try:
+            if isinstance(values, ValueError):
+                raise values
             if "smiles" not in values:
                 raise ValueError("missing smiles")
-            ic50 = float(values["ic50_nm"]) if "ic50_nm" in values else None
-            pic50 = float(values["pic50"]) if "pic50" in values else None
+            # a spelled-out inf or nan is left to DatasetRecord's finiteness check
+            ic50, pic50 = (decimal(values[role], role, finite=False) if role in values else None
+                           for role in ("ic50_nm", "pic50"))
             canonical = canonical_smiles(parse_smiles(values["smiles"]))
             record = DatasetRecord(
                 id=row_id,

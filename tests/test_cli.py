@@ -29,6 +29,11 @@ TRAIN_CSV = """id,name,smiles,ic50_nm
 12,l,COc1ccc(O)cc1,7.7
 """
 
+# the keys of the bundled ADME threshold table, in file order
+BUNDLED_KEYS = [line.split()[0] for line in resources.files("screenforge").joinpath(
+    "data/admet_thresholds.txt").read_text("utf-8").splitlines()
+    if line.strip() and not line.startswith("#")]
+
 
 @pytest.fixture()
 def library(tmp_path):
@@ -124,6 +129,17 @@ class TestBasicCommands:
 
     def test_cluster_bad_k(self, library, capsys):
         assert main(["cluster", str(library), "--clusters", "99"]) == 4
+
+
+class TestOversizedCsvCell:
+    def test_row_error_and_the_next_row_is_read(self, tmp_path, capsys):
+        path = tmp_path / "lib.csv"
+        path.write_text(f"id,smiles,name\nx1,CCO,a\nx2,C,{'n' * 140_000}\nx3,CCN,c\n")
+        assert main(["parse", str(path)]) == 0
+        out = capsys.readouterr()
+        assert out.out.splitlines()[1:] == ["x1,a,CCO,C2H6O", "x3,c,CCN,C2H7N"]
+        assert out.err == ("warning: row 3: field larger than field limit (131072)\n"
+                           "read=3 parsed=2 parse_errors=1 duplicates_removed=0\n")
 
 
 class TestByteOrderMark:
@@ -255,6 +271,19 @@ class TestAdmetConstantsFile:
         assert self._screen(library, tmp_path, 6.0, constants) == 4
         assert capsys.readouterr() == ("", error)
         assert not (tmp_path / "report.csv").exists()
+
+    # The row goes on line 2, before the bundled rows gi_tpsa_max,
+    # gi_wlogp_max, bbb_tpsa_max, ... on lines 3, 4, 5, ...
+    @pytest.mark.parametrize("row, lineno, message", [
+        ("gi_tpsa_max", 2, "1 fields, not 'key value'"),
+        ("gi_tpsa_max 142 7", 2, "3 fields, not 'key value'"),
+        ("bbb_tpsa_max 80", 5, "key bbb_tpsa_max repeated"),
+    ], ids=["one-field", "three-fields", "repeated-key"])
+    def test_malformed_row_named_by_line(self, library, tmp_path, capsys, row, lineno, message):
+        constants = tmp_path / "th.txt"
+        constants.write_text("\n".join(["# edited", row, *(f"{key} 1" for key in BUNDLED_KEYS)]))
+        assert main(["descriptors", str(library), "--admet-constants", str(constants)]) == 4
+        assert capsys.readouterr() == ("", f"error: {constants}: line {lineno}: {message}\n")
 
     def test_screen_missing_key_rejected_before_scoring(
         self, library, tmp_path, capsys, monkeypatch
@@ -478,6 +507,41 @@ class TestUsageErrors:
         assert "screenforge" in capsys.readouterr().out
 
 
+# (file, path of a numeric field, what its error line names)
+NUMERIC_FIELDS = [
+    ("model", ("format_version",), "format_version"),
+    ("model", ("layer_sizes", 0), "layer_sizes[0]"),
+    ("model", ("layer_sizes", 1), "layer_sizes[1]"),
+    ("model", ("weights", 0, 0, 0), "weights[0]"),
+    ("model", ("biases", 0, 0), "biases[0]"),
+    ("model", ("feature_config", "radius"), "feature_config: radius"),
+    ("model", ("feature_config", "nbits"), "feature_config: nbits"),
+    ("model", ("feature_config", "hash_seed"), "feature_config.hash_seed"),
+    ("model", ("norm_stats", "mean", 0), "norm_stats.mean"),
+    ("model", ("norm_stats", "std", 0), "norm_stats.std"),
+    ("model", ("norm_stats", "kept", 0), "norm_stats.kept"),
+    ("hypothesis", ("format_version",), "format_version"),
+    ("hypothesis", ("features", 2, "weight"), "features[2].weight"),
+    ("hypothesis", ("pair_constraints", 1, "i"), "pair_constraints[1].i"),
+    ("hypothesis", ("pair_constraints", 1, "j"), "pair_constraints[1].j"),
+    ("hypothesis", ("pair_constraints", 1, "distance"), "pair_constraints[1].distance"),
+    ("hypothesis", ("pair_constraints", 1, "tolerance"), "pair_constraints[1].tolerance"),
+    ("hypothesis", ("fit_regression", "slope"), "fit_regression.slope"),
+    ("hypothesis", ("fit_regression", "intercept"), "fit_regression.intercept"),
+    ("hypothesis", ("costs", "null_cost"), "costs.null_cost"),
+    ("hypothesis", ("costs", "total_cost"), "costs.total_cost"),
+    ("hypothesis", ("enumeration_index",), "enumeration_index"),
+    *(("constants", (key,), f"constant {key}") for key in BUNDLED_KEYS),
+]
+
+
+def set_path(doc, path, value) -> None:
+    """Set the field of ``doc`` at the keys and indices ``path``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
 def three_feature_hypothesis() -> dict:
     return {
         "format_version": 1,
@@ -652,7 +716,7 @@ class TestMalformedInputFiles:
         assert self.pharm_screen(library, tmp_path, doc) == 4
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("slope", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("slope", [float("nan"), float("inf"), True])
     def test_non_finite_fit_slope(self, library, tmp_path, capsys, slope):
         doc = three_feature_hypothesis()
         doc["fit_regression"] = {"slope": slope, "intercept": 4.0}
@@ -672,12 +736,14 @@ class TestMalformedInputFiles:
     @pytest.mark.parametrize("path", [
         ("fit_regression", "slope"), ("fit_regression", "intercept"),
         ("features", 0, "weight"), ("pair_constraints", 0, "distance"),
-    ], ids=["slope", "intercept", "weight", "distance"])
+        ("pair_constraints", 0, "tolerance"), ("costs", "null_cost"),
+    ], ids=["slope", "intercept", "weight", "distance", "tolerance", "null_cost"])
     def test_integer_beyond_float_range(self, library, tmp_path, capsys, path):
         # A 401-digit JSON integer parses to an int that math.isfinite and
         # math.isnan cannot convert.
         doc = three_feature_hypothesis()
         doc["fit_regression"] = {"slope": 0.5, "intercept": 4.0}
+        doc["costs"] = {"null_cost": 3.0, "total_cost": 1.0}
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
@@ -700,6 +766,68 @@ class TestMalformedInputFiles:
         parent[path[-1]] = value
         assert self.predict(library, tmp_path, doc) == 4
         assert "error:" in capsys.readouterr().err
+
+    # A bool is not an integer or a number, a float is not a layer size and
+    # a string is not a cost; each file is accepted until the one edit.
+    @pytest.mark.parametrize("kind, path, value, message", [
+        ("hypothesis", ("pair_constraints", 0, "i"), True,
+         "bad field pair_constraints[0].i: True is not an integer"),
+        ("hypothesis", ("costs", "null_cost"), "x",
+         "bad field costs.null_cost: 'x' is not a number"),
+        ("model", ("layer_sizes", 0), 1.0, "bad field layer_sizes[0]: 1.0 is not an integer"),
+    ], ids=["pair-index-true", "null-cost-string", "layer-size-float"])
+    def test_value_of_another_type(self, library, tmp_path, capsys, kind, path, value, message):
+        if kind == "model":
+            doc, runs = self.model_doc(tmp_path), (self.predict, self.screen)
+        else:
+            doc, runs = three_feature_hypothesis(), (self.pharm_screen, self.screen_hypothesis)
+            doc["fit_regression"] = {"slope": 0.5, "intercept": 4.0}
+            doc["costs"] = {"null_cost": 3.0, "total_cost": 1.0}
+        for run in runs:  # accepted: 2 is a screen with no actives
+            assert run(library, tmp_path, doc) in (0, 2)
+        capsys.readouterr()
+        (tmp_path / "r.csv").unlink()
+        set_path(doc, path, value)
+        for run in runs:
+            self.rejected_without_output(run, library, tmp_path, capsys, doc, message)
+
+    @pytest.mark.parametrize("file, path, field", NUMERIC_FIELDS,
+                             ids=[f"{file}:{'.'.join(map(str, path))}"
+                                  for file, path, _ in NUMERIC_FIELDS])
+    def test_401_digit_integer_in_every_numeric_field(self, library, tmp_path, capsys,
+                                                      file, path, field):
+        """The field is named on one short error line: the value is cut
+        short, not echoed in full."""
+        model = self.model_doc(tmp_path)
+        hypothesis = three_feature_hypothesis()
+        hypothesis.update(fit_regression={"slope": 0.5, "intercept": 4.0}, enumeration_index=0,
+                          costs={"null_cost": 3.0, "total_cost": 1.0}, seed_smiles="CCO")
+        constants = {key: "1" for key in BUNDLED_KEYS}
+        doc = {"model": model, "hypothesis": hypothesis, "constants": constants}[file]
+        set_path(doc, path, 10**400)
+        (tmp_path / "m.json").write_text(json.dumps(model))
+        (tmp_path / "h.json").write_text(json.dumps(hypothesis))
+        (tmp_path / "th.txt").write_text("".join(f"{k} {v}\n" for k, v in constants.items()))
+        inputs = (["--hypothesis", str(tmp_path / "h.json")] if file == "hypothesis"
+                  else ["--model", str(tmp_path / "m.json")])
+        argv = ["screen", str(library), *inputs, "--clusters", "2", "--picks", "1",
+                "--admet-constants", str(tmp_path / "th.txt"), "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert (out, err.count("\n"), err.startswith("error: ")) == ("", 1, True)
+        assert field in err and len(err) < 200, err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("run", ["predict", "pharm_screen"])
+    def test_deeply_nested_json(self, library, tmp_path, capsys, run):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 3000)
+        flag = "--model" if run == "predict" else "--hypothesis"
+        argv = ["predict"] if run == "predict" else ["pharm", "screen"]
+        assert main([*argv, str(library), flag, str(path)]) == 4
+        kind = "model" if run == "predict" else "hypothesis"
+        assert capsys.readouterr() == (
+            "", f"error: {kind} file nests deeper than the JSON reader allows\n")
 
     @pytest.mark.parametrize("field", ["mean", "std"])
     def test_norm_stats_length_differs_from_kept(self, library, tmp_path, capsys, field):

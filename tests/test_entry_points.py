@@ -12,7 +12,8 @@ Dunders are exempt.
 An exception class earns its name only if an ``except`` clause in ``src/``
 names it, or if it belongs to the parser's documented ``SmilesError``
 family; any other failure is raised as the built-in it derives from, with
-its message.
+its message. Only the field readers of ``fields.py`` catch the errors a
+malformed input field raises in Python itself.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from screenforge import (
     chem_graph,
     cli,
     descriptors,
+    fields,
     fingerprints,
     pdenet,
     pharmacophore,
@@ -37,7 +39,7 @@ from screenforge import (
 )
 from test_golden import COMMANDS, write_inputs
 
-MODULES = (chem_graph, cli, descriptors, fingerprints, pdenet, pharmacophore, screenctl,
+MODULES = (chem_graph, cli, descriptors, fields, fingerprints, pdenet, pharmacophore, screenctl,
            simcluster)
 
 
@@ -139,3 +141,18 @@ def test_every_exception_class_is_caught_by_name_or_a_smiles_error():
         name for name in exceptions if name not in caught and not derives(name, "SmilesError")
     )
     assert not uncaught, f"exception classes no except clause names: {', '.join(uncaught)}"
+
+
+def test_only_the_readers_catch_malformed_field_errors():
+    """A loader reads every field through ``fields``; none catches the
+    KeyError, TypeError, OverflowError or RecursionError of a bad field."""
+    src = Path(chem_graph.__file__).parent
+    caught = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in src.glob("*.py")
+        if path.name != "fields.py"
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and _caught_names(node) & {"KeyError", "TypeError", "OverflowError", "RecursionError"}
+    )
+    assert not caught, f"except clauses outside fields.py: {', '.join(caught)}"

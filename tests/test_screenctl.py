@@ -129,6 +129,20 @@ class TestIngestCsv:
         assert stats.parse_errors == 4
         assert all("is not finite" in e for e in stats.errors), stats.errors
 
+    def test_activity_cells_read_as_ascii_decimals(self, tmp_path):
+        # float() alone would read 1000 and 123 from the first two cells.
+        path = tmp_path / "lib.csv"
+        path.write_text(
+            "id,smiles,ic50_nm,pic50\nx1,CCO,1_000,\nx2,CCN,,\u0661\u0662\u0663\nx3,CCC,1e3,\n",
+            encoding="utf-8",
+        )
+        records, stats = ingest(str(path))
+        assert [r.id for r in records] == ["x3"]
+        assert stats.errors == [
+            "row 2: ic50_nm = '1_000' is not a finite decimal number",
+            "row 3: pic50 = '\u0661\u0662\u0663' is not a finite decimal number",
+        ]
+
     def test_columns_outside_roles_ignored(self, tmp_path):
         path = tmp_path / "lib.CSV"
         path.write_text("Compound,id,smiles,Activity,ic50_nm,target\nc1,x1,CCO,5,100,PDE4\n")
