@@ -83,14 +83,6 @@ class Field:
         self._require(isinstance(self.value, list), "a list")
         return (Field(v, f"{self.path}[{n}]") for n, v in enumerate(self.value))
 
-    def build(self, cls, *keys: str):
-        """``cls`` of the fields at ``keys``, its ValueError named by this path."""
-        values = [self[key].value for key in keys]
-        try:
-            return cls(*values)
-        except ValueError as exc:
-            raise self._bad(str(exc)) from None
-
     def text(self) -> str:
         return self._require(isinstance(self.value, str), "a string")
 

@@ -32,7 +32,7 @@ class FingerprintConfig:
     hash_seed: int = 0
 
     def __post_init__(self):
-        if not all(isinstance(v, int) for v in (self.radius, self.nbits, self.hash_seed)):
+        if not all(type(v) is int for v in (self.radius, self.nbits, self.hash_seed)):
             raise ValueError("radius, nbits and hash_seed must be integers")
         if self.nbits < 64 or self.nbits & (self.nbits - 1):
             raise ValueError("nbits must be a power of two >= 64")

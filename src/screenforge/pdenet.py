@@ -473,8 +473,6 @@ def save_model(model: MlpModel, path: str) -> None:
 def load_model(path: str) -> MlpModel:
     """Read a model file; a malformed one raises ValueError naming the field."""
     doc = json_document(path, "model", MODEL_FORMAT_VERSION)
-    if doc.get("feature_config") is None or doc.get("norm_stats") is None:
-        raise ValueError("model file lacks featurization config or norm stats")
     sizes = [size.integer(lo=1) for size in doc["layer_sizes"]]
     weights = [w.floats(2) for w in doc["weights"]]
     biases = [b.floats(1) for b in doc["biases"]]
@@ -483,10 +481,12 @@ def load_model(path: str) -> MlpModel:
     for idx, (w, b) in enumerate(zip(weights, biases)):
         if w.shape != (sizes[idx + 1], sizes[idx]) or b.shape != (sizes[idx + 1],):
             raise ValueError(f"bad shape for layer {idx}: {w.shape}/{b.shape}")
-    fc, ns = doc["feature_config"], doc["norm_stats"]
-    fingerprint = fc.build(FingerprintConfig, "radius", "nbits", "hash_seed")
-    fc["radius"].integer()  # FingerprintConfig takes a bool for an int
-    fc["hash_seed"].integer(hi=2**64)  # fingerprints use the seed modulo 2**64
+    fc, ns = doc.get("feature_config"), doc.get("norm_stats")
+    if fc is None or ns is None:
+        raise ValueError("model file lacks featurization config or norm stats")
+    fingerprint = FingerprintConfig(*(fc[key].value for key in ("radius", "nbits", "hash_seed")))
+    if not 0 <= fingerprint.hash_seed < 2**64:  # fingerprints use the seed modulo 2**64
+        raise ValueError("bad field feature_config.hash_seed: outside [0, 2**64)")
     spec = FeatureSpec(fingerprint, fc["descriptors"].names(DESCRIPTOR_FEATURES))
     kept = np.asarray(ns["kept"].indices(spec.width()), dtype=int)
     stats = NormStats(mean=ns["mean"].floats(1), std=ns["std"].floats(1), kept=kept)

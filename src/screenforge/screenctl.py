@@ -87,23 +87,27 @@ class IngestStats:
 
 def _library_rows(path: str, text: str):
     """``(where, id, values)`` for each row of a library file, ``values``
-    mapping the roles in CSV_ROLES that the row fills to their text, or a
-    ValueError for a CSV record that cannot be split into fields."""
+    mapping the roles in CSV_ROLES that the row fills to their text. A CSV
+    record that cannot be split into cells fills none, and ``where`` says why."""
     if not path.lower().endswith(".csv"):
         for n, (lineno, smiles, name) in enumerate(iter_smi_lines(text), start=1):
             yield f"line {lineno}", str(n), {"smiles": smiles, "name": name}
         return
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        raise ValueError(f"{path}: empty csv")
+    try:
+        header = reader.fieldnames
+    except csv.Error as exc:  # a header cell over the field size limit
+        raise ValueError(f"row 1: {exc}") from None
+    if header is None:
+        raise ValueError("empty csv")  # the caller names the file
     for rownum in itertools.count(2):
         try:
-            raw = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:  # an oversized field; the reader goes on at the next record
-            yield f"row {rownum}", str(rownum - 1), ValueError(str(exc))
+            raw = next(reader, None)
+        except csv.Error as exc:  # a cell over the field size limit; the next record is read
+            yield f"row {rownum}: {exc}", str(rownum - 1), {}
             continue
+        if raw is None:
+            return
         values = {
             column: value.strip()
             for column, value in raw.items()
@@ -129,8 +133,6 @@ def ingest(path: str) -> tuple[list[DatasetRecord], IngestStats]:
     for where, row_id, values in _library_rows(path, text):
         stats.read += 1
         try:
-            if isinstance(values, ValueError):
-                raise values
             if "smiles" not in values:
                 raise ValueError("missing smiles")
             # a spelled-out inf or nan is left to DatasetRecord's finiteness check

@@ -138,8 +138,20 @@ class TestOversizedCsvCell:
         assert main(["parse", str(path)]) == 0
         out = capsys.readouterr()
         assert out.out.splitlines()[1:] == ["x1,a,CCO,C2H6O", "x3,c,CCN,C2H7N"]
-        assert out.err == ("warning: row 3: field larger than field limit (131072)\n"
+        assert out.err == ("warning: row 3: field larger than field limit (131072): "
+                           "missing smiles\n"
                            "read=3 parsed=2 parse_errors=1 duplicates_removed=0\n")
+
+    # The file is named once, by the command.
+    @pytest.mark.parametrize("text, message", [
+        (f"id,smiles,{'n' * 140_000}\nx1,CCO,a\n", "row 1: field larger than field limit (131072)"),
+        ("", "empty csv"),
+    ], ids=["oversized-header-cell", "empty"])
+    def test_unreadable_header_is_one_input_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "lib.csv"
+        path.write_text(text)
+        assert main(["parse", str(path)]) == 3
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 class TestByteOrderMark:
@@ -514,8 +526,8 @@ NUMERIC_FIELDS = [
     ("model", ("layer_sizes", 1), "layer_sizes[1]"),
     ("model", ("weights", 0, 0, 0), "weights[0]"),
     ("model", ("biases", 0, 0), "biases[0]"),
-    ("model", ("feature_config", "radius"), "feature_config: radius"),
-    ("model", ("feature_config", "nbits"), "feature_config: nbits"),
+    ("model", ("feature_config", "radius"), "radius"),
+    ("model", ("feature_config", "nbits"), "nbits"),
     ("model", ("feature_config", "hash_seed"), "feature_config.hash_seed"),
     ("model", ("norm_stats", "mean", 0), "norm_stats.mean"),
     ("model", ("norm_stats", "std", 0), "norm_stats.std"),
@@ -828,6 +840,19 @@ class TestMalformedInputFiles:
         kind = "model" if run == "predict" else "hypothesis"
         assert capsys.readouterr() == (
             "", f"error: {kind} file nests deeper than the JSON reader allows\n")
+
+    # A featurized model with a layer's fan-in, or its layer count, edited.
+    @pytest.mark.parametrize("path, value, message", [
+        (("weights", 0), [[0.0, 0.0]], "bad shape for layer 0: (1, 2)/(1,)"),
+        (("biases", 0), [0.0, 0.0], "bad shape for layer 0: (1, 1)/(2,)"),
+        (("weights",), [], "layer count mismatch in model file"),
+        (("layer_sizes",), [1, 1, 1], "layer count mismatch in model file"),
+    ], ids=["weight-fan-in", "bias-width", "no-weights", "extra-layer"])
+    def test_layer_shapes_and_count(self, library, tmp_path, capsys, path, value, message):
+        doc = self.model_doc(tmp_path)
+        set_path(doc, path, value)
+        for run in (self.predict, self.screen):
+            self.rejected_without_output(run, library, tmp_path, capsys, doc, message)
 
     @pytest.mark.parametrize("field", ["mean", "std"])
     def test_norm_stats_length_differs_from_kept(self, library, tmp_path, capsys, field):
