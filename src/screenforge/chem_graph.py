@@ -107,8 +107,9 @@ class Molecule:
 
     ``Molecule(atoms, bonds)`` keeps both lists, rejects a self-bond, an
     out-of-range endpoint, a repeated atom pair, an aromatic bond touching a
-    non-aromatic atom and an impossible valence, and derives adjacency,
-    fragments and hydrogen counts; equality compares atoms and bonds.
+    non-aromatic atom, an impossible valence and an atom with neither an H
+    count nor standard valences, and derives adjacency, fragments and
+    hydrogen counts; equality compares atoms and bonds.
     ``hydrogens[i]`` counts the hydrogens on atom i that are not atoms of
     the graph: the bracket count if one is written, else the valence-derived
     count. ``total_h[i]`` adds the atom's ``[H]`` neighbours.
@@ -251,10 +252,9 @@ def _hydrogen_counts(atoms: list[Atom], adj) -> tuple[list[int], list[int]]:
                 h_atoms += 1
         h = atom.explicit_h
         valences = VALENCES.get(atom.element)
-        if h is None and valences is None:
-            # Bracket-only element without a pinned H count: no implicit H.
-            h = 0
-        elif h is None:
+        if h is None and valences is None:  # the parser gives bracket atoms a count
+            raise SmilesSyntaxError(f"atom {idx} ({atom.element}) needs an explicit H count")
+        if h is None:
             if atom.aromatic:
                 # One ring pi bond is assumed for aromatic C/B, and for
                 # two-connected aromatic N/P (pyridine-like). Aromatic O/S

@@ -14,14 +14,13 @@ hydrogens that are not graph atoms, ``Molecule.total_h`` with the ``[H]``
 neighbours added.
 
 Descriptor computation operates on the largest fragment (salts stripped);
-``molecular_weight`` alone sums whatever it is given so multi-fragment
-weights stay additive.
+``molecular_weight`` alone takes a whole molecule and sums every fragment
+of it, so multi-fragment weights stay additive.
 """
 
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -127,28 +126,10 @@ def load_admet_thresholds(path: str | None = None) -> dict[str, float]:
 # Descriptors
 # ---------------------------------------------------------------------------
 
-_FORMULA_TOKEN = re.compile(r"([A-Z][a-z]?)(\d*)")
-
-
-def molecular_weight(formula_or_mol: str | Molecule) -> float:
+def molecular_weight(mol: Molecule) -> float:
     """Sum of standard atomic weights, implicit hydrogens included."""
-    if isinstance(formula_or_mol, Molecule):
-        counts = element_counts(formula_or_mol)
-    else:
-        formula = formula_or_mol.strip()
-        counts = {}
-        pos = 0
-        for match in _FORMULA_TOKEN.finditer(formula):
-            if match.start() != pos:
-                raise UnknownElement(f"malformed formula {formula!r}")
-            pos = match.end()
-            counts[match.group(1)] = counts.get(match.group(1), 0) + int(
-                match.group(2) or 1
-            )
-        if pos != len(formula) or not counts:
-            raise UnknownElement(f"malformed formula {formula!r}")
     total = 0.0
-    for element, count in counts.items():
+    for element, count in element_counts(mol).items():
         if element not in ATOMIC_WEIGHTS:
             raise UnknownElement(f"no atomic weight for element {element!r}")
         total += ATOMIC_WEIGHTS[element] * count

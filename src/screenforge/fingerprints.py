@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,19 +43,14 @@ class FingerprintConfig:
         return f"r{self.radius}b{self.nbits}s{self.hash_seed}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FingerprintVector:
-    bits: np.ndarray = field(compare=False)
+    bits: np.ndarray
     config: FingerprintConfig = FingerprintConfig()
 
     def __post_init__(self):
         if len(self.bits) != self.config.nbits:
             raise ValueError("bit vector length differs from config.nbits")
-
-    def __eq__(self, other):
-        if not isinstance(other, FingerprintVector):
-            return NotImplemented
-        return self.config == other.config and bool(np.array_equal(self.bits, other.bits))
 
 
 _ENV_IDS: dict[tuple, int] = {}

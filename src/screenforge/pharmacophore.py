@@ -103,6 +103,8 @@ class Hypothesis:
             raise ValueError("feature weights must have a finite sum")
         if not all(t >= 0 for _, t in self.pair_constraints.values()):
             raise ValueError("tolerances must be non-negative")
+        if any(i == j for i, j in self.pair_constraints):
+            raise ValueError("a pair constraint joins a feature to itself")
 
     def predict_pic50(self, fit: float) -> float | None:
         if self.fit_regression is None:
@@ -274,14 +276,14 @@ def _kind_candidates(mol: Molecule) -> dict[str, tuple[int, ...]]:
 
 
 def _pair_table(mol: Molecule, kind_e: str, kind_l: str, constraint: float, tol: float,
-                w_pair: float, one_slot: bool) -> tuple[tuple[float, ...], ...]:
+                w_pair: float) -> tuple[tuple[float, ...], ...]:
     """table[a][b] is a pair's term when its slot of kind_e takes its a-th
     candidate and its slot of kind_l its b-th, or -inf when both would take
-    the same feature (unless the pair joins a slot to itself)."""
+    the same feature."""
     dist, by_kind = mol.derived(_feature_distances), mol.derived(_kind_candidates)
     return tuple(
-        tuple(_pair_term(dist[f][g], constraint, tol, w_pair) if f != g or one_slot
-              else -math.inf for g in by_kind[kind_l])
+        tuple(_pair_term(dist[f][g], constraint, tol, w_pair) if f != g else -math.inf
+              for g in by_kind[kind_l])
         for f in by_kind[kind_e]
     )
 
@@ -305,16 +307,15 @@ def fit_value(h: Hypothesis, mol: Molecule) -> float:
         w_pair = (h.features[i][1] + h.features[j][1]) / (n - 1)
         e, l = sorted((i, j), key=depth.__getitem__)
         terms.append((e, l, mol.derived(_pair_table, kinds[e], kinds[l], constraint, tol,
-                                        w_pair, e == l)))
-    # A pair (s, s) adds one term to every mapping; open_max[k] bounds the
-    # pairs within order[k:], later[k] lists those from order[k] to them.
-    unary = sum(table[0][0] for e, l, table in terms if e == l)
+                                        w_pair)))
+    # open_max[k] bounds the pairs within order[k:], later[k] lists those
+    # from order[k] to them.
     open_max = [
-        sum(max(map(max, table)) for e, l, table in terms if e != l and depth[e] >= k)
+        sum(max(map(max, table)) for e, l, table in terms if depth[e] >= k)
         for k in range(n)
     ]
     later = [
-        [(depth[l] - k - 1, table) for e, l, table in terms if e == s != l]
+        [(depth[l] - k - 1, table) for e, l, table in terms if e == s]
         for k, s in enumerate(order)
     ]
     slack = 1e-9 * sum(w for _kind, w in h.features)  # the rounding margin
@@ -351,7 +352,7 @@ def fit_value(h: Hypothesis, mol: Molecule) -> float:
             search(k + 1, fixed, rest)
             used[f] = False
 
-    search(0, unary, [[0.0] * len(cands[s]) for s in order])
+    search(0, 0.0, [[0.0] * len(cands[s]) for s in order])
     return best
 
 
@@ -512,6 +513,9 @@ def load_hypothesis(path: str) -> Hypothesis:
         pair = (c["i"].integer(), c["j"].integer())
         if max(pair) >= len(features):
             raise ValueError(f"pair constraint {pair} outside the {len(features)} features")
+        if pair[0] >= pair[1] or pair in pairs:  # each pair once, as (i, j) with i < j
+            raise ValueError(f"bad field {c.path}: pair {pair} "
+                             + ("repeated" if pair in pairs else "is not i < j"))
         # the distance between features on two fragments is infinite
         pairs[pair] = (c["distance"].number(finite=False), c["tolerance"].number())
     fit, costs = doc.get("fit_regression"), doc.get("costs")

@@ -1,6 +1,6 @@
 """Small helpers that only the test suite needs: renumbering a molecule,
-counting fingerprint bits, the Tanimoto of two vectors and reading a
-report's header lines."""
+counting fingerprint bits, comparing two fingerprint vectors, the Tanimoto
+of two vectors and reading a report's header lines."""
 
 from __future__ import annotations
 
@@ -25,6 +25,11 @@ def renumbered(mol: Molecule, order: list[int]) -> Molecule:
 
 def popcount(v: FingerprintVector) -> int:
     return int(v.bits.sum())
+
+
+def same_vector(a: FingerprintVector, b: FingerprintVector) -> bool:
+    """Equal config and equal bits; ``==`` on vectors compares identity."""
+    return a.config == b.config and bool(np.array_equal(a.bits, b.bits))
 
 
 def tanimoto_pair(a, b) -> float:

@@ -50,6 +50,15 @@ from screenforge.pdenet import (
 from screenforge.simcluster import tanimoto_matrix
 
 
+def formula_weight(formula: str) -> float:
+    """Sum of standard atomic weights over a formula such as ``C9H8O4``,
+    counted element by element in the order written."""
+    tokens = re.findall(r"([A-Z][a-z]?)(\d*)", formula)
+    if not tokens or "".join(e + n for e, n in tokens) != formula:
+        raise ValueError(f"malformed formula {formula!r}")
+    return sum(ATOMIC_WEIGHTS[element] * int(n or 1) for element, n in tokens)
+
+
 def hydrogens_oracle(mol: Molecule) -> tuple[list[int], list[int]]:
     """``(hydrogens, total_h)`` re-derived from the bond list alone.
 

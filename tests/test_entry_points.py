@@ -1,13 +1,24 @@
-"""Every public function, method and property of the screenforge modules is
-entered by some golden command, so ``src/`` holds only what a command runs;
-and every exception class defined there is one some code tells apart.
+"""Every statement in a function body of the screenforge modules is run by
+some golden command, so ``src/`` holds only code that a command runs; and
+every exception class defined there is one some code tells apart.
 
 The golden command list of ``test_golden.py`` runs in-process through
-``cli.main`` under ``sys.setprofile``, which records the code object of every
-Python frame entered. A public name that no command enters is either code
-only tests call, to delete with its tests moved to the code it wraps or to
-``oracles.py``, or a gap in the golden set, to close with a golden command.
-Dunders are exempt.
+``cli.main`` under ``sys.settrace``, which records every line run in a frame
+of ``src/``. A statement is keyed by its span in the AST, first line to end
+line, and counts as run when any line of its span is, so it does not matter
+which of its lines an interpreter version reports.
+The span of a compound statement covers its body, none of which runs unless
+its header does; a ``try`` header runs no code and has no span of its own.
+A statement that no command runs is either code only tests reach, to
+delete, or a gap in the golden set, to close with a golden command. A
+function never entered leaves every statement in it unrun. ``raise``
+statements are exempt, and so are the functions in ``EXEMPT``, which some
+statement no well-formed input reaches; each names the tier-1 test that
+runs it, and an entry whose function has nothing unrun fails.
+
+To print the report of unrun statements without pytest::
+
+    PYTHONPATH=src python tests/test_entry_points.py
 
 An exception class earns its name only if an ``except`` clause in ``src/``
 names it, or if it belongs to the parser's documented ``SmilesError``
@@ -21,9 +32,10 @@ from __future__ import annotations
 import ast
 import builtins
 import contextlib
-import inspect
 import io
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from screenforge import (
@@ -37,72 +49,159 @@ from screenforge import (
     screenctl,
     simcluster,
 )
-from test_golden import COMMANDS, write_inputs
+from test_golden import COMMANDS, ROOT, command_env, write_inputs
 
 MODULES = (chem_graph, cli, descriptors, fields, fingerprints, pdenet, pharmacophore, screenctl,
            simcluster)
 
+# "module.qualname": (why no well-formed input runs some statement of that
+# function, the tier-1 test that runs it).
+EXEMPT = {
+    "fingerprints._new_env_id": (
+        "the memo is cleared at 65,536 ids, more distinct environments than any golden input has",
+        "tests/test_fingerprints.py::TestEnvironmentMemo::test_corpus_and_generated"),
+    "pdenet.predict_and_gate": (
+        "a row's canonical SMILES, written by ingest, always re-parses and featurizes",
+        "tests/test_pdenet.py::TestGate::test_failures_skipped_and_logged"),
+    "pharmacophore.screen_by_fit": (
+        "fit_value raises no ValueError on a molecule the parser builds",
+        "tests/test_pharmacophore.py::TestScreenByFit::"
+        "test_value_errors_skipped_other_errors_propagate"),
+    "screenctl.run_screen": (
+        "a row's canonical SMILES, written by ingest, always re-parses",
+        "tests/test_screenctl.py::TestRunScreen::test_failures_skipped_and_logged"),
+}
 
-def _short(module) -> str:
-    return module.__name__.rpartition(".")[2]
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def public_code(module) -> dict[str, object]:
-    """``{"module.name": code}`` for each public function defined in
-    ``module`` (through any ``lru_cache``) and each public method or
-    property of a class defined there."""
-    out = {}
-    for name, value in vars(module).items():
-        if name.startswith("_"):
+def _spans(body: list[ast.stmt], qualname: str, out: dict[str, list[tuple[int, int]]]) -> None:
+    """Add to ``out[qualname]`` the line span of each statement in ``body``
+    that must run, and to ``out`` the functions defined there."""
+    for stmt in body:
+        if isinstance(stmt, _FUNCTIONS):
+            _function(stmt, f"{qualname}.<locals>.{stmt.name}", out)
             continue
-        if inspect.isclass(value):
-            if value.__module__ != module.__name__:
-                continue
-            for attr, member in vars(value).items():
-                if isinstance(member, property):
-                    member = member.fget
-                elif isinstance(member, (staticmethod, classmethod)):
-                    member = member.__func__
-                if not attr.startswith("_") and inspect.isfunction(member):
-                    out[f"{_short(module)}.{value.__name__}.{attr}"] = member.__code__
-        elif callable(value):
-            func = inspect.unwrap(value)
-            if inspect.isfunction(func) and func.__module__ == module.__name__:
-                out[f"{_short(module)}.{name}"] = func.__code__
+        if isinstance(stmt, ast.ClassDef):
+            _class(stmt, f"{qualname}.<locals>.{stmt.name}", out)
+            continue
+        if isinstance(stmt, (ast.Raise, ast.Global, ast.Nonlocal)):
+            continue  # exempt, or no code to run
+        if not isinstance(stmt, ast.Try):
+            out.setdefault(qualname, []).append((stmt.lineno, stmt.end_lineno))
+        children = [getattr(stmt, name, []) for name in ("body", "orelse", "finalbody")]
+        for child in children + [handler.body for handler in getattr(stmt, "handlers", [])]:
+            _spans(child, qualname, out)
+
+
+def _function(node, qualname: str, out) -> None:
+    body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]  # a docstring runs no code
+    out.setdefault(qualname, [])
+    _spans(body, qualname, out)
+
+
+def _class(node: ast.ClassDef, qualname: str, out) -> None:
+    for stmt in node.body:
+        if isinstance(stmt, _FUNCTIONS):
+            _function(stmt, f"{qualname}.{stmt.name}", out)
+        elif isinstance(stmt, ast.ClassDef):
+            _class(stmt, f"{qualname}.{stmt.name}", out)
+
+
+def statement_spans(module) -> dict[str, list[tuple[int, int]]]:
+    """``{"module.qualname": [(first line, last line)]}`` for the
+    statements of every function and method defined in ``module``."""
+    short = module.__name__.rpartition(".")[2]
+    out: dict[str, list[tuple[int, int]]] = {}
+    for node in ast.parse(Path(module.__file__).read_text("utf-8")).body:
+        if isinstance(node, _FUNCTIONS):
+            _function(node, f"{short}.{node.name}", out)
+        elif isinstance(node, ast.ClassDef):
+            _class(node, f"{short}.{node.name}", out)
     return out
 
 
-def test_every_public_entry_point_is_entered_by_a_golden_command(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SCREENFORGE_SEED", raising=False)
-    write_inputs(tmp_path)
-    for module in MODULES:  # a cached loader is entered only on a miss
+def run_golden_traced(work: Path) -> set[tuple[str, int]]:
+    """Run every golden command in-process in ``work`` (the current
+    directory) and return the ``(file, line)`` of each line run in ``src/``."""
+    write_inputs(work)
+    for module in MODULES:  # a cached loader runs its body only on a miss
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+    files = {module.__file__ for module in MODULES}
+    run: set[tuple[str, int]] = set()
 
-    entered = set()
+    def line(frame, event, arg):
+        if event == "line":
+            run.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
 
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename in files else None
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
+    saved = dict(os.environ)
+    previous = sys.gettrace()
+    sys.settrace(call)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            for _name, argv, _files, _group in COMMANDS:
-                cli.main(argv)
+            for command in COMMANDS:
+                os.environ.clear()
+                os.environ.update(command_env(command))
+                with contextlib.suppress(SystemExit):  # argparse exits on a usage error
+                    cli.main(command.argv)
     finally:
-        sys.setprofile(previous)
+        sys.settrace(previous)
+        os.environ.clear()
+        os.environ.update(saved)
+    return run
 
-    never = sorted(
-        name
-        for module in MODULES
-        for name, code in public_code(module).items()
-        if code not in entered
-    )
-    assert not never, f"public names no golden command enters: {', '.join(never)}"
+
+def unrun_report(run: set[tuple[str, int]]) -> tuple[list[str], list[str]]:
+    """``(unrun, stale)``: each statement outside ``EXEMPT`` that no line of
+    ``run`` falls in, as ``file:line: source``, and each ``EXEMPT`` entry
+    whose function has no unrun statement."""
+    unrun, exempt_used = [], set()
+    for module in MODULES:
+        path = Path(module.__file__)
+        lines = path.read_text("utf-8").splitlines()
+        for qualname, spans in statement_spans(module).items():
+            for first, last in spans:
+                if any((module.__file__, n) in run for n in range(first, last + 1)):
+                    continue
+                if qualname in EXEMPT:
+                    exempt_used.add(qualname)
+                    continue
+                where = path.relative_to(ROOT) if path.is_relative_to(ROOT) else path
+                unrun.append(f"{where}:{first}: {lines[first - 1].strip()}")
+    return unrun, sorted(EXEMPT.keys() - exempt_used)
+
+
+def _defines(node_id: str) -> bool:
+    """Whether the test file of a pytest node id defines its class and test."""
+    path, *names = node_id.split("::")
+    scope = ast.parse((ROOT / path).read_text("utf-8")).body
+    for name in names:
+        node = next((n for n in scope if getattr(n, "name", None) == name), None)
+        if node is None:
+            return False
+        scope = node.body
+    return True
+
+
+def test_each_exemption_gives_a_reason_and_a_test():
+    assert len(EXEMPT) <= 6
+    for qualname, (reason, test) in EXEMPT.items():
+        assert reason and _defines(test), qualname
+
+
+def test_every_statement_is_run_by_a_golden_command(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    unrun, stale = unrun_report(run_golden_traced(tmp_path))
+    assert not unrun, "statements no golden command runs:\n" + "\n".join(unrun)
+    assert not stale, f"exemptions of functions with nothing unrun: {', '.join(stale)}"
 
 
 def _caught_names(handler: ast.ExceptHandler) -> set[str]:
@@ -156,3 +255,15 @@ def test_only_the_readers_catch_malformed_field_errors():
         and _caught_names(node) & {"KeyError", "TypeError", "OverflowError", "RecursionError"}
     )
     assert not caught, f"except clauses outside fields.py: {', '.join(caught)}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        unrun, stale = unrun_report(run_golden_traced(Path(tmp)))
+        os.chdir(ROOT)
+    print("\n".join(unrun))
+    print(f"{len(unrun)} statements no golden command runs")
+    for name in stale:
+        print(f"stale exemption: {name}")
+    sys.exit(1 if unrun or stale else 0)

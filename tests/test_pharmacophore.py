@@ -475,6 +475,10 @@ class TestPersistence:
         with pytest.raises(ValueError):
             Hypothesis(features=[("HBD", 1.0)] * 7, pair_constraints={})
 
+    def test_pair_joining_a_feature_to_itself_rejected(self):
+        with pytest.raises(ValueError, match="joins a feature to itself"):
+            Hypothesis(features=[("HBD", 1.0)] * 3, pair_constraints={(1, 1): (0.0, 1)})
+
 
 class TestFeatureDistance:
     def test_bond_path_metric(self):

@@ -314,6 +314,17 @@ class TestRunScreen:
         for row in report.rows:
             assert canonical_smiles(parse_smiles(row.canonical_smiles)) == row.canonical_smiles
 
+    def test_failures_skipped_and_logged(self, caplog):
+        records = [
+            DatasetRecord(id="ok", smiles="CC", canonical_smiles="CC"),
+            DatasetRecord(id="broken", smiles="C", canonical_smiles="C1CC"),
+        ]
+        with caplog.at_level("WARNING"):
+            report = run_screen(records, {"PDE4": constant_model(6.0)}, clusters=1, picks=1,
+                                seed=1)
+        assert [row.id for row in report.rows] == ["ok"]
+        assert any("broken" in r.message for r in caplog.records)
+
     def test_requires_model_or_hypothesis(self):
         with pytest.raises(ValueError):
             run_screen(thirty_compound_records(), {}, None, clusters=2, picks=1)

@@ -196,6 +196,12 @@ class TestHierCluster:
         with pytest.raises(ValueError, match=r"k=11 outside \[1, 10\]"):
             hier_cluster(fps, "average", 11)
 
+    @pytest.mark.parametrize("linkage", ["ward", "Average", ""])
+    def test_unknown_linkage_rejected(self, linkage):
+        # unchecked, the merge would treat any other name as average linkage
+        with pytest.raises(ValueError, match="linkage must be one of"):
+            hier_cluster(two_blob_fixture(), linkage, 2)
+
     def test_determinism(self):
         fps = two_blob_fixture()
         assert hier_cluster(fps, "average", 3) == hier_cluster(fps, "average", 3)
