@@ -319,7 +319,8 @@ def _parse_bracket(text: str, pos: int) -> tuple[Atom, int]:
         raise SmilesSyntaxError(f"bracket atom missing element symbol: [{body}]")
     symbol = body[i]
     i += 1
-    if i < len(body) and body[i].islower() and symbol.isupper():
+    # A lowercase second letter ends an element symbol, or aromatic as or se.
+    if body[i : i + 1].islower() and (symbol.isupper() or symbol + body[i] in ("as", "se")):
         symbol += body[i]
         i += 1
     aromatic = symbol[0].islower()

@@ -250,7 +250,7 @@ def cmd_pharm_screen(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    load_admet_thresholds(args.admet_constants)  # a bad table fails before any work
+    thresholds = load_admet_thresholds(args.admet_constants)  # a bad table fails before any work
     records, _ = _load_records(args.file)
     models = {}
     for path in args.model or ():
@@ -266,6 +266,7 @@ def cmd_screen(args) -> int:
         threshold=args.threshold,
         linkage=args.linkage,
         seed=args.seed,
+        admet_thresholds=thresholds,
         admet_constants=args.admet_constants,
     )
     emit_report(report, args.out)

@@ -165,8 +165,8 @@ def init_model(
     )
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out) if kind == "relu" else np.tanh(z, out=out)
 
 
 def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
@@ -179,8 +179,12 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.shape[1] != model.layer_sizes[0]:
         raise ValueError(f"input width {X.shape[1]} != model input {model.layer_sizes[0]}")
-    out = _forward_pass(model, X)[0]
-    return float(out[0]) if np.ndim(x) == 1 else out
+    a, last = X, len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w.T
+        z += b  # a @ w.T + b, without a second temporary
+        a = z if i == last else _act(z, model.activation, out=z)
+    return float(a[0, 0]) if np.ndim(x) == 1 else a[:, 0]
 
 
 def mse_loss(predictions, targets) -> float:

@@ -27,7 +27,7 @@ from .chem_graph import (
     molecular_formula,
     parse_smiles,
 )
-from .descriptors import AdmetFlags, admet_flags, compute_descriptors, load_admet_thresholds
+from .descriptors import AdmetFlags, admet_flags, compute_descriptors
 from .fields import decimal
 from .fingerprints import FingerprintConfig, circular_fingerprint
 from .pdenet import (
@@ -195,6 +195,8 @@ def run_screen(
     threshold: float = DEFAULT_GATE_THRESHOLD,
     linkage: str = LINKAGES[0],
     seed: int | None = None,
+    *,
+    admet_thresholds: dict[str, float],
     admet_constants: str | None = None,
 ) -> ScreeningReport:
     """Full funnel: score, gate, cluster the actives, mark medoid picks.
@@ -203,7 +205,8 @@ def run_screen(
     prediction clears the gate (dual-inhibition reading); with none, the
     hypothesis fit regression supplies the gated prediction. Requested
     cluster/pick counts are clamped to the active-set size and both the
-    requested and effective values land in the header.
+    requested and effective values land in the header, with the file of
+    ``admet_thresholds``, ``admet_constants`` (None: the bundled table).
     """
     seed = default_seed() if seed is None else seed
     if not models and hypothesis is None:
@@ -212,7 +215,6 @@ def run_screen(
         raise ValueError(f"need clusters >= 1 and picks >= 0, got {clusters} and {picks}")
     if picks > clusters:
         raise ValueError("picks must not exceed clusters")
-    thresholds = load_admet_thresholds(admet_constants)
     targets = sorted(models)
 
     # Each active keeps what clustering and the report read; every
@@ -262,7 +264,7 @@ def run_screen(
             pic50_per_target=pic50s,
             cluster_id=labels[n],
             representative=n in picked,
-            admet=admet_flags(desc, thresholds),
+            admet=admet_flags(desc, admet_thresholds),
         )
         for n, (record, _, desc, formula, pic50s, fit) in enumerate(actives)
     ]

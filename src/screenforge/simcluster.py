@@ -12,16 +12,19 @@ without an n x nbits float64 copy.
 
 ``hier_cluster`` holds its distances 1 - T as one condensed upper triangle,
 n(n-1)/2 float64 in scipy's ``squareform`` order, filled one ``_BLOCK``-row
-strip at a time and merged in place (Müllner's generic layout). It frees
-that array before taking each cluster's medoid from its members' own
-fingerprints, one ``_BLOCK``-row slab of distances at a time: O(_BLOCK x m)
-memory for m members, and the same totals as the full matrix's rows.
-One fingerprint is one cluster, its own medoid.
+strip at a time from the same integers: a float32 GEMM over the columns set
+in more than 1/``_DENSE`` of the rows, plus the pairs of rows listed under
+each rarer column (a fingerprint sets a median of 26 of 2048 bits). It is
+merged in place (Müllner's generic layout) and freed before each cluster's
+medoid is taken from its members' own fingerprints, one ``_BLOCK``-row slab
+of distances at a time: O(_BLOCK x m) memory for m members, and the same
+totals as the full matrix's rows. One fingerprint is one cluster, its own
+medoid.
 
 Clustering merges greedily under single/complete/average linkage, exactly
 and deterministically: equal distances merge the smallest (i, j) cluster-id
 pair first. The pair search is Müllner's nearest-neighbour list
-(arXiv:1109.2378): each row caches its nearest active column to the right,
+(arXiv:1109.2378): each row caches its nearest live column to the right,
 and a merge rescans only the rows whose neighbour it merged. That is O(n^2)
 on typical inputs, O(n^3) at worst.
 """
@@ -44,6 +47,7 @@ class ClusterAssignment:
 
 
 _BLOCK = 128  # rows per block; a 2048-bit float32 block takes 1 MB
+_DENSE = 20  # a column set in more than 1/_DENSE of the rows is counted by GEMM
 
 
 def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -113,18 +117,49 @@ def hier_cluster(
 
 
 def _condensed_distances(items: list[FingerprintVector]) -> np.ndarray:
-    """Distances 1 - T(i, j) for i < j as n(n-1)/2 float64 in scipy's
-    ``squareform`` order, filled one ``_BLOCK``-row strip at a time."""
-    rows = np.stack([v.bits for v in items])
-    n = len(rows)
+    """Distances 1 - T(i, j) for i < j of 0/1 fingerprints as n(n-1)/2
+    float64 in scipy's ``squareform`` order, one ``_BLOCK``-row strip at a
+    time. All-zero rows share a column of their own: two of them count 1
+    of 1 bits (T = 1.0), and one against any other row still counts 0."""
+    n, nbits = len(items), len(items[0].bits)
+    rows, cols = np.divmod(np.flatnonzero(  # the on-bits, by row
+        np.concatenate([v.bits for v in items], dtype=bool, casting="unsafe")), nbits)
+    norms = np.bincount(rows, minlength=n)
+    dense = np.bincount(cols, minlength=nbits) * _DENSE > n
+    d = dense[cols]
+    gemm = np.zeros((n, np.count_nonzero(dense) + 1), dtype=np.float32)
+    gemm[rows[d], (np.cumsum(dense) - 1)[cols[d]]] = 1
+    gemm[norms == 0, -1] = 1  # the column of the all-zero rows
+    norms = np.maximum(norms, 1).astype(np.float32)
+    rows, cols = rows[~d], cols[~d]  # the rare on-bits
+    by_column = np.argsort(cols, kind="stable")
+    listed = rows[by_column]  # the rows of each rare column, ascending
+    pos = np.argsort(by_column)  # each rare on-bit's place in ``listed``
+    later = np.cumsum(np.bincount(cols, minlength=nbits))[cols] - pos - 1
     out = np.empty(n * (n - 1) // 2)
+    scratch = np.empty(min(n, _BLOCK) * n, dtype=np.float32)
     at = 0
     for i in range(0, n, _BLOCK):
-        strip = tanimoto_matrix(rows[i : i + _BLOCK], rows[i:])
-        for t in range(1, len(strip) + 1):  # row i + t - 1 from column i + t on
-            np.subtract(1.0, strip[t - 1, t:], out=out[at : at + n - i - t])
-            at += n - i - t
-        del strip  # before the next strip is computed
+        b, w = min(_BLOCK, n - i), n - i
+        strip = scratch[: b * w].reshape(b, w)  # rows i.., columns i..
+        np.matmul(gemm[i : i + b], gemm[i:].T, out=strip)
+        lo, hi = np.searchsorted(rows, (i, i + b))
+        k = later[lo:hi]  # a rare on-bit pairs with the later rows of its column
+        pair = np.repeat(pos[lo:hi] + 1 - (np.cumsum(k) - k), k)
+        pair += np.arange(len(pair))
+        pair = listed[pair]
+        pair += np.repeat((rows[lo:hi] - i) * w - i, k)  # its place in the strip
+        np.add.at(scratch, pair, np.float32(1))
+        del pair  # before the strip's compacted copies are made
+        upper = np.arange(w) > np.arange(b)[:, None]
+        dist = out[at : at + b * w - b * (b + 1) // 2]
+        dist[...] = strip[upper]  # the counts
+        np.add(norms[i : i + b, None], norms[None, i:], out=strip)
+        denom = strip[upper]
+        denom -= dist
+        np.divide(dist, denom, out=dist)
+        np.subtract(1.0, dist, out=dist)
+        at += len(dist)
     return out
 
 
@@ -133,14 +168,14 @@ def _merge(work: np.ndarray, n: int, linkage: str, k: int) -> np.ndarray:
     (overwritten); return each item's cluster id."""
     ids = np.arange(n)
     # d(r, c) for r < c is work[base[r] + c]: row r's run to its right is
-    # one contiguous slice, and column c above the diagonal a gather.
+    # one contiguous slice, and column c above the diagonal a gather. A
+    # merged-away cluster's row and column are set to inf.
     base = ids * (2 * n - ids - 3) // 2 - 1
     first = (base + ids + 1).tolist()
-    active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=float)
-    owner = ids.copy()  # each item's cluster id: its smallest member index
-    # nn[r] is the first argmin of d(r, c > r) over active columns and
-    # best[r] its value; inactive rows and the last row keep best = inf.
+    parent = list(range(n))  # j merged into i < j sets parent[j] = i
+    # nn[r] is the first argmin of d(r, c > r) and best[r] its value; a
+    # row with no live column to its right keeps best = inf.
     nn = np.full(n, n)
     best = np.full(n, np.inf)
     diagonal = np.full(1, np.inf)
@@ -149,18 +184,18 @@ def _merge(work: np.ndarray, n: int, linkage: str, k: int) -> np.ndarray:
         return work[first[r] : first[r] + n - 1 - r]
 
     def scan(r: int) -> None:
-        row = np.where(active[r + 1 :], run(r), np.inf)
-        c = int(np.argmin(row))
+        row = run(r)
+        c = int(row.argmin())
         nn[r], best[r] = r + 1 + c, row[c]
 
     for r in range(n - 1):
         scan(r)
     for _ in range(n - k):
-        i = int(np.argmin(best))  # first occurrence = smallest (i, j)
+        i = int(best.argmin())  # first occurrence = smallest (i, j)
         j = int(nn[i])
-        above = base[:i] + i  # column i
+        above, column = base[:i] + i, base[:j] + j
         di = np.concatenate((work[above], diagonal, run(i)))  # full rows, by column
-        dj = np.concatenate((work[base[:j] + j], diagonal, run(j)))
+        dj = np.concatenate((work[column], diagonal, run(j)))
         if linkage == "single":
             merged = np.minimum(di, dj)
         elif linkage == "complete":
@@ -168,27 +203,29 @@ def _merge(work: np.ndarray, n: int, linkage: str, k: int) -> np.ndarray:
         else:
             merged = (sizes[i] * di + sizes[j] * dj) / (sizes[i] + sizes[j])
         work[above], run(i)[:] = merged[:i], merged[i + 1 :]
-        active[j], best[j] = False, np.inf
+        work[column], run(j)[:], nn[j], best[j] = np.inf, np.inf, -1, np.inf  # never rescanned
         sizes[i] += sizes[j]
-        owner[owner == j] = i
+        parent[j] = i
 
-        stale = np.flatnonzero(active & ((nn == i) | (nn == j)))  # row i too
+        stale = ((nn == i) | (nn == j)).nonzero()[0]  # row i too
         # In rows r < i only d(r, i) changed: the cached neighbour moves to
         # i when i is now strictly closer, or as close and earlier.
         col, head = merged[:i], best[:i]
-        closer = active[:i] & ((col < head) | ((col == head) & (nn[:i] > i)))
+        closer = (col < head) | ((col == head) & (nn[:i] > i))
         nn[:i][closer], head[closer] = i, col[closer]
-        for r in stale:
-            scan(int(r))
+        for r in stale.tolist():
+            scan(r)
 
-    return owner
+    for x in range(n):  # parent[x] <= x, so parent[parent[x]] is a root
+        parent[x] = parent[parent[x]]
+    return np.array(parent)
 
 
 def _medoid(items: list[FingerprintVector], members: list[int]) -> int:
     if len(members) == 1:
         return members[0]
     totals = _distance_totals(np.stack([items[i].bits for i in members]))
-    return members[int(np.argmin(totals))]  # ties -> lowest id
+    return members[int(totals.argmin())]  # ties -> lowest id
 
 
 def _distance_totals(rows: np.ndarray) -> np.ndarray:

@@ -592,6 +592,71 @@ def hier_cluster_oracle(dist, linkage="average", k=1):
     )
 
 
+def merge_nn_list_oracle(work: np.ndarray, n: int, linkage: str, k: int) -> np.ndarray:
+    """The nearest-neighbour-list merge ``simcluster._merge`` replaced: each
+    search and update masks merged-away rows and columns with an ``active``
+    array, and each merge relabels its members (``owner == j``). Merges
+    down to k clusters in the condensed distances ``work`` (overwritten)
+    and returns each item's cluster id, its smallest member index."""
+    ids = np.arange(n)
+    base = ids * (2 * n - ids - 3) // 2 - 1
+    first = (base + ids + 1).tolist()
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=float)
+    owner = ids.copy()
+    nn = np.full(n, n)
+    best = np.full(n, np.inf)
+    diagonal = np.full(1, np.inf)
+
+    def run(r: int) -> np.ndarray:
+        return work[first[r] : first[r] + n - 1 - r]
+
+    def scan(r: int) -> None:
+        row = np.where(active[r + 1 :], run(r), np.inf)
+        c = int(np.argmin(row))
+        nn[r], best[r] = r + 1 + c, row[c]
+
+    for r in range(n - 1):
+        scan(r)
+    for _ in range(n - k):
+        i = int(np.argmin(best))
+        j = int(nn[i])
+        above = base[:i] + i
+        di = np.concatenate((work[above], diagonal, run(i)))
+        dj = np.concatenate((work[base[:j] + j], diagonal, run(j)))
+        if linkage == "single":
+            merged = np.minimum(di, dj)
+        elif linkage == "complete":
+            merged = np.maximum(di, dj)
+        else:
+            merged = (sizes[i] * di + sizes[j] * dj) / (sizes[i] + sizes[j])
+        work[above], run(i)[:] = merged[:i], merged[i + 1 :]
+        active[j], best[j] = False, np.inf
+        sizes[i] += sizes[j]
+        owner[owner == j] = i
+        stale = np.flatnonzero(active & ((nn == i) | (nn == j)))
+        col, head = merged[:i], best[:i]
+        closer = active[:i] & ((col < head) | ((col == head) & (nn[:i] > i)))
+        nn[:i][closer], head[closer] = i, col[closer]
+        for r in stale:
+            scan(int(r))
+    return owner
+
+
+def nn_list_cluster_oracle(items, linkage="average", k=1):
+    """``hier_cluster`` as ``merge_nn_list_oracle`` merges the unblocked
+    float64 distances, with medoids read from the full matrix."""
+    from screenforge.simcluster import ClusterAssignment
+
+    dist = distance_matrix_oracle(items)
+    n = len(items)
+    owner = merge_nn_list_oracle(dist[np.triu_indices(n, 1)], n, linkage, k)
+    roots, labels = np.unique(owner, return_inverse=True)
+    clusters = [np.flatnonzero(owner == c).tolist() for c in roots]
+    return ClusterAssignment(labels=tuple(labels.tolist()),
+                             representatives=tuple(medoids_oracle(clusters, dist)))
+
+
 def distance_totals_oracle(member_list: list[int], dist) -> np.ndarray:
     """Each member's summed distance to its co-members, read from the full
     matrix."""

@@ -43,10 +43,9 @@ from screenforge.pharmacophore import (
     score_costs,
     select_best,
 )
-from screenforge.screenctl import run_screen
 from screenforge.simcluster import hier_cluster, tanimoto_matrix
 from test_pdenet import gate_model
-from test_screenctl import constant_model
+from test_screenctl import constant_model, run_screen
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

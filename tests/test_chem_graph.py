@@ -76,6 +76,13 @@ class TestParsing:
         with pytest.raises(SmilesError):
             parse_smiles("[CH4:2]")  # atom-class maps are not guessed at
 
+    @pytest.mark.parametrize("smiles, symbol", [("[as]1cccc1", "as"), ("[se]1cccc1", "se"),
+                                                ("[asH]1cccc1", "as"), ("[se+]1cccc1", "se")])
+    def test_two_letter_aromatic_symbols_named_whole(self, smiles, symbol):
+        # Both are OpenSMILES aromatic symbols that this parser does not take.
+        with pytest.raises(UnknownElement, match=f"^unsupported aromatic element '{symbol}'$"):
+            parse_smiles(smiles)
+
     def test_charge_range(self):
         with pytest.raises(SmilesError):
             parse_smiles("[O-5]")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from screenforge import cli, fingerprints
+from screenforge import cli, descriptors, fingerprints
 from screenforge.cli import main
 from screenforge.pdenet import save_model
 from test_screenctl import constant_model, thirty_compound_records
@@ -296,6 +296,32 @@ class TestAdmetConstantsFile:
         constants.write_text("\n".join(["# edited", row, *(f"{key} 1" for key in BUNDLED_KEYS)]))
         assert main(["descriptors", str(library), "--admet-constants", str(constants)]) == 4
         assert capsys.readouterr() == ("", f"error: {constants}: line {lineno}: {message}\n")
+
+    @pytest.mark.parametrize("with_constants", [True, False], ids=["constants", "bundled"])
+    def test_screen_reads_the_threshold_table_once(
+        self, library, tmp_path, capsys, monkeypatch, with_constants
+    ):
+        # The command checks the table before any work and hands it to the
+        # funnel; a file table is read with the bundled one, for its keys.
+        constants = tmp_path / "th.txt"
+        constants.write_bytes(
+            resources.files("screenforge").joinpath("data/admet_thresholds.txt").read_bytes()
+        )
+        model_path = tmp_path / "const.json"
+        save_model(constant_model(6.0), str(model_path))
+        descriptors.load_logp_table()  # cached, so only threshold tables are read below
+        reads = []
+        keyvalue = descriptors._keyvalue
+        monkeypatch.setattr(descriptors, "_keyvalue",
+                            lambda text, source: reads.append(source) or keyvalue(text, source))
+        argv = ["screen", str(library), "--model", str(model_path), "--clusters", "5",
+                "--picks", "3", "--out", str(tmp_path / "report.csv")]
+        if with_constants:
+            argv += ["--admet-constants", str(constants)]
+        assert main(argv) == 0
+        assert reads == [str(constants)] * with_constants + ["admet_thresholds.txt"]
+        header = (tmp_path / "report.csv").read_text().splitlines()
+        assert f"# admet_constants={constants if with_constants else 'bundled'}" in header
 
     def test_screen_missing_key_rejected_before_scoring(
         self, library, tmp_path, capsys, monkeypatch

@@ -20,8 +20,7 @@ from screenforge.pharmacophore import (
     generate_hypotheses,
     score_costs,
 )
-from screenforge.screenctl import run_screen
-from test_screenctl import constant_model, thirty_compound_records
+from test_screenctl import constant_model, run_screen, thirty_compound_records
 
 SMALL = FingerprintConfig(nbits=64, radius=1)
 

@@ -166,6 +166,41 @@ class TestForward:
             )
             assert ours == pytest.approx(oracle, abs=1e-10)
 
+    def test_equals_independent_oracle_bit_for_bit(self):
+        # Weights, biases and inputs in eighths below 2 keep every sum exact,
+        # so the plain-python oracle's order of addition does not matter.
+        gen = np.random.default_rng(5)
+        for sizes in ([5, 4, 3, 1], [16, 8, 1], [3, 1]):
+            weights = [gen.integers(-15, 16, (o, i)) / 8 for i, o in zip(sizes, sizes[1:])]
+            biases = [gen.integers(-15, 16, o) / 8 for o in sizes[1:]]
+            m = MlpModel(layer_sizes=sizes, weights=weights, biases=biases, activation="relu")
+            X = gen.integers(-15, 16, (20, sizes[0])) / 8
+            expected = [mlp_forward_oracle([w.tolist() for w in weights],
+                                           [b.tolist() for b in biases], "relu", row)
+                        for row in X.tolist()]
+            assert forward(m, X).tolist() == expected
+            assert [forward(m, row) for row in X] == expected
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_equals_the_training_pass_bit_for_bit(self, activation):
+        m = init_model([40, 256, 64, 1], activation, seed=3)
+        X = np.random.default_rng(3).normal(size=(300, 40))
+        assert np.array_equal(forward(m, X), pdenet._forward_pass(m, X)[0])
+
+    def test_memory_holds_one_hidden_layer(self):
+        # 2000 rows into a 256,64 net: the first hidden layer is one 2000 x
+        # 256 float64 array (4.1 MB). Keeping every layer's pre-activation
+        # and activation, as training's pass does, peaks at 2.5 of it.
+        m = init_model([64, 256, 64, 1], "relu", seed=1)
+        X = np.random.default_rng(1).normal(size=(2000, 64))
+        tracemalloc.start()
+        try:
+            forward(m, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2000 * 256 * 8
+
     def test_shape_mismatch(self):
         m = init_model([3, 2, 1])
         with pytest.raises(ValueError, match="input width 4 != model input 3"):

@@ -1,3 +1,4 @@
+import functools
 import sys
 import tracemalloc
 from pathlib import Path
@@ -9,6 +10,7 @@ from helpers import read_report_header, tanimoto_pair
 from oracles import distance_matrix, tanimoto_rows_oracle, tanimoto_set_oracle
 from screenforge import fingerprints, screenctl
 from screenforge.chem_graph import canonical_smiles, parse_smiles
+from screenforge.descriptors import load_admet_thresholds
 from screenforge.fingerprints import FingerprintConfig, circular_fingerprint
 from screenforge.pdenet import DatasetRecord, FeatureSpec, MlpModel, NormStats
 from screenforge.screenctl import (
@@ -19,9 +21,11 @@ from screenforge.screenctl import (
     derive_seed,
     emit_report,
     ingest,
-    run_screen,
 )
 from screenforge.simcluster import string_similarity
+
+# The funnel with the bundled ADME threshold table.
+run_screen = functools.partial(screenctl.run_screen, admet_thresholds=load_admet_thresholds())
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from gen import Generator  # noqa: E402

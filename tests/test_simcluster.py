@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import tanimoto_pair
 from oracles import (
@@ -12,6 +14,7 @@ from oracles import (
     distance_totals_oracle,
     hier_cluster_oracle,
     medoid_representatives,
+    nn_list_cluster_oracle,
     string_similarity_oracle,
     tanimoto_formula_oracle,
     tanimoto_pair_oracle,
@@ -441,3 +444,61 @@ class TestMedoids:
             a = hier_cluster(fps, "average", k)
             assert len(set(a.representatives)) == k
             assert list(a.representatives) == medoid_representatives(a, distance_matrix(fps))
+
+
+@st.composite
+def bit_libraries(draw):
+    """0/1 uint8 rows, n <= 80, at 64 or 2048 bits: random rows at a drawn
+    density, then some all-zero rows, or one column set in every row, and
+    copied rows."""
+    nbits = draw(st.sampled_from([64, 2048]))
+    n = draw(st.integers(1, 80))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = (gen.random((n, nbits)) < draw(st.sampled_from([0.003, 0.01, 0.05, 0.3]))).astype(
+        np.uint8)
+    if draw(st.booleans()):
+        rows[:, draw(st.integers(0, nbits - 1))] = 1
+    else:
+        rows[draw(st.lists(st.integers(0, n - 1), max_size=4))] = 0
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=n // 2)):
+        rows[dst] = rows[src]
+    return rows
+
+
+def _fingerprints(rows):
+    cfg = FingerprintConfig(nbits=rows.shape[1])
+    return [FingerprintVector(row, cfg) for row in rows]
+
+
+class TestKernelAndMergeProperties:
+    """The fill's on-bit counts, the kernel and the merge that retires
+    clusters with inf, against the unblocked oracles and the code they
+    replaced."""
+
+    @given(bit_libraries())
+    @settings(max_examples=150, deadline=None)
+    def test_condensed_distances_equal_the_oracle_triangle(self, rows):
+        fps = _fingerprints(rows)
+        upper = distance_matrix_oracle(fps)[np.triu_indices(len(rows), 1)]
+        assert np.array_equal(_condensed_distances(fps), upper)
+
+    @given(bit_libraries(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tanimoto_matrix_equals_the_oracle(self, rows, data):
+        split = data.draw(st.integers(1, len(rows)))
+        a, b = rows[:split], rows[split - 1 :]
+        assert np.array_equal(tanimoto_matrix(a, b),
+                              tanimoto_rows_oracle(a.astype(float), b.astype(float)))
+
+    @given(bit_libraries())
+    @settings(max_examples=40, deadline=None)
+    def test_clustering_equals_both_oracles(self, rows):
+        fps = _fingerprints(rows)
+        n = len(fps)
+        dist = distance_matrix_oracle(fps)
+        for linkage in ("single", "complete", "average"):
+            for k in sorted({1, max(1, n // 2), n}):
+                ours = hier_cluster(fps, linkage, k)
+                assert ours == hier_cluster_oracle(dist, linkage, k)
+                assert ours == nn_list_cluster_oracle(fps, linkage, k)
