@@ -426,8 +426,10 @@ def evaluate(model: MlpModel, X: np.ndarray, y: np.ndarray) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 def save_model(model: MlpModel, path: str) -> None:
-    """Write the model as JSON. A non-finite weight or bias (a diverged run)
-    raises ValueError before the file is opened, as load_model would refuse it."""
+    """Write the model as JSON. A model without featurization or with a
+    non-finite weight or bias (a diverged run) raises ValueError before the
+    file is opened, as load_model would refuse it."""
+    _require_featurization(model)
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError(f"non-finite weight or bias in layer {layer}")
@@ -438,17 +440,13 @@ def save_model(model: MlpModel, path: str) -> None:
         "activation": model.activation,
         "weights": None,  # written row by row below
         "biases": [b.tolist() for b in model.biases],
-        "feature_config": None
-        if model.feature_spec is None
-        else {
+        "feature_config": {
             "radius": model.feature_spec.fingerprint.radius,
             "nbits": model.feature_spec.fingerprint.nbits,
             "hash_seed": model.feature_spec.fingerprint.hash_seed,
             "descriptors": list(model.feature_spec.descriptors),
         },
-        "norm_stats": None
-        if model.norm_stats is None
-        else {
+        "norm_stats": {
             "mean": model.norm_stats.mean.tolist(),
             "std": model.norm_stats.std.tolist(),
             "kept": model.norm_stats.kept.tolist(),

@@ -1,25 +1,18 @@
 """Tanimoto similarity, condensed distances, agglomerative clustering and
 medoid-based diversity picking.
 
-The similarity is the general vector form T(A, B) = A.B / (|A|^2 + |B|^2
-- A.B); on binary vectors it reduces to the Jaccard index. One kernel,
-``tanimoto_matrix``, computes it for every row pair of two matrices, one
-block of ``_BLOCK`` rows at a time, straight into one float64 output (after
-chemfp, Dalke 2019). On 0/1 uint8 rows a block's counts are a float32 GEMM,
-exact because each is an integer below 2^24, so the float64 division sees
-the same integers as an all-float64 evaluation: bit-identical results
-without an n x nbits float64 copy.
+Fingerprints are 0/1 rows of any numeric dtype (a nonzero entry is a set
+bit), and T(A, B) = |A & B| / (|A| + |B| - |A & B|). One kernel counts the
+shared bits of each row pair from both sides' on-bits, a ``_BLOCK``-row strip
+at a time (after chemfp, Dalke 2019): a float32 GEMM over the columns set in
+more than 1/``_DENSE`` of the rows, plus one count per pair of rows listed
+under each rarer column (a fingerprint sets a median of 26 of 2048 bits).
+Each T is the float64 quotient of two exact integers below 2^24.
 
-``hier_cluster`` holds its distances 1 - T as one condensed upper triangle,
-n(n-1)/2 float64 in scipy's ``squareform`` order, filled one ``_BLOCK``-row
-strip at a time from the same integers: a float32 GEMM over the columns set
-in more than 1/``_DENSE`` of the rows, plus the pairs of rows listed under
-each rarer column (a fingerprint sets a median of 26 of 2048 bits). It is
-merged in place (Müllner's generic layout) and freed before each cluster's
-medoid is taken from its members' own fingerprints, one ``_BLOCK``-row slab
-of distances at a time: O(_BLOCK x m) memory for m members, and the same
-totals as the full matrix's rows. One fingerprint is one cluster, its own
-medoid.
+``hier_cluster`` merges in the distances 1 - T of the kernel's upper
+triangle, n(n-1)/2 float64 in scipy's ``squareform`` order (Müllner's
+generic layout), and then sums each medoid's distances from its members' own
+fingerprints one strip at a time. One fingerprint is one cluster.
 
 Clustering merges greedily under single/complete/average linkage, exactly
 and deterministically: equal distances merge the smallest (i, j) cluster-id
@@ -31,6 +24,7 @@ on typical inputs, O(n^3) at worst.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,34 +40,70 @@ class ClusterAssignment:
     representatives: tuple[int, ...]
 
 
-_BLOCK = 128  # rows per block; a 2048-bit float32 block takes 1 MB
+_BLOCK = 128  # rows per strip
 _DENSE = 20  # a column set in more than 1/_DENSE of the rows is counted by GEMM
 
 
 def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """General-vector Tanimoto of every row of ``a`` against every row of
-    ``b`` (an A x B float64 array; bit rows as 0/1 uint8). A pair whose
-    denominator is not positive (two all-zero rows) gives 1.0."""
-    work = np.float32 if a.dtype == np.uint8 else np.float64
-    na, nb = _squared_norms(a, work)[:, None], _squared_norms(b, work)[None, :]
+    """Tanimoto of every 0/1 row of ``a`` against every 0/1 row of ``b``,
+    an A x B float64 array. Two all-zero rows give 1.0."""
     out = np.empty((len(a), len(b)))
-    for i in range(0, len(a), _BLOCK):
-        fa = a[i : i + _BLOCK].astype(work, copy=False)
-        for j in range(0, len(b), _BLOCK):
-            o = out[i : i + _BLOCK, j : j + _BLOCK]
-            o[...] = fa @ b[j : j + _BLOCK].astype(work, copy=False).T
-            denom = na[i : i + _BLOCK] + nb[:, j : j + _BLOCK] - o
-            o[...] = np.where(denom > 0, o / np.where(denom == 0, 1, denom), 1.0)
+    for i, counts, denom in _shared_bits(a, b):
+        np.divide(counts, denom, out=out[i : i + len(counts)], dtype=np.float64)
     return out
 
 
-def _squared_norms(x: np.ndarray, work: type) -> np.ndarray:
-    """Each row's sum of squares, taken in ``work`` one block at a time."""
-    out = np.empty(len(x))
-    for i in range(0, len(x), _BLOCK):
-        f = x[i : i + _BLOCK].astype(work, copy=False)
-        out[i : i + _BLOCK] = (f * f).sum(axis=1)
-    return out
+def _shared_bits(a: np.ndarray, b: np.ndarray, upper: bool = False) -> Iterator[tuple]:
+    """Take the on-bits of the 0/1 rows ``a`` and ``b``, then yield (i, counts,
+    denom) per ``_BLOCK``-row strip of ``a`` against ``b``: shared on-bits and
+    |A| + |B| - count as float32, overwritten by the next strip. With ``upper``
+    (``a`` is ``b``) strip columns start at i, complete right of the diagonal."""
+    nbits = b.shape[1]
+    if a.shape[1] != nbits:
+        raise ValueError("rows of different lengths")
+    rows, cols = np.divmod(np.flatnonzero(b.astype(bool, copy=False)), nbits)  # the on-bits, by row
+    dense = np.bincount(cols, minlength=nbits) * _DENSE > len(b)
+    place = np.cumsum(dense) - 1  # a dense column's place in the GEMM input
+
+    def split(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
+        gemm = np.zeros((n, np.count_nonzero(dense) + 1), dtype=np.float32)
+        d = dense[cols]
+        gemm[rows[d], place[cols[d]]] = 1
+        norms = np.bincount(rows, minlength=n)
+        gemm[norms == 0, -1] = 1  # all-zero rows share a column: T = 1 of 1 bits
+        return gemm, np.maximum(norms, 1).astype(np.float32), rows[~d], cols[~d]
+
+    gb, nb, rb, cb = split(len(b), rows, cols)  # the GEMM input, |B| and the rare on-bits
+    ga, na, ra, ca = (gb, nb, rb, cb) if a is b else split(
+        len(a), *np.divmod(np.flatnonzero(a.astype(bool, copy=False)), nbits))
+    by_column = np.argsort(cb, kind="stable")
+    listed = rb[by_column]  # b's rows under each rare column, ascending
+    ends = np.cumsum(np.bincount(cb, minlength=nbits))
+    # A rare on-bit of a pairs with listed[first : ends[its column]]: the
+    # whole column, or in ``upper`` mode the rows after its own.
+    first = np.argsort(by_column) + 1 if upper else np.concatenate(([0], ends))[ca]
+    many = ends[ca] - first
+
+    def strips() -> Iterator[tuple]:
+        scratch, scratch_denom = np.empty((2, min(len(ga), _BLOCK) * len(gb)), np.float32)
+        for i in range(0, len(ga), _BLOCK):
+            h, j = min(_BLOCK, len(ga) - i), i if upper else 0
+            w = len(gb) - j
+            counts = scratch[: h * w].reshape(h, w)  # rows i.., columns j..
+            np.matmul(ga[i : i + h], gb[j:].T, out=counts)
+            lo, hi = np.searchsorted(ra, (i, i + h))
+            k = many[lo:hi]
+            pair = np.repeat(first[lo:hi] - (np.cumsum(k) - k), k)
+            pair += np.arange(len(pair))
+            pair = listed[pair]
+            pair += np.repeat((ra[lo:hi] - i) * w - j, k)  # its place in the strip
+            np.add.at(scratch, pair, np.float32(1))
+            del pair
+            denom = scratch_denom[: h * w].reshape(h, w)
+            np.subtract(np.add(na[i : i + h, None], nb[None, j:], out=denom), counts, out=denom)
+            yield i, counts, denom
+
+    return strips()
 
 
 def string_similarity(a: str, b: str) -> float:
@@ -118,48 +148,17 @@ def hier_cluster(
 
 def _condensed_distances(items: list[FingerprintVector]) -> np.ndarray:
     """Distances 1 - T(i, j) for i < j of 0/1 fingerprints as n(n-1)/2
-    float64 in scipy's ``squareform`` order, one ``_BLOCK``-row strip at a
-    time. All-zero rows share a column of their own: two of them count 1
-    of 1 bits (T = 1.0), and one against any other row still counts 0."""
-    n, nbits = len(items), len(items[0].bits)
-    rows, cols = np.divmod(np.flatnonzero(  # the on-bits, by row
-        np.concatenate([v.bits for v in items], dtype=bool, casting="unsafe")), nbits)
-    norms = np.bincount(rows, minlength=n)
-    dense = np.bincount(cols, minlength=nbits) * _DENSE > n
-    d = dense[cols]
-    gemm = np.zeros((n, np.count_nonzero(dense) + 1), dtype=np.float32)
-    gemm[rows[d], (np.cumsum(dense) - 1)[cols[d]]] = 1
-    gemm[norms == 0, -1] = 1  # the column of the all-zero rows
-    norms = np.maximum(norms, 1).astype(np.float32)
-    rows, cols = rows[~d], cols[~d]  # the rare on-bits
-    by_column = np.argsort(cols, kind="stable")
-    listed = rows[by_column]  # the rows of each rare column, ascending
-    pos = np.argsort(by_column)  # each rare on-bit's place in ``listed``
-    later = np.cumsum(np.bincount(cols, minlength=nbits))[cols] - pos - 1
-    out = np.empty(n * (n - 1) // 2)
-    scratch = np.empty(min(n, _BLOCK) * n, dtype=np.float32)
-    at = 0
-    for i in range(0, n, _BLOCK):
-        b, w = min(_BLOCK, n - i), n - i
-        strip = scratch[: b * w].reshape(b, w)  # rows i.., columns i..
-        np.matmul(gemm[i : i + b], gemm[i:].T, out=strip)
-        lo, hi = np.searchsorted(rows, (i, i + b))
-        k = later[lo:hi]  # a rare on-bit pairs with the later rows of its column
-        pair = np.repeat(pos[lo:hi] + 1 - (np.cumsum(k) - k), k)
-        pair += np.arange(len(pair))
-        pair = listed[pair]
-        pair += np.repeat((rows[lo:hi] - i) * w - i, k)  # its place in the strip
-        np.add.at(scratch, pair, np.float32(1))
-        del pair  # before the strip's compacted copies are made
-        upper = np.arange(w) > np.arange(b)[:, None]
-        dist = out[at : at + b * w - b * (b + 1) // 2]
-        dist[...] = strip[upper]  # the counts
-        np.add(norms[i : i + b, None], norms[None, i:], out=strip)
-        denom = strip[upper]
-        denom -= dist
-        np.divide(dist, denom, out=dist)
-        np.subtract(1.0, dist, out=dist)
-        at += len(dist)
+    float64 in scipy's ``squareform`` order, written row by row."""
+    n, rows = len(items), np.stack([v.bits for v in items], dtype=bool, casting="unsafe")
+    strips = _shared_bits(rows, rows, upper=True)
+    del rows  # freed before ``out`` exists: the kernel keeps only the on-bits
+    out, at = np.empty(n * (n - 1) // 2), 0
+    for i, counts, denom in strips:
+        for r, (c, d) in enumerate(zip(counts, denom), start=1):  # row i + r - 1
+            dist = out[at : at + n - i - r]
+            np.divide(c[r:], d[r:], out=dist, dtype=np.float64)
+            np.subtract(1.0, dist, out=dist)
+            at += len(dist)
     return out
 
 
@@ -232,7 +231,7 @@ def _distance_totals(rows: np.ndarray) -> np.ndarray:
     """Each row's summed Tanimoto distance to all rows, from one
     ``_BLOCK``-row slab of distances at a time; each row is summed whole."""
     totals = np.empty(len(rows))
-    for s in range(0, len(rows), _BLOCK):
-        slab = tanimoto_matrix(rows[s : s + _BLOCK], rows)
-        totals[s : s + _BLOCK] = np.subtract(1.0, slab, out=slab).sum(axis=1)
+    for i, counts, denom in _shared_bits(rows, rows):
+        slab = np.divide(counts, denom, dtype=np.float64)
+        totals[i : i + len(slab)] = np.subtract(1.0, slab, out=slab).sum(axis=1)
     return totals

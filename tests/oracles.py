@@ -166,15 +166,6 @@ def tanimoto_set_oracle(a, b) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def tanimoto_formula_oracle(a, b) -> float:
-    """Direct evaluation of T = A.B / (|A|^2 + |B|^2 - A.B), plain python."""
-    dot = sum(x * y for x, y in zip(a, b))
-    na = sum(x * x for x in a)
-    nb = sum(y * y for y in b)
-    denom = na + nb - dot
-    return 1.0 if denom == 0 else dot / denom
-
-
 def tanimoto_rows_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The unblocked float64 kernel the library used before its blocked
     one: general-vector Tanimoto of every row of ``a`` against every row of
@@ -182,13 +173,6 @@ def tanimoto_rows_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dots = a @ b.T
     denom = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - dots
     return np.where(denom > 0, dots / np.where(denom == 0, 1, denom), 1.0)
-
-
-def tanimoto_pair_oracle(a, b) -> float:
-    """``helpers.tanimoto_pair`` on the unblocked float64 kernel."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(tanimoto_rows_oracle(a[None, :], b[None, :])[0, 0])
 
 
 def distance_matrix(items) -> np.ndarray:

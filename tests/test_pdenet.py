@@ -53,6 +53,15 @@ def records_of(smiles: list[str], labels=None) -> list[DatasetRecord]:
             for i, (s, y) in enumerate(zip(smiles, labels))]
 
 
+def featurized(model: MlpModel) -> MlpModel:
+    """``model`` with the default feature spec and identity norm stats over
+    its first ``layer_sizes[0]`` features, as ``save_model`` requires."""
+    width = model.layer_sizes[0]
+    model.feature_spec = FeatureSpec()
+    model.norm_stats = NormStats(mean=np.zeros(width), std=np.ones(width), kept=np.arange(width))
+    return model
+
+
 @pytest.fixture(scope="module")
 def feature_records(corpus):
     """Records of the bundled corpus and of generated compounds."""
@@ -256,7 +265,7 @@ class TestAdam:
             model = init_model([300, 120, 8, 1], seed=seed)
             train(model, (X, y), cfg)
             path = tmp_path / "model.json"
-            save_model(model, str(path))
+            save_model(featurized(model), str(path))
             runs.append((model, path.read_bytes()))
         (new, new_bytes), (old, old_bytes) = runs
         assert new.adam_state.t == old.adam_state.t == 8 * 7
@@ -616,7 +625,7 @@ class TestPersistence:
         assert doc["activation"] == "tanh" and doc["train_meta"] == {}
 
     def test_version_validated(self, tmp_path):
-        model = init_model([2, 1], seed=0)
+        model = featurized(init_model([2, 1], seed=0))
         path = tmp_path / "m.json"
         save_model(model, str(path))
         doc = json.loads(path.read_text())
@@ -627,15 +636,24 @@ class TestPersistence:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_model_not_saved(self, bad, tmp_path):
-        model = init_model([3, 2, 1], seed=0)
+        model = featurized(init_model([3, 2, 1], seed=0))
         model.biases[1][0] = bad
         path = tmp_path / "m.json"
         with pytest.raises(ValueError, match="non-finite weight or bias in layer 1"):
             save_model(model, str(path))
         assert not path.exists()
 
+    @pytest.mark.parametrize("missing", ["feature_spec", "norm_stats"])
+    def test_unfeaturized_model_not_saved(self, missing, tmp_path):
+        model = featurized(init_model([3, 2, 1], seed=0))
+        setattr(model, missing, None)
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="model lacks featurization config or norm stats"):
+            save_model(model, str(path))
+        assert not path.exists()
+
     def test_shapes_validated(self, tmp_path):
-        model = init_model([3, 2, 1], seed=0)
+        model = featurized(init_model([3, 2, 1], seed=0))
         path = tmp_path / "m.json"
         save_model(model, str(path))
         doc = json.loads(path.read_text())

@@ -16,8 +16,6 @@ from oracles import (
     medoid_representatives,
     nn_list_cluster_oracle,
     string_similarity_oracle,
-    tanimoto_formula_oracle,
-    tanimoto_pair_oracle,
     tanimoto_rows_oracle,
     tanimoto_set_oracle,
 )
@@ -69,11 +67,15 @@ class TestTanimoto:
             ours = tanimoto_pair(np.array(a), np.array(b))
             assert abs(ours - tanimoto_set_oracle(a, b)) < 1e-12
 
-    def test_continuous_vectors_follow_formula(self, rng):
+    def test_bit_vectors_of_any_dtype(self, rng):
+        # A nonzero entry is a set bit, so every dtype gives the same float.
         for _ in range(100):
-            a = np.array([rng.uniform(0, 2) for _ in range(10)])
-            b = np.array([rng.uniform(0, 2) for _ in range(10)])
-            assert tanimoto_pair(a, b) == pytest.approx(tanimoto_formula_oracle(a, b), abs=1e-12)
+            pair = np.array([[rng.randint(0, 1) for _ in range(48)] for _ in range(2)])
+            a, b = pair[:1], pair[1:]
+            expected = tanimoto_rows_oracle(a.astype(float), b.astype(float))
+            for dtype in (np.uint8, bool, np.int64, np.float64):
+                ours = tanimoto_matrix(a.astype(dtype), b.astype(dtype))
+                assert ours.dtype == np.float64 and np.array_equal(ours, expected)
 
     def test_jaccard_distance_triangle_inequality(self, rng):
         for _ in range(200):
@@ -249,8 +251,8 @@ class TestHierCluster:
     @pytest.mark.parametrize("k", [1, 34])
     def test_memory_stays_below_four_fifths_of_a_matrix(self, corpus, k):
         # One 2000 x 2000 float64 matrix is 32 MB; its condensed upper
-        # triangle is half of that. The 2000 x 2048 uint8 rows (4.1 MB) and
-        # one strip's scratch (4.4 MB) bring the peak to 0.76 of a matrix.
+        # triangle is half of that. The kernel's on-bits, GEMM input and two
+        # float32 strips bring the peak to 0.64 of a matrix.
         # Merging in the square matrix reads 1.23, and summing a cluster's
         # rows from its whole m x m block instead of slabs adds one more
         # block at k=1.
@@ -368,21 +370,18 @@ class TestBlockedKernelMatchesOracle:
         assert sims.shape == shape
         assert np.array_equal(sims, tanimoto_rows_oracle(a.astype(float), b.astype(float)))
 
-    def test_continuous_vectors(self):
-        gen = np.random.default_rng(11)
-        for length in (1, 3, 10, 300):
-            for _ in range(50):
-                a, b = gen.uniform(-1, 2, length), gen.uniform(0, 2, length)
-                if gen.random() < 0.2:
-                    a[:] = 0
-                assert tanimoto_pair(a, b) == tanimoto_pair_oracle(a, b)
-                assert tanimoto_pair(a, a) == tanimoto_pair_oracle(a, a)
-        zero = np.zeros(4)
-        assert tanimoto_pair(zero, zero) == tanimoto_pair_oracle(zero, zero) == 1.0
-        # A NaN denominator is not positive either, so it gives 1.0 as before.
-        for odd in ([np.nan, 1.0], [np.inf, 0.0]):
-            with np.errstate(invalid="ignore"):
-                assert tanimoto_pair(odd, [1.0, 1.0]) == tanimoto_pair_oracle(odd, [1.0, 1.0])
+    def test_bit_rows_of_any_dtype(self, corpus):
+        # All-zero and copied rows, strips straddling _BLOCK, mixed dtypes.
+        rows = np.stack([v.bits for v in _library(corpus, 2 * _BLOCK + 3, seed=7)])
+        a, b = rows[: _BLOCK + 1], rows[_BLOCK + 1 :]
+        expected = tanimoto_rows_oracle(a.astype(float), b.astype(float))
+        dtypes = (np.uint8, bool, np.int64, np.float64)
+        for da, db in [(d, d) for d in dtypes] + [(np.uint8, bool), (np.float64, np.int64)]:
+            assert np.array_equal(tanimoto_matrix(a.astype(da), b.astype(db)), expected)
+
+    def test_rows_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="rows of different lengths"):
+            tanimoto_matrix(np.ones((2, 3), np.uint8), np.ones((2, 4), np.uint8))
 
     @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
     def test_clustering_is_unchanged(self, corpus, linkage):
@@ -472,9 +471,9 @@ def _fingerprints(rows):
 
 
 class TestKernelAndMergeProperties:
-    """The fill's on-bit counts, the kernel and the merge that retires
-    clusters with inf, against the unblocked oracles and the code they
-    replaced."""
+    """The kernel in its cross-set, full and upper modes, the medoid totals
+    and the merge that retires clusters with inf, against the unblocked
+    oracles and the code they replaced."""
 
     @given(bit_libraries())
     @settings(max_examples=150, deadline=None)
@@ -490,6 +489,22 @@ class TestKernelAndMergeProperties:
         a, b = rows[:split], rows[split - 1 :]
         assert np.array_equal(tanimoto_matrix(a, b),
                               tanimoto_rows_oracle(a.astype(float), b.astype(float)))
+
+    @given(bit_libraries())
+    @settings(max_examples=150, deadline=None)
+    def test_full_and_upper_kernel_modes_agree(self, rows):
+        n = len(rows)
+        square = np.zeros((n, n))
+        square[np.triu_indices(n, 1)] = _condensed_distances(_fingerprints(rows))
+        square += square.T
+        assert np.array_equal(1.0 - tanimoto_matrix(rows, rows), square)
+
+    @given(bit_libraries())
+    @settings(max_examples=150, deadline=None)
+    def test_distance_totals_equal_the_oracle(self, rows):
+        dist = distance_matrix_oracle(_fingerprints(rows))
+        assert np.array_equal(_distance_totals(rows),
+                              distance_totals_oracle(list(range(len(rows))), dist))
 
     @given(bit_libraries())
     @settings(max_examples=40, deadline=None)
