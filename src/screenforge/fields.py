@@ -5,6 +5,7 @@ in JSON by its path such as ``features[1].weight``."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -126,11 +127,17 @@ class Field:
         return value
 
     def floats(self, ndim: int) -> np.ndarray:
-        """A finite float64 array of ``ndim`` dimensions, converted whole."""
+        """A finite float64 array of ``ndim`` dimensions, converted whole,
+        whose elements are JSON numbers: not strings such as ``"0.5"``, and
+        not bools, which the conversion would read as 0.0 and 1.0."""
         try:
             array = np.asarray(self.value, dtype=float)
         except (TypeError, ValueError, OverflowError):  # a non-number, ragged rows, a huge int
             array = None
-        if array is None or array.ndim != ndim or not np.isfinite(array).all():
+        elements = self.value
+        for _ in range(ndim - 1):  # regular nested lists once the shape has been checked
+            elements = itertools.chain.from_iterable(elements)
+        if (array is None or array.ndim != ndim or not np.isfinite(array).all()
+                or not set(map(type, elements)) <= {int, float}):
             raise self._bad(f"not a {ndim}-dimensional array of finite numbers")
         return array

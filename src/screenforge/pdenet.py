@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chem_graph import Molecule, parse_smiles
+from .chem_graph import Molecule, SmilesError, parse_smiles
 from .descriptors import compute_descriptors
 from .fields import json_document
 from .fingerprints import FingerprintConfig, circular_fingerprint
@@ -69,6 +69,20 @@ class DatasetRecord:
                     f"record {self.id}: pic50 {self.pic50} inconsistent with "
                     f"ic50_nm {self.ic50_nm} (expected {derived:.6f})"
                 )
+
+
+def molecules(records: list[DatasetRecord]):
+    """``(record, molecule)`` for each record, its canonical SMILES parsed
+    when the consumer asks for it, so a molecule lives only as long as the
+    consumer keeps it. A record whose molecule cannot be rebuilt is logged
+    as ``skipping <id>: <reason>`` and skipped: no row aborts a batch."""
+    for record in records:
+        try:
+            mol = parse_smiles(record.canonical_smiles)
+        except SmilesError as exc:
+            log.warning("skipping %s: %s", record.id, exc)
+            continue
+        yield record, mol
 
 
 @dataclass(frozen=True)
@@ -334,18 +348,19 @@ def featurize_molecule(mol: Molecule, spec: FeatureSpec) -> np.ndarray:
     return np.concatenate([fp.bits.astype(float), np.asarray(tail)])
 
 
-def featurize_records(records: list[DatasetRecord], spec: FeatureSpec) -> np.ndarray:
-    """One row per record, written into one preallocated float64 matrix of
-    ``spec.width()`` columns; no records, or a failing one, raise ValueError."""
-    if not records:
+def featurize_records(records: list[DatasetRecord],
+                      spec: FeatureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` over the records ``molecules`` yields: one feature row each,
+    written into one preallocated float64 matrix of ``spec.width()`` columns,
+    and each pIC50 (NaN when unlabeled). When none is featurized, ValueError."""
+    X, y = np.empty((len(records), spec.width())), np.empty(len(records))
+    n = 0
+    for record, mol in molecules(records):
+        X[n], y[n] = featurize_molecule(mol, spec), record.pic50
+        n += 1
+    if n == 0:
         raise ValueError("no records to featurize")
-    X = np.empty((len(records), spec.width()))
-    for i, record in enumerate(records):
-        try:
-            X[i] = featurize_molecule(parse_smiles(record.canonical_smiles), spec)
-        except ValueError as exc:
-            raise ValueError(f"record {record.id}: {exc}") from exc
-    return X
+    return X[:n], y[:n]
 
 
 def fit_norm_stats(X: np.ndarray) -> NormStats:
@@ -384,17 +399,12 @@ def predict_and_gate(
     threshold: float = DEFAULT_GATE_THRESHOLD,
 ) -> list[GatedPrediction]:
     """Featurize, predict, and gate (strictly greater than the threshold);
-    ranked by descending pIC50, ties by id. Failing molecules are skipped
-    and logged; a model that cannot featurize raises before any row."""
+    ranked by descending pIC50, ties by id. A model that cannot featurize
+    raises before any row."""
     _require_featurization(model)
     out = []
-    for record in records:
-        try:
-            mol = parse_smiles(record.canonical_smiles)
-            pic50 = predict_pic50(model, mol)
-        except ValueError as exc:
-            log.warning("skipping %s: featurization failed (%s)", record.id, exc)
-            continue
+    for record, mol in molecules(records):
+        pic50 = predict_pic50(model, mol)
         out.append(GatedPrediction(record.id, record.name, pic50, pic50 > threshold))
     out.sort(key=lambda p: (-p.pic50, p.id))
     return out
@@ -514,11 +524,10 @@ def train_pipeline(
     labeled = [r for r in records if r.pic50 is not None]
     train_recs, test_recs, holdout_recs = split_dataset(labeled, cfg)
     spec = FeatureSpec()
-    X_train = featurize_records(train_recs, spec)
+    X_train, y_train = featurize_records(train_recs, spec)
     stats = fit_norm_stats(X_train)
     Xn_train = stats.apply(X_train)
     del X_train  # the raw features are not read again; free them before the weights
-    y_train = np.array([r.pic50 for r in train_recs])
     sizes = [int(stats.kept.size), *cfg.hidden_layers, 1]
     model = init_model(sizes, TRAIN_ACTIVATION, cfg.seed, target)
     model.feature_spec = spec
@@ -534,6 +543,5 @@ def train_pipeline(
     }
     losses = train(model, (Xn_train, y_train), cfg)
     model.adam_state = None  # save_model never writes the moments
-    X_test = stats.apply(featurize_records(test_recs, spec))
-    y_test = np.array([r.pic50 for r in test_recs])
-    return model, losses, evaluate(model, X_test, y_test)
+    X_test, y_test = featurize_records(test_recs, spec)
+    return model, losses, evaluate(model, stats.apply(X_test), y_test)

@@ -20,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chem_graph import (
-    SmilesError,
-    canonical_smiles,
-    iter_smi_lines,
-    molecular_formula,
-    parse_smiles,
-)
+from .chem_graph import canonical_smiles, iter_smi_lines, molecular_formula, parse_smiles
 from .descriptors import AdmetFlags, admet_flags, compute_descriptors
 from .fields import decimal
 from .fingerprints import FingerprintConfig, circular_fingerprint
@@ -34,6 +28,7 @@ from .pdenet import (
     DEFAULT_GATE_THRESHOLD,
     DatasetRecord,
     MlpModel,
+    molecules,
     predict_pic50,
 )
 from .pharmacophore import Hypothesis, fit_value
@@ -88,7 +83,8 @@ class IngestStats:
 def _library_rows(path: str, text: str):
     """``(where, id, values)`` for each row of a library file, ``values``
     mapping the roles in CSV_ROLES that the row fills to their text. A CSV
-    record that cannot be split into cells fills none, and ``where`` says why."""
+    record that cannot be split into cells fills none, and ``where`` says why;
+    a header that names a role twice raises before any row is read."""
     if not path.lower().endswith(".csv"):
         for n, (lineno, smiles, name) in enumerate(iter_smi_lines(text), start=1):
             yield f"line {lineno}", str(n), {"smiles": smiles, "name": name}
@@ -100,6 +96,9 @@ def _library_rows(path: str, text: str):
         raise ValueError(f"row 1: {exc}") from None
     if header is None:
         raise ValueError("empty csv")  # the caller names the file
+    repeated = next((c for n, c in enumerate(header) if c in CSV_ROLES and c in header[:n]), None)
+    if repeated is not None:
+        raise ValueError(f"row 1: column {repeated!r} repeated")
     for rownum in itertools.count(2):
         try:
             raw = next(reader, None)
@@ -220,12 +219,8 @@ def run_screen(
     # Each active keeps what clustering and the report read; every
     # molecule is dropped at the gate.
     actives = []  # (record, fingerprint, descriptors, formula, pic50s, fit)
-    for record in records:
-        try:
-            mol = parse_smiles(record.canonical_smiles)
-        except SmilesError as exc:
-            log.warning("skipping %s: %s", record.id, exc)
-            continue
+    screened = 0
+    for screened, (record, mol) in enumerate(molecules(records), start=1):
         pic50s = {t: predict_pic50(models[t], mol) for t in targets}
         fit = fit_value(hypothesis, mol) if hypothesis is not None else None
         if targets:
@@ -285,7 +280,7 @@ def run_screen(
         "hypothesis": "yes" if hypothesis is not None else "no",
         "admet_constants": admet_constants or "bundled",
         "sort_key": "mean pIC50 desc, id asc",
-        "library_size": str(len(records)),
+        "library_size": str(screened),
         "active_count": str(len(actives)),
     }
     return ScreeningReport(header=header, targets=report_targets, rows=rows)
@@ -298,6 +293,12 @@ def _row_sort_key(row: ReportRow):
 # ---------------------------------------------------------------------------
 # Route comparison
 # ---------------------------------------------------------------------------
+
+def fingerprinted(records: list[DatasetRecord]):
+    """The records ``molecules`` yields, and a list of the default fingerprint of each."""
+    pairs = [(record, circular_fingerprint(mol)) for record, mol in molecules(records)]
+    return [record for record, _ in pairs], [fp for _, fp in pairs]
+
 
 @dataclass(frozen=True)
 class RouteComparison:
@@ -313,30 +314,20 @@ def compare_routes(
     metric: str = METRICS[0],
 ) -> RouteComparison:
     """Cross-set structural similarity in one metric (fingerprint Tanimoto
-    or character-sequence): per compound of A, the max and mean against B,
-    plus the count of A compounds whose max reaches OVERLAP_CUTOFF."""
-    if not set_a or not set_b:
-        raise ValueError("both sets must be non-empty")
+    over the compounds ``molecules`` yields, or character-sequence over
+    all): per compound of A, the max and mean against B, plus the count of
+    A compounds whose max reaches OVERLAP_CUTOFF."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-
-    def fingerprint_rows(records: list[DatasetRecord]) -> np.ndarray:
-        return np.stack(
-            [
-                circular_fingerprint(parse_smiles(r.canonical_smiles)).bits
-                for r in records
-            ]
-        )
-
     if metric == METRICS[0]:
-        sims = tanimoto_matrix(fingerprint_rows(set_a), fingerprint_rows(set_b))
+        (set_a, fps_a), (set_b, fps_b) = fingerprinted(set_a), fingerprinted(set_b)
+    if not set_a or not set_b:
+        raise ValueError("both sets must be non-empty")
+    if metric == METRICS[0]:
+        sims = tanimoto_matrix(*(np.stack([v.bits for v in fps]) for fps in (fps_a, fps_b)))
     else:
-        sims = np.array(
-            [
-                [string_similarity(a.canonical_smiles, b.canonical_smiles) for b in set_b]
-                for a in set_a
-            ]
-        )
+        sims = np.array([[string_similarity(a.canonical_smiles, b.canonical_smiles)
+                          for b in set_b] for a in set_a])
     best = sims.max(axis=1)
     return RouteComparison(
         ids_a=[r.id for r in set_a],

@@ -10,9 +10,17 @@ from pathlib import Path
 import pytest
 
 from screenforge import cli, descriptors, fingerprints
+from screenforge.chem_graph import canonical_smiles, parse_smiles
 from screenforge.cli import main
-from screenforge.pdenet import save_model
-from test_screenctl import constant_model, thirty_compound_records
+from screenforge.pdenet import (
+    DatasetRecord,
+    FeatureSpec,
+    featurize_records,
+    predict_and_gate,
+    save_model,
+)
+from screenforge.screenctl import IngestStats, compare_routes
+from test_screenctl import constant_model, heavy_atom_model, run_screen, thirty_compound_records
 
 TRAIN_CSV = """id,name,smiles,ic50_nm
 1,a,Oc1ccccc1,0.59
@@ -152,6 +160,18 @@ class TestOversizedCsvCell:
         path.write_text(text)
         assert main(["parse", str(path)]) == 3
         assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+class TestRepeatedRoleColumn:
+    def test_one_input_error_before_any_row(self, tmp_path, capsys):
+        # Read silently, the last smiles column (all CCO) would leave one record.
+        path = tmp_path / "act.csv"
+        path.write_text("id,smiles,pic50,smiles\n" + "".join(
+            f"r{n},{'C' * (n + 1)}O,{5 + n / 10},CCO\n" for n in range(20)))
+        model = tmp_path / "m.json"
+        assert main(["train", str(path), "--target", "PDE4", "--out", str(model)]) == 3
+        assert capsys.readouterr() == ("", f"error: {path}: row 1: column 'smiles' repeated\n")
+        assert not model.exists()
 
 
 class TestByteOrderMark:
@@ -599,6 +619,59 @@ class TestCommandErrors:
         assert capsys.readouterr().err == line + "\n"
 
 
+def through_main(*argv, written=None):
+    """A consumer that runs ``argv``, which must exit 0, with the library
+    ``ingest`` returns replaced by ``records``: stdout, stderr and the bytes
+    of the file ``written``."""
+    def run(records, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "ingest", lambda path: (records, IngestStats()))
+        assert main(list(argv)) == 0
+        out, err = capsys.readouterr()
+        return out, err, written and Path(written).read_bytes()
+    return run
+
+
+# Every consumer of pdenet.molecules, each given a list of records.
+CONSUMERS = {
+    "parse": through_main("parse", "lib.csv"),
+    "descriptors": through_main("descriptors", "lib.csv"),
+    "fingerprint": through_main("fingerprint", "lib.csv"),
+    "cluster": through_main("cluster", "lib.csv", "--clusters", "3"),
+    "pharm-train": through_main("pharm", "train", "lib.csv", "--out", "h.json",
+                                written="h.json"),
+    "pharm-screen": through_main("pharm", "screen", "lib.csv", "--hypothesis", "three.json"),
+    "run_screen": lambda records, *_: run_screen(
+        records, {"PDE4": heavy_atom_model()}, clusters=3, picks=2, threshold=3.5, seed=1),
+    "compare_routes": lambda records, *_: compare_routes(records, records[-5:]),
+    "featurize_records": lambda records, *_: tuple(
+        a.tolist() for a in featurize_records(records, FeatureSpec())),
+    "predict_and_gate": lambda records, *_: predict_and_gate(
+        heavy_atom_model(), records, threshold=3.5),
+}
+
+
+class TestUnparseableRecord:
+    """A record whose canonical SMILES no longer parses is skipped with one
+    warning by every command and library function that reads molecules."""
+
+    @pytest.mark.parametrize("consumer", CONSUMERS.values(), ids=CONSUMERS.keys())
+    def test_skipped_with_one_warning(self, tmp_path, monkeypatch, capsys, caplog, consumer):
+        monkeypatch.chdir(tmp_path)
+        Path("three.json").write_text(json.dumps(three_feature_hypothesis()))
+        good = [
+            DatasetRecord(id=row[0], name=row[1], smiles=row[2], ic50_nm=float(row[3]),
+                          canonical_smiles=canonical_smiles(parse_smiles(row[2])))
+            for row in (line.split(",") for line in TRAIN_CSV.splitlines()[1:])
+        ]
+        bad = DatasetRecord(id="bad", smiles="C1CC", canonical_smiles="C1CC", pic50=6.0)
+        expected = consumer(good, monkeypatch, capsys)
+        with caplog.at_level("WARNING"):
+            got = consumer(good[:1] + [bad] + good[1:], monkeypatch, capsys)
+        assert got == expected
+        assert [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()] == [
+            "skipping bad: unmatched ring closure digit(s): [1]"]
+
+
 class TestUsageErrors:
     def test_bad_flag_exits_4(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -929,6 +1002,21 @@ class TestMalformedInputFiles:
         assert (out, err.count("\n"), err.startswith("error: ")) == ("", 1, True)
         assert field in err and len(err) < 200, err
         assert not (tmp_path / "r.csv").exists()
+
+    # float() and numpy read "0.5" as 0.5 and true as 1.0; a model file may not.
+    @pytest.mark.parametrize("path, value, field", [
+        (("weights", 0, 0, 0), "0.5", "weights[0]"),
+        (("biases", 0, 0), "1e3", "biases[0]"),
+        (("norm_stats", "mean", 0), "0", "norm_stats.mean"),
+        (("norm_stats", "std", 0), True, "norm_stats.std"),
+    ], ids=["string-weight", "string-bias", "string-mean", "true-std"])
+    def test_string_or_bool_in_a_float_array(self, library, tmp_path, capsys, path, value,
+                                             field):
+        doc = self.model_doc(tmp_path)
+        set_path(doc, path, value)
+        for run in (self.predict, self.screen):
+            self.rejected_without_output(run, library, tmp_path, capsys, doc,
+                                         f"bad field {field}: not a ")
 
     @pytest.mark.parametrize("run", ["predict", "pharm_screen"])
     def test_deeply_nested_json(self, library, tmp_path, capsys, run):

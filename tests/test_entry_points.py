@@ -60,16 +60,13 @@ EXEMPT = {
     "fingerprints._new_env_id": (
         "the memo is cleared at 65,536 ids, more distinct environments than any golden input has",
         "tests/test_fingerprints.py::TestEnvironmentMemo::test_corpus_and_generated"),
-    "pdenet.predict_and_gate": (
-        "a row's canonical SMILES, written by ingest, always re-parses and featurizes",
-        "tests/test_pdenet.py::TestGate::test_failures_skipped_and_logged"),
+    "pdenet.molecules": (
+        "a row's canonical SMILES, written by ingest, always re-parses",
+        "tests/test_cli.py::TestUnparseableRecord::test_skipped_with_one_warning"),
     "pharmacophore.screen_by_fit": (
         "fit_value raises no ValueError on a molecule the parser builds",
         "tests/test_pharmacophore.py::TestScreenByFit::"
         "test_value_errors_skipped_other_errors_propagate"),
-    "screenctl.run_screen": (
-        "a row's canonical SMILES, written by ingest, always re-parses",
-        "tests/test_screenctl.py::TestRunScreen::test_failures_skipped_and_logged"),
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -202,6 +199,29 @@ def test_every_statement_is_run_by_a_golden_command(tmp_path, monkeypatch):
     unrun, stale = unrun_report(run_golden_traced(tmp_path))
     assert not unrun, "statements no golden command runs:\n" + "\n".join(unrun)
     assert not stale, f"exemptions of functions with nothing unrun: {', '.join(stale)}"
+
+
+def test_records_are_parsed_again_only_in_molecules():
+    """Outside the parser, ``src/`` calls ``parse_smiles`` in two functions:
+    ``ingest``, on a row's raw text, and ``pdenet.molecules``, on a record's
+    canonical SMILES, which every other reader of molecules takes them from."""
+    callers = []
+
+    def visit(node, qualname: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*_FUNCTIONS, ast.ClassDef)):
+                visit(child, f"{qualname}.{child.name}")
+                continue
+            func = getattr(child, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "parse_smiles":
+                callers.append(qualname)
+            visit(child, qualname)
+
+    for module in MODULES:
+        if module is not chem_graph:
+            tree = ast.parse(Path(module.__file__).read_text("utf-8"))
+            visit(tree, module.__name__.rpartition(".")[2])
+    assert sorted(callers) == ["pdenet.molecules", "screenctl.ingest"]
 
 
 def _caught_names(handler: ast.ExceptHandler) -> set[str]:

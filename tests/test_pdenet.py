@@ -467,7 +467,7 @@ class TestNormalization:
     @pytest.mark.parametrize("source", ["corpus", "generator"])
     def test_apply_equals_out_of_place_oracle_and_leaves_its_input(
             self, feature_records, source, dtype):
-        X = featurize_records(feature_records[source], FeatureSpec())
+        X, _ = featurize_records(feature_records[source], FeatureSpec())
         stats = fit_norm_stats(X)
         X = X.astype(dtype)
         before = X.copy()
@@ -664,10 +664,20 @@ class TestPersistence:
 
 
 class TestFeaturize:
-    def test_row_errors_become_featurization_failures(self):
-        records = [DatasetRecord(id="broken", smiles="C", canonical_smiles="C1CC")]
-        with pytest.raises(ValueError, match="^record broken: "):
-            featurize_records(records, FeatureSpec())
+    def test_rows_that_fail_to_parse_are_skipped_with_their_labels(self, caplog):
+        records = records_of(["CCO", "C1CC", "CCN"], [5.0, 6.0, 7.0])
+        with caplog.at_level("WARNING"):
+            X, y = featurize_records(records, FeatureSpec())
+        good, _ = featurize_records([records[0], records[2]], FeatureSpec())
+        assert np.array_equal(X, good) and y.tolist() == [5.0, 7.0]
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping 1: unmatched ring closure digit(s): [1]"]
+        with pytest.raises(ValueError, match="^no records to featurize$"):
+            featurize_records([records[1]], FeatureSpec())
+
+    def test_unlabeled_rows_have_nan_labels(self):
+        _, y = featurize_records(records_of(["CCO", "CCN"], [None, 4.0]), FeatureSpec())
+        assert np.isnan(y[0]) and y[1] == 4.0
 
     def test_unexpected_errors_propagate(self, monkeypatch):
         def boom(mol, spec):
@@ -680,7 +690,7 @@ class TestFeaturize:
 
     @pytest.mark.parametrize("source", ["corpus", "generator"])
     def test_matrix_equals_stacked_rows_oracle(self, feature_records, source):
-        X = featurize_records(feature_records[source], FeatureSpec())
+        X, _ = featurize_records(feature_records[source], FeatureSpec())
         expected = featurize_records_oracle(feature_records[source], FeatureSpec())
         assert X.dtype == expected.dtype == np.float64
         assert np.array_equal(X, expected)
