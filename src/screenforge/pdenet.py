@@ -14,6 +14,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -33,6 +34,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Adam updates each parameter this many flat elements at a time (256 KB of
 # float64 per scratch row), so its scratch stays in cache whatever the width.
 ADAM_CHUNK = 32768
+# Prediction featurizes and scores this many compounds at a time; each row
+# is its own GEMV, so a compound's pIC50 does not depend on its block.
+PREDICT_BLOCK = 64
 TRAIN_FRAC, TEST_FRAC = 0.78, 0.12
 TRAIN_ACTIVATION = "relu"
 DESCRIPTOR_FEATURES = ("mw", "tpsa", "wlogp", "hbd", "hba", "rotatable_bonds", "heavy_atoms")
@@ -187,18 +191,19 @@ def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
     return (z > 0).astype(float) if kind == "relu" else 1.0 - np.tanh(z) ** 2
 
 
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Affine-activation chain with a linear head. ``x`` is one normalized
-    feature vector or a batch (rows); returns scalar predictions."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    if X.shape[1] != model.layer_sizes[0]:
-        raise ValueError(f"input width {X.shape[1]} != model input {model.layer_sizes[0]}")
+def forward(model: MlpModel, X: np.ndarray, rowwise: bool = False) -> np.ndarray:
+    """Affine-activation chain with a linear head: one prediction per row of
+    a batch of normalized features. A layer is one GEMM, or ``rowwise`` one
+    GEMV per row, which gives a row the same bits whatever shares its batch."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.layer_sizes[0]:
+        raise ValueError(f"input shape {X.shape} != (rows, {model.layer_sizes[0]})")
     a, last = X, len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T
+        z = np.matmul(a[:, None, :], w.T)[:, 0] if rowwise else a @ w.T
         z += b  # a @ w.T + b, without a second temporary
         a = z if i == last else _act(z, model.activation, out=z)
-    return float(a[0, 0]) if np.ndim(x) == 1 else a[:, 0]
+    return a[:, 0]
 
 
 def mse_loss(predictions, targets) -> float:
@@ -341,11 +346,12 @@ def split_dataset(records: list, cfg: TrainConfig) -> tuple[list, list, list]:
 # Featurization and normalization
 # ---------------------------------------------------------------------------
 
-def featurize_molecule(mol: Molecule, spec: FeatureSpec) -> np.ndarray:
-    fp = circular_fingerprint(mol, spec.fingerprint)
+def featurize_molecule(mol: Molecule, spec: FeatureSpec, out: np.ndarray) -> None:
+    """Write the fingerprint bits, then the descriptors ``spec`` names, into ``out``."""
+    nbits = spec.fingerprint.nbits
+    out[:nbits] = circular_fingerprint(mol, spec.fingerprint).bits
     desc = compute_descriptors(mol)
-    tail = [float(getattr(desc, name)) for name in spec.descriptors]
-    return np.concatenate([fp.bits.astype(float), np.asarray(tail)])
+    out[nbits:] = [getattr(desc, name) for name in spec.descriptors]
 
 
 def featurize_records(records: list[DatasetRecord],
@@ -353,14 +359,13 @@ def featurize_records(records: list[DatasetRecord],
     """``(X, y)`` over the records ``molecules`` yields: one feature row each,
     written into one preallocated float64 matrix of ``spec.width()`` columns,
     and each pIC50 (NaN when unlabeled). When none is featurized, ValueError."""
-    X, y = np.empty((len(records), spec.width())), np.empty(len(records))
-    n = 0
+    X, y = np.empty((len(records), spec.width())), []
     for record, mol in molecules(records):
-        X[n], y[n] = featurize_molecule(mol, spec), record.pic50
-        n += 1
-    if n == 0:
+        featurize_molecule(mol, spec, X[len(y)])
+        y.append(record.pic50)
+    if not y:
         raise ValueError("no records to featurize")
-    return X[:n], y[:n]
+    return X[:len(y)], np.array(y, dtype=float)
 
 
 def fit_norm_stats(X: np.ndarray) -> NormStats:
@@ -374,15 +379,34 @@ def fit_norm_stats(X: np.ndarray) -> NormStats:
     return NormStats(mean=X[:, kept].mean(axis=0), std=std[kept], kept=kept)
 
 
-def _require_featurization(model: MlpModel) -> None:
+def _require_featurization(model: MlpModel) -> FeatureSpec:
     if model.feature_spec is None or model.norm_stats is None:
         raise ValueError("model lacks featurization config or norm stats")
+    return model.feature_spec
 
 
-def predict_pic50(model: MlpModel, mol: Molecule) -> float:
-    _require_featurization(model)
-    raw = featurize_molecule(mol, model.feature_spec)[None, :]
-    return float(forward(model, model.norm_stats.apply(raw))[0])
+def predict_rows(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """The pIC50 of each raw feature row of ``X``, normalized by the model's
+    norm stats, then one GEMV per row and layer: a row's value alone."""
+    return forward(model, model.norm_stats.apply(X), rowwise=True)
+
+
+def scored_molecules(records: list[DatasetRecord], models: dict[str, MlpModel]):
+    """``(record, molecule, {target: pIC50})`` for each record ``molecules``
+    yields, targets in ``models`` order ({} with no models). Each block of
+    PREDICT_BLOCK molecules, the only ones held, is featurized once per
+    distinct FeatureSpec. A model that cannot featurize raises before any row."""
+    specs = list(dict.fromkeys(_require_featurization(m) for m in models.values()))
+    pairs = molecules(records)
+    while block := list(islice(pairs, PREDICT_BLOCK)):
+        rows = {spec: np.empty((len(block), spec.width())) for spec in specs}
+        for n, (_, mol) in enumerate(block):
+            for spec, X in rows.items():
+                featurize_molecule(mol, spec, X[n])
+        scores = {t: predict_rows(m, rows[m.feature_spec]).tolist() for t, m in models.items()}
+        for n, (record, mol) in enumerate(block):
+            yield record, mol, {t: pic50s[n] for t, pic50s in scores.items()}
+        del block, mol  # the next block is read without this one
 
 
 @dataclass(frozen=True)
@@ -401,13 +425,12 @@ def predict_and_gate(
     """Featurize, predict, and gate (strictly greater than the threshold);
     ranked by descending pIC50, ties by id. A model that cannot featurize
     raises before any row."""
-    _require_featurization(model)
     out = []
-    for record, mol in molecules(records):
-        pic50 = predict_pic50(model, mol)
+    for record, mol, pic50s in scored_molecules(records, {model.target: model}):
+        del mol  # it goes with its block
+        pic50 = pic50s[model.target]
         out.append(GatedPrediction(record.id, record.name, pic50, pic50 > threshold))
-    out.sort(key=lambda p: (-p.pic50, p.id))
-    return out
+    return sorted(out, key=lambda p: (-p.pic50, p.id))
 
 
 @dataclass(frozen=True)
@@ -420,7 +443,7 @@ def evaluate(model: MlpModel, X: np.ndarray, y: np.ndarray) -> EvalResult:
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("empty test set")
-    pred = np.atleast_1d(forward(model, np.asarray(X, dtype=float)))
+    pred = forward(model, X)
     mse = mse_loss(pred, y)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ss_res = float(np.sum((y - pred) ** 2))

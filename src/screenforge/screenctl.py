@@ -29,7 +29,7 @@ from .pdenet import (
     DatasetRecord,
     MlpModel,
     molecules,
-    predict_pic50,
+    scored_molecules,
 )
 from .pharmacophore import Hypothesis, fit_value
 from .simcluster import LINKAGES, hier_cluster, string_similarity, tanimoto_matrix
@@ -216,12 +216,11 @@ def run_screen(
         raise ValueError("picks must not exceed clusters")
     targets = sorted(models)
 
-    # Each active keeps what clustering and the report read; every
-    # molecule is dropped at the gate.
+    # Each active keeps what clustering and the report read, not its molecule.
     actives = []  # (record, fingerprint, descriptors, formula, pic50s, fit)
     screened = 0
-    for screened, (record, mol) in enumerate(molecules(records), start=1):
-        pic50s = {t: predict_pic50(models[t], mol) for t in targets}
+    for record, mol, pic50s in scored_molecules(records, {t: models[t] for t in targets}):
+        screened += 1
         fit = fit_value(hypothesis, mol) if hypothesis is not None else None
         if targets:
             active = all(pic50s[t] > threshold for t in targets)
@@ -234,6 +233,7 @@ def run_screen(
         if active:
             actives.append((record, circular_fingerprint(mol), compute_descriptors(mol),
                             molecular_formula(mol), pic50s, fit))
+        del mol  # no molecule outlives its block
 
     k_eff = min(clusters, len(actives))
     p_eff = min(picks, k_eff)

@@ -1,6 +1,7 @@
 """Small helpers that only the test suite needs: renumbering a molecule,
 counting fingerprint bits, comparing two fingerprint vectors, the Tanimoto
-of two vectors and reading a report's header lines."""
+of two vectors, a molecule's feature row and reading a report's header
+lines."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import numpy as np
 
 from screenforge.chem_graph import Molecule
 from screenforge.fingerprints import FingerprintVector
+from screenforge.pdenet import FeatureSpec, featurize_molecule
 from screenforge.simcluster import tanimoto_matrix
 
 
@@ -21,6 +23,13 @@ def renumbered(mol: Molecule, order: list[int]) -> Molecule:
     atoms = [mol.atoms[old] for old in order]
     bonds = [b._replace(a=inverse[b.a], b=inverse[b.b]) for b in mol.bonds]
     return Molecule(atoms, bonds)
+
+
+def feature_row(mol: Molecule, spec: FeatureSpec) -> np.ndarray:
+    """The raw feature row ``featurize_molecule`` writes, in a new array."""
+    out = np.empty(spec.width())
+    featurize_molecule(mol, spec, out)
+    return out
 
 
 def popcount(v: FingerprintVector) -> int:

@@ -37,7 +37,8 @@ from screenforge.chem_graph import (
     largest_fragment,
     parse_smiles,
 )
-from screenforge.fingerprints import FingerprintConfig, FingerprintVector
+from screenforge.descriptors import compute_descriptors
+from screenforge.fingerprints import FingerprintConfig, FingerprintVector, circular_fingerprint
 from screenforge.pdenet import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -45,7 +46,7 @@ from screenforge.pdenet import (
     AdamState,
     _act_grad,
     _forward_pass,
-    featurize_molecule,
+    forward,
 )
 from screenforge.simcluster import tanimoto_matrix
 
@@ -301,13 +302,30 @@ def adam_step_oracle(model, gradients, lr: float):
     return model
 
 
+def featurize_molecule_oracle(mol, spec) -> np.ndarray:
+    """The seed's featurize_molecule: the fingerprint bits as floats and the
+    descriptor tail, concatenated into a new row."""
+    fp = circular_fingerprint(mol, spec.fingerprint)
+    desc = compute_descriptors(mol)
+    tail = [float(getattr(desc, name)) for name in spec.descriptors]
+    return np.concatenate([fp.bits.astype(float), np.asarray(tail)])
+
+
+def predict_pic50_oracle(model, mol) -> float:
+    """The single-row prediction that block scoring replaced: one molecule's
+    feature row, normalized as a (1, K) matrix and run through forward's
+    batch product."""
+    raw = featurize_molecule_oracle(mol, model.feature_spec)[None, :]
+    return float(forward(model, model.norm_stats.apply(raw))[0])
+
+
 def featurize_records_oracle(records, spec) -> np.ndarray:
     """The seed's featurize_records: a list of rows, then an np.stack copy
     (which raises ValueError on an empty list)."""
     rows = []
     for record in records:
         try:
-            rows.append(featurize_molecule(parse_smiles(record.canonical_smiles), spec))
+            rows.append(featurize_molecule_oracle(parse_smiles(record.canonical_smiles), spec))
         except ValueError as exc:
             raise ValueError(f"record {record.id}: {exc}") from exc
     return np.stack(rows)

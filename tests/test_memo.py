@@ -7,13 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import same_vector
+from helpers import feature_row, same_vector
 from oracles import _cycle_basis, fit_value_oracle, ring_bonds_oracle
 from screenforge import chem_graph, descriptors, fingerprints, pharmacophore
 from screenforge.chem_graph import largest_fragment, molecular_formula, parse_smiles
 from screenforge.descriptors import compute_descriptors
 from screenforge.fingerprints import FingerprintConfig, circular_fingerprint
-from screenforge.pdenet import FeatureSpec, featurize_molecule
+from screenforge.pdenet import FeatureSpec
 from screenforge.pharmacophore import (
     detect_features,
     fit_value,
@@ -124,11 +124,9 @@ class TestWarmEqualsFresh:
     def test_featurize_molecule(self, corpus):
         for spec in (FeatureSpec(), FeatureSpec(fingerprint=SMALL)):
             for name, smiles, mol in corpus:
-                warm = featurize_molecule(mol, spec)
-                assert np.array_equal(featurize_molecule(mol, spec), warm), name
-                assert np.array_equal(
-                    featurize_molecule(parse_smiles(smiles), spec), warm
-                ), name
+                warm = feature_row(mol, spec)
+                assert np.array_equal(feature_row(mol, spec), warm), name
+                assert np.array_equal(feature_row(parse_smiles(smiles), spec), warm), name
 
     def test_fit_value(self, corpus):
         training = [(parse_smiles("Oc1ccc(CCN)cc1C(=O)O"), 9.0)] + [

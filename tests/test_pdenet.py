@@ -10,16 +10,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import feature_row
 from oracles import (
     adam_step_oracle,
     backprop_oracle,
     featurize_records_oracle,
     mlp_forward_oracle,
     norm_apply_oracle,
+    predict_pic50_oracle,
 )
 from screenforge import fingerprints, pdenet
 from screenforge.chem_graph import parse_smiles
 from screenforge.pdenet import (
+    PREDICT_BLOCK,
     DatasetRecord,
     FeatureSpec,
     MlpModel,
@@ -28,7 +31,6 @@ from screenforge.pdenet import (
     adam_step,
     backprop,
     evaluate,
-    featurize_molecule,
     featurize_records,
     fit_norm_stats,
     forward,
@@ -37,6 +39,7 @@ from screenforge.pdenet import (
     load_model,
     mse_loss,
     predict_and_gate,
+    predict_rows,
     save_model,
     split_dataset,
     train,
@@ -151,7 +154,7 @@ class TestForward:
         for w in m.weights:
             w[:] = 0.0
         m.biases[-1][:] = 4.25
-        assert forward(m, np.zeros(3)) == 4.25
+        assert forward(m, np.zeros(3)[None])[0] == 4.25
 
     def test_identity_like_relu_passthrough(self):
         m = MlpModel(
@@ -160,13 +163,13 @@ class TestForward:
             biases=[np.zeros(1), np.zeros(1)],
             activation="relu",
         )
-        assert forward(m, np.array([2.5])) == 2.5
+        assert forward(m, np.array([2.5])[None])[0] == 2.5
 
     def test_matches_independent_oracle(self, rng):
         for activation in ("relu", "tanh"):
             m = init_model([5, 4, 3, 1], activation, seed=rng.randint(0, 999))
             x = [rng.uniform(-2, 2) for _ in range(5)]
-            ours = forward(m, np.array(x))
+            ours = forward(m, np.array(x)[None])[0]
             oracle = mlp_forward_oracle(
                 [w.tolist() for w in m.weights],
                 [b.tolist() for b in m.biases],
@@ -188,7 +191,7 @@ class TestForward:
                                            [b.tolist() for b in biases], "relu", row)
                         for row in X.tolist()]
             assert forward(m, X).tolist() == expected
-            assert [forward(m, row) for row in X] == expected
+            assert [forward(m, row[None])[0] for row in X] == expected
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_equals_the_training_pass_bit_for_bit(self, activation):
@@ -212,8 +215,13 @@ class TestForward:
 
     def test_shape_mismatch(self):
         m = init_model([3, 2, 1])
-        with pytest.raises(ValueError, match="input width 4 != model input 3"):
-            forward(m, np.zeros(4))
+        with pytest.raises(ValueError, match=r"input shape \(1, 4\) != \(rows, 3\)"):
+            forward(m, np.zeros((1, 4)))
+
+    def test_one_row_must_be_a_batch(self):
+        m = init_model([3, 2, 1])
+        with pytest.raises(ValueError, match=r"input shape \(3,\) != \(rows, 3\)"):
+            forward(m, np.zeros(3))
 
 
 class TestMseLoss:
@@ -497,6 +505,65 @@ def gate_model(nbits=2048):
     return model
 
 
+def scoring_model(records, hidden, activation, seed) -> MlpModel:
+    """A model over the default features of ``records``: norm stats fitted
+    to them, scaled-uniform weights and normal biases."""
+    X, _ = featurize_records(records, FeatureSpec())
+    stats = fit_norm_stats(X)
+    model = init_model([int(stats.kept.size), *hidden, 1], activation, seed)
+    gen = np.random.default_rng(seed)
+    model.biases = [gen.normal(size=b.shape) for b in model.biases]
+    model.feature_spec, model.norm_stats = FeatureSpec(), stats
+    return model
+
+
+class TestPredictRows:
+    BLOCKS = (1, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1)
+
+    @pytest.mark.parametrize("hidden", [(64, 16), (256, 64)], ids=["64,16", "256,64"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("source", ["corpus", "generator"])
+    def test_equals_single_row_oracle_bit_for_bit(self, feature_records, source, activation,
+                                                   hidden):
+        records = feature_records[source]
+        model = scoring_model(records, hidden, activation, seed=len(hidden) + len(activation))
+        X, _ = featurize_records(records, FeatureSpec())
+        expected = [predict_pic50_oracle(model, parse_smiles(r.canonical_smiles))
+                    for r in records]
+        # Repeated rows, so every block size fills more than one block.
+        reps = -(-2 * max(self.BLOCKS) // len(records))
+        X, expected = np.tile(X, (reps, 1)), expected * reps
+        for block in self.BLOCKS:
+            got = [v for lo in range(0, len(X), block)
+                   for v in predict_rows(model, X[lo:lo + block])]
+            assert got == expected, block
+        # One float64 into its buffer, for the raw rows and the normalized ones.
+        shifted = np.empty(X.size + 1)[1:].reshape(X.shape)
+        shifted[:] = X
+        assert predict_rows(model, shifted).tolist() == expected
+        Z = model.norm_stats.apply(X)
+        shifted = np.empty(Z.size + 1)[1:].reshape(Z.shape)
+        shifted[:] = Z
+        assert forward(model, shifted, rowwise=True).tolist() == expected
+
+    def test_row_value_independent_of_its_block(self, feature_records):
+        records = feature_records["generator"]
+        model = scoring_model(records, (256, 64), "relu", seed=11)
+        X, _ = featurize_records(records, FeatureSpec())
+        alone = [predict_rows(model, X[n:n + 1])[0] for n in range(len(X))]
+        gen = np.random.default_rng(11)
+        for size in (2, 7, PREDICT_BLOCK, len(X)):
+            rows = gen.choice(len(X), size, replace=False)
+            assert predict_rows(model, X[rows]).tolist() == [alone[n] for n in rows], size
+
+    def test_gate_equals_single_row_oracle(self, feature_records):
+        records = feature_records["generator"]
+        model = scoring_model(records, (64, 16), "tanh", seed=4)
+        expected = {r.id: predict_pic50_oracle(model, parse_smiles(r.canonical_smiles))
+                    for r in records}
+        assert {p.id: p.pic50 for p in predict_and_gate(model, records)} == expected
+
+
 class TestGate:
     def test_strict_threshold_semantics(self):
         model = gate_model()
@@ -548,7 +615,7 @@ class TestGate:
         assert any("broken" in r.message for r in caplog.records)
 
     def test_unexpected_errors_propagate(self, monkeypatch):
-        def boom(mol, spec):
+        def boom(mol, spec, out):
             raise RuntimeError("bug")
 
         monkeypatch.setattr(pdenet, "featurize_molecule", boom)
@@ -585,7 +652,7 @@ class TestPersistence:
         save_model(model, str(path))
         loaded = load_model(str(path))
         x = np.linspace(-1, 1, 5)
-        assert forward(loaded, x) == pytest.approx(forward(model, x), abs=1e-12)
+        assert forward(loaded, x[None])[0] == pytest.approx(forward(model, x[None])[0], abs=1e-12)
         assert loaded.target == "PDE4"
         assert loaded.train_meta["seed"] == 12
 
@@ -680,7 +747,7 @@ class TestFeaturize:
         assert np.isnan(y[0]) and y[1] == 4.0
 
     def test_unexpected_errors_propagate(self, monkeypatch):
-        def boom(mol, spec):
+        def boom(mol, spec, out):
             raise RuntimeError("bug")
 
         monkeypatch.setattr(pdenet, "featurize_molecule", boom)
@@ -702,7 +769,7 @@ class TestFeaturize:
 
     def test_width_and_descriptor_tail(self):
         spec = FeatureSpec()
-        x = featurize_molecule(parse_smiles("CCO"), spec)
+        x = feature_row(parse_smiles("CCO"), spec)
         assert len(x) == spec.width() == 2048 + 7
         assert x[-1] == 3  # heavy atoms is the last configured descriptor
 

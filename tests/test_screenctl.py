@@ -1,6 +1,7 @@
 import functools
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,18 @@ import pytest
 
 from helpers import read_report_header, tanimoto_pair
 from oracles import distance_matrix, tanimoto_rows_oracle, tanimoto_set_oracle
-from screenforge import fingerprints, screenctl
+from screenforge import fingerprints, pdenet, screenctl
 from screenforge.chem_graph import canonical_smiles, parse_smiles
 from screenforge.descriptors import load_admet_thresholds
 from screenforge.fingerprints import FingerprintConfig, circular_fingerprint
-from screenforge.pdenet import DatasetRecord, FeatureSpec, MlpModel, NormStats
+from screenforge.pdenet import (
+    PREDICT_BLOCK,
+    DatasetRecord,
+    FeatureSpec,
+    MlpModel,
+    NormStats,
+    predict_and_gate,
+)
 from screenforge.screenctl import (
     DEFAULT_SEED,
     OVERLAP_CUTOFF,
@@ -299,6 +307,32 @@ class TestRunScreen:
         assert len(report.rows) == 600
         assert peak < 10e6
 
+    @pytest.mark.parametrize("entry", ["predict_and_gate", "run_screen"])
+    def test_holds_one_block_of_molecules(self, entry, monkeypatch):
+        smiles = Generator(3).grow(3 * PREDICT_BLOCK + 5)
+        records = [
+            DatasetRecord(id=str(n), smiles=s, canonical_smiles=canonical_smiles(parse_smiles(s)))
+            for n, s in enumerate(smiles)
+        ]
+        alive, peak = set(), [0]
+        molecules = pdenet.molecules
+
+        def counted(records):
+            for record, mol in molecules(records):
+                alive.add(record.id)
+                peak[0] = max(peak[0], len(alive))
+                weakref.finalize(mol, alive.discard, record.id)
+                yield record, mol
+
+        monkeypatch.setattr(pdenet, "molecules", counted)
+        model = constant_model(9.0)
+        if entry == "predict_and_gate":
+            assert len(predict_and_gate(model, records)) == len(records)
+        else:
+            report = run_screen(records, {"PDE4": model}, clusters=5, picks=2)
+            assert len(report.rows) == len(records)
+        assert peak[0] == PREDICT_BLOCK and not alive
+
     def test_gate_excludes_all(self):
         records = thirty_compound_records()
         report = run_screen(records, {"PDE4": constant_model(5.0)}, clusters=5, picks=5, seed=1)
@@ -338,7 +372,7 @@ class TestRunScreen:
         def no_scoring(*args):
             raise AssertionError("scored before the counts were checked")
 
-        monkeypatch.setattr(screenctl, "predict_pic50", no_scoring)
+        monkeypatch.setattr(screenctl, "scored_molecules", no_scoring)
         with pytest.raises(ValueError, match="clusters >= 1 and picks >= 0"):
             run_screen(thirty_compound_records(), {"PDE4": constant_model(6.0)},
                        clusters=clusters, picks=picks)
