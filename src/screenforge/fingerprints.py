@@ -1,10 +1,11 @@
 """Circular structural fingerprints.
 
-Each atom-centered neighborhood up to a configurable radius hashes one bit
-into a fixed-length binary vector. Environment identifiers are built from
-canonical atom invariants refined by sorted neighbor invariants, so
-isomorphic molecules always map to identical vectors; the hash is a keyed
-64-bit blake2b digest, stable across runs and platforms.
+Each atom-centered neighborhood up to a configurable radius hashes one of
+``nbits`` bits; a fingerprint holds the bits so set (its on-bits) ascending,
+read-only and in the least unsigned dtype that holds ``nbits - 1``. The
+environment ids are built from canonical atom invariants refined by sorted
+neighbor invariants, so isomorphic molecules always map to the same on-bits;
+the hash is a keyed 64-bit blake2b digest, stable across runs and platforms.
 
 Each distinct environment is hashed once per run: a memo maps its flat key,
 ``(seed, *invariants)`` at radius 0 and ``(seed, id, label1, id1, ...)``
@@ -45,12 +46,12 @@ class FingerprintConfig:
 
 @dataclass(frozen=True, eq=False)
 class FingerprintVector:
-    bits: np.ndarray
+    on_bits: np.ndarray
     config: FingerprintConfig = FingerprintConfig()
 
     def __post_init__(self):
-        if len(self.bits) != self.config.nbits:
-            raise ValueError("bit vector length differs from config.nbits")
+        if len(self.on_bits) and self.on_bits[-1] >= self.config.nbits:
+            raise ValueError("on-bit beyond config.nbits")
 
 
 _ENV_IDS: dict[tuple, int] = {}
@@ -77,7 +78,7 @@ def circular_fingerprint(
     mol: Molecule, cfg: FingerprintConfig = FingerprintConfig()
 ) -> FingerprintVector:
     """Hash atom environments of radius 0..cfg.radius over the largest
-    fragment into a binary vector; its bits are read-only."""
+    fragment into the on-bits of a ``cfg.nbits``-bit fingerprint."""
     return mol.derived(_circular_fingerprint, cfg)
 
 
@@ -104,12 +105,14 @@ def _circular_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> FingerprintV
             new_ids.append(env_id)
         ids = new_ids
         all_ids += ids
-    bits = np.zeros(cfg.nbits, dtype=np.uint8)
-    bits[[env_id & (cfg.nbits - 1) for env_id in all_ids]] = 1
-    bits.flags.writeable = False
-    return FingerprintVector(bits=bits, config=cfg)
+    on_bits = np.fromiter({env_id & (cfg.nbits - 1) for env_id in all_ids},
+                          np.min_scalar_type(cfg.nbits - 1))
+    on_bits.sort()
+    on_bits.flags.writeable = False
+    return FingerprintVector(on_bits=on_bits, config=cfg)
 
 
 def to_hex(v: FingerprintVector) -> str:
     """Serialize as ``r<radius>b<nbits>s<seed>:<hex>`` (bit 0 first)."""
-    return f"{v.config.tag()}:{np.packbits(v.bits).tobytes().hex()}"
+    bits = np.bincount(v.on_bits, minlength=v.config.nbits)  # 0/1 per bit
+    return f"{v.config.tag()}:{np.packbits(bits).tobytes().hex()}"

@@ -349,7 +349,7 @@ def split_dataset(records: list, cfg: TrainConfig) -> tuple[list, list, list]:
 def featurize_molecule(mol: Molecule, spec: FeatureSpec, out: np.ndarray) -> None:
     """Write the fingerprint bits, then the descriptors ``spec`` names, into ``out``."""
     nbits = spec.fingerprint.nbits
-    out[:nbits] = circular_fingerprint(mol, spec.fingerprint).bits
+    out[:nbits] = np.bincount(circular_fingerprint(mol, spec.fingerprint).on_bits, minlength=nbits)
     desc = compute_descriptors(mol)
     out[nbits:] = [getattr(desc, name) for name in spec.descriptors]
 

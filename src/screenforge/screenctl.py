@@ -324,7 +324,7 @@ def compare_routes(
     if not set_a or not set_b:
         raise ValueError("both sets must be non-empty")
     if metric == METRICS[0]:
-        sims = tanimoto_matrix(*(np.stack([v.bits for v in fps]) for fps in (fps_a, fps_b)))
+        sims = tanimoto_matrix(fps_a, fps_b)
     else:
         sims = np.array([[string_similarity(a.canonical_smiles, b.canonical_smiles)
                           for b in set_b] for a in set_a])

@@ -1,13 +1,13 @@
 """Tanimoto similarity, condensed distances, agglomerative clustering and
 medoid-based diversity picking.
 
-Fingerprints are 0/1 rows of any numeric dtype (a nonzero entry is a set
-bit), and T(A, B) = |A & B| / (|A| + |B| - |A & B|). One kernel counts the
-shared bits of each row pair from both sides' on-bits, a ``_BLOCK``-row strip
-at a time (after chemfp, Dalke 2019): a float32 GEMM over the columns set in
-more than 1/``_DENSE`` of the rows, plus one count per pair of rows listed
-under each rarer column (a fingerprint sets a median of 26 of 2048 bits).
-Each T is the float64 quotient of two exact integers below 2^24.
+Every function takes lists of fingerprints of one config, and T(A, B) =
+|A & B| / (|A| + |B| - |A & B|) of their on-bits. One kernel counts the
+shared bits of each pair from both sides' on-bits, a ``_BLOCK``-row strip at
+a time (after chemfp, Dalke 2019): a float32 GEMM over the bits set in more
+than 1/``_DENSE`` of the fingerprints, plus one count per pair listed under
+each rarer bit (a fingerprint sets a median of 26 of 2048 bits). Each T is
+the float64 quotient of two exact integers below 2^24.
 
 ``hier_cluster`` merges in the distances 1 - T of the kernel's upper
 triangle, n(n-1)/2 float64 in scipy's ``squareform`` order (Müllner's
@@ -44,38 +44,39 @@ _BLOCK = 128  # rows per strip
 _DENSE = 20  # a column set in more than 1/_DENSE of the rows is counted by GEMM
 
 
-def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tanimoto of every 0/1 row of ``a`` against every 0/1 row of ``b``,
-    an A x B float64 array. Two all-zero rows give 1.0."""
+def tanimoto_matrix(a: list[FingerprintVector], b: list[FingerprintVector]) -> np.ndarray:
+    """Tanimoto of every fingerprint of ``a`` against every fingerprint of
+    ``b``, an A x B float64 array. Two empty fingerprints give 1.0."""
     out = np.empty((len(a), len(b)))
     for i, counts, denom in _shared_bits(a, b):
         np.divide(counts, denom, out=out[i : i + len(counts)], dtype=np.float64)
     return out
 
 
-def _shared_bits(a: np.ndarray, b: np.ndarray, upper: bool = False) -> Iterator[tuple]:
-    """Take the on-bits of the 0/1 rows ``a`` and ``b``, then yield (i, counts,
-    denom) per ``_BLOCK``-row strip of ``a`` against ``b``: shared on-bits and
+def _shared_bits(a: list[FingerprintVector], b: list[FingerprintVector],
+                 upper: bool = False) -> Iterator[tuple]:
+    """Yield (i, counts, denom) per ``_BLOCK``-row strip of the non-empty
+    fingerprint lists ``a`` against ``b`` of one config: shared on-bits and
     |A| + |B| - count as float32, overwritten by the next strip. With ``upper``
     (``a`` is ``b``) strip columns start at i, complete right of the diagonal."""
-    nbits = b.shape[1]
-    if a.shape[1] != nbits:
-        raise ValueError("rows of different lengths")
-    rows, cols = np.divmod(np.flatnonzero(b.astype(bool, copy=False)), nbits)  # the on-bits, by row
+    if len({v.config for v in [*a, *b]}) > 1:
+        raise ValueError("all fingerprints must share one config")
+    cols, nbits = np.concatenate([v.on_bits for v in b], dtype=np.intp), b[0].config.nbits
     dense = np.bincount(cols, minlength=nbits) * _DENSE > len(b)
     place = np.cumsum(dense) - 1  # a dense column's place in the GEMM input
 
-    def split(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
-        gemm = np.zeros((n, np.count_nonzero(dense) + 1), dtype=np.float32)
+    def split(fps: list[FingerprintVector], cols: np.ndarray) -> tuple:
+        norms = np.array([len(v.on_bits) for v in fps])
+        rows = np.repeat(np.arange(len(fps)), norms)  # each on-bit's row, as ``cols`` its column
+        gemm = np.zeros((len(fps), np.count_nonzero(dense) + 1), dtype=np.float32)
         d = dense[cols]
         gemm[rows[d], place[cols[d]]] = 1
-        norms = np.bincount(rows, minlength=n)
-        gemm[norms == 0, -1] = 1  # all-zero rows share a column: T = 1 of 1 bits
+        gemm[norms == 0, -1] = 1  # empty rows share a column: T = 1 of 1 bits
         return gemm, np.maximum(norms, 1).astype(np.float32), rows[~d], cols[~d]
 
-    gb, nb, rb, cb = split(len(b), rows, cols)  # the GEMM input, |B| and the rare on-bits
+    gb, nb, rb, cb = split(b, cols)  # the GEMM input, |B| and the rare on-bits
     ga, na, ra, ca = (gb, nb, rb, cb) if a is b else split(
-        len(a), *np.divmod(np.flatnonzero(a.astype(bool, copy=False)), nbits))
+        a, np.concatenate([v.on_bits for v in a], dtype=np.intp))
     by_column = np.argsort(cb, kind="stable")
     listed = rb[by_column]  # b's rows under each rare column, ascending
     ends = np.cumsum(np.bincount(cb, minlength=nbits))
@@ -135,8 +136,6 @@ def hier_cluster(
         raise ValueError(f"k={k} outside [1, {n}]")
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}")
-    if any(v.config != items[0].config for v in items[1:]):
-        raise ValueError("all fingerprints must share one config")
     owner = _merge(_condensed_distances(items), n, linkage, k)  # the array dies here
     roots, labels = np.unique(owner, return_inverse=True)
     clusters = [np.flatnonzero(owner == c).tolist() for c in roots]
@@ -147,11 +146,9 @@ def hier_cluster(
 
 
 def _condensed_distances(items: list[FingerprintVector]) -> np.ndarray:
-    """Distances 1 - T(i, j) for i < j of 0/1 fingerprints as n(n-1)/2
+    """Distances 1 - T(i, j) for i < j of the fingerprints as n(n-1)/2
     float64 in scipy's ``squareform`` order, written row by row."""
-    n, rows = len(items), np.stack([v.bits for v in items], dtype=bool, casting="unsafe")
-    strips = _shared_bits(rows, rows, upper=True)
-    del rows  # freed before ``out`` exists: the kernel keeps only the on-bits
+    n, strips = len(items), _shared_bits(items, items, upper=True)
     out, at = np.empty(n * (n - 1) // 2), 0
     for i, counts, denom in strips:
         for r, (c, d) in enumerate(zip(counts, denom), start=1):  # row i + r - 1
@@ -223,15 +220,15 @@ def _merge(work: np.ndarray, n: int, linkage: str, k: int) -> np.ndarray:
 def _medoid(items: list[FingerprintVector], members: list[int]) -> int:
     if len(members) == 1:
         return members[0]
-    totals = _distance_totals(np.stack([items[i].bits for i in members]))
+    totals = _distance_totals([items[i] for i in members])
     return members[int(totals.argmin())]  # ties -> lowest id
 
 
-def _distance_totals(rows: np.ndarray) -> np.ndarray:
-    """Each row's summed Tanimoto distance to all rows, from one
-    ``_BLOCK``-row slab of distances at a time; each row is summed whole."""
-    totals = np.empty(len(rows))
-    for i, counts, denom in _shared_bits(rows, rows):
+def _distance_totals(fps: list[FingerprintVector]) -> np.ndarray:
+    """Each fingerprint's summed Tanimoto distance to all of ``fps``, from
+    one ``_BLOCK``-row slab of distances at a time; each row is summed whole."""
+    totals = np.empty(len(fps))
+    for i, counts, denom in _shared_bits(fps, fps):
         slab = np.divide(counts, denom, dtype=np.float64)
         totals[i : i + len(slab)] = np.subtract(1.0, slab, out=slab).sum(axis=1)
     return totals

@@ -1,7 +1,7 @@
 """Small helpers that only the test suite needs: renumbering a molecule,
-counting fingerprint bits, comparing two fingerprint vectors, the Tanimoto
-of two vectors, a molecule's feature row and reading a report's header
-lines."""
+building a fingerprint from its set bits, counting them, comparing two
+fingerprints, the Tanimoto of two fingerprints, a molecule's feature row and
+reading a report's header lines."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from screenforge.chem_graph import Molecule
-from screenforge.fingerprints import FingerprintVector
+from screenforge.fingerprints import FingerprintConfig, FingerprintVector
 from screenforge.pdenet import FeatureSpec, featurize_molecule
 from screenforge.simcluster import tanimoto_matrix
 
@@ -32,20 +32,29 @@ def feature_row(mol: Molecule, spec: FeatureSpec) -> np.ndarray:
     return out
 
 
+def on_bit_vector(bits, cfg: FingerprintConfig) -> FingerprintVector:
+    """The fingerprint whose set bits are the indices ``bits``, held as the
+    hasher holds them: ascending, read-only, in the least unsigned dtype that
+    holds ``cfg.nbits - 1``."""
+    on_bits = np.unique(np.asarray(list(bits), dtype=np.min_scalar_type(cfg.nbits - 1)))
+    on_bits.flags.writeable = False
+    return FingerprintVector(on_bits, cfg)
+
+
 def popcount(v: FingerprintVector) -> int:
-    return int(v.bits.sum())
+    return len(v.on_bits)
 
 
 def same_vector(a: FingerprintVector, b: FingerprintVector) -> bool:
-    """Equal config and equal bits; ``==`` on vectors compares identity."""
-    return a.config == b.config and bool(np.array_equal(a.bits, b.bits))
+    """Equal config and equal on-bits of one dtype; ``==`` on vectors
+    compares identity."""
+    return (a.config == b.config and a.on_bits.dtype == b.on_bits.dtype
+            and bool(np.array_equal(a.on_bits, b.on_bits)))
 
 
-def tanimoto_pair(a, b) -> float:
-    """``tanimoto_matrix`` of two vectors as one-row float64 matrices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(tanimoto_matrix(a[None, :], b[None, :])[0, 0])
+def tanimoto_pair(a: FingerprintVector, b: FingerprintVector) -> float:
+    """``tanimoto_matrix`` of two fingerprints as one-item lists."""
+    return float(tanimoto_matrix([a], [b])[0, 0])
 
 
 def read_report_header(path: str) -> dict[str, str]:

@@ -38,7 +38,7 @@ from screenforge.chem_graph import (
     parse_smiles,
 )
 from screenforge.descriptors import compute_descriptors
-from screenforge.fingerprints import FingerprintConfig, FingerprintVector, circular_fingerprint
+from screenforge.fingerprints import FingerprintConfig, FingerprintVector
 from screenforge.pdenet import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -49,6 +49,8 @@ from screenforge.pdenet import (
     forward,
 )
 from screenforge.simcluster import tanimoto_matrix
+
+from helpers import on_bit_vector
 
 
 def formula_weight(formula: str) -> float:
@@ -176,20 +178,27 @@ def tanimoto_rows_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(denom > 0, dots / np.where(denom == 0, 1, denom), 1.0)
 
 
+def dense_rows(items) -> np.ndarray:
+    """The fingerprints as an n x nbits 0/1 uint8 array, set one on-bit at a
+    time."""
+    rows = np.zeros((len(items), items[0].config.nbits), dtype=np.uint8)
+    for row, v in zip(rows, items):
+        for bit in v.on_bits.tolist():
+            row[bit] = 1
+    return rows
+
+
 def distance_matrix(items) -> np.ndarray:
     """Pairwise Tanimoto distances 1 - T as an n x n array from the blocked
     kernel, n >= 1: the square form of the condensed distances
     ``hier_cluster`` merges in."""
-    if any(v.config != items[0].config for v in items[1:]):
-        raise ValueError("all fingerprints must share one config")
-    rows = np.stack([v.bits for v in items])
-    dist = tanimoto_matrix(rows, rows)
+    dist = tanimoto_matrix(items, items)
     return np.subtract(1.0, dist, out=dist)
 
 
 def distance_matrix_oracle(items) -> np.ndarray:
-    """``distance_matrix`` with every fingerprint row copied to float64."""
-    rows = np.stack([v.bits for v in items]).astype(np.float64)
+    """``distance_matrix`` from the fingerprints' dense rows as float64."""
+    rows = dense_rows(items).astype(np.float64)
     return 1.0 - tanimoto_rows_oracle(rows, rows)
 
 
@@ -200,7 +209,7 @@ def from_hex_oracle(text: str) -> FingerprintVector:
     radius, nbits, seed = map(int, re.fullmatch(r"r(\d+)b(\d+)s(-?\d+)", head).groups())
     cfg = FingerprintConfig(radius=radius, nbits=nbits, hash_seed=seed)
     bits = np.unpackbits(np.frombuffer(bytes.fromhex(payload), dtype=np.uint8))
-    return FingerprintVector(bits=bits, config=cfg)
+    return on_bit_vector(np.flatnonzero(bits), cfg)
 
 
 def hash64_oracle(data: str, seed: int) -> int:
@@ -216,9 +225,9 @@ def _bond_label(order: str) -> int:
     return 4 if order == AROMATIC else BOND_ORDER_VALUE[order]
 
 
-def circular_fingerprint_oracle(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
-    """The seed's fingerprint: ``repr`` and a fresh hash for every atom
-    environment of every round, one bit set at a time."""
+def circular_fingerprint_oracle(mol: Molecule, cfg: FingerprintConfig) -> np.ndarray:
+    """The seed's fingerprint as a dense 0/1 uint8 row: ``repr`` and a fresh
+    hash for every atom environment of every round, one bit set at a time."""
     frag = largest_fragment(mol)
     seed = cfg.hash_seed
     total_h = hydrogens_oracle(frag)[1]
@@ -248,8 +257,7 @@ def circular_fingerprint_oracle(mol: Molecule, cfg: FingerprintConfig) -> Finger
         ids = new_ids
         for env_id in ids:
             bits[env_id % cfg.nbits] = 1
-    bits.flags.writeable = False
-    return FingerprintVector(bits=bits, config=cfg)
+    return bits
 
 
 def backprop_oracle(model, X, y):
@@ -303,12 +311,12 @@ def adam_step_oracle(model, gradients, lr: float):
 
 
 def featurize_molecule_oracle(mol, spec) -> np.ndarray:
-    """The seed's featurize_molecule: the fingerprint bits as floats and the
-    descriptor tail, concatenated into a new row."""
-    fp = circular_fingerprint(mol, spec.fingerprint)
+    """The seed's featurize_molecule: the seed's dense fingerprint bits as
+    floats and the descriptor tail, concatenated into a new row."""
+    bits = circular_fingerprint_oracle(mol, spec.fingerprint)
     desc = compute_descriptors(mol)
     tail = [float(getattr(desc, name)) for name in spec.descriptors]
-    return np.concatenate([fp.bits.astype(float), np.asarray(tail)])
+    return np.concatenate([bits.astype(float), np.asarray(tail)])
 
 
 def predict_pic50_oracle(model, mol) -> float:

@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from helpers import renumbered
+from helpers import on_bit_vector, renumbered
 from oracles import (
     brute_force_isomorphic,
     distance_matrix,
@@ -22,7 +22,7 @@ from oracles import (
 )
 from screenforge.cli import main as cli_main
 from screenforge.chem_graph import canonical_smiles, parse_smiles
-from screenforge.fingerprints import FingerprintConfig, FingerprintVector
+from screenforge.fingerprints import FingerprintConfig
 from screenforge.pdenet import (
     DatasetRecord,
     TrainConfig,
@@ -57,12 +57,15 @@ def report(criterion: str, ok: bool, detail: str = ""):
 def test_c01_tanimoto_exactness():
     rng = random.Random(11)
     worst = 0.0
+    cfg = FingerprintConfig(nbits=128)
     for _ in range(1000):
         a = np.array([rng.randint(0, 1) for _ in range(128)])
         b = np.array([rng.randint(0, 1) for _ in range(128)])
-        t = tanimoto_matrix(a[None], b[None])[0, 0]
+        va, vb = on_bit_vector(np.flatnonzero(a), cfg), on_bit_vector(np.flatnonzero(b), cfg)
+        t = tanimoto_matrix([va], [vb])[0, 0]
         worst = max(worst, abs(t - tanimoto_set_oracle(a, b)))
-    exact_third = tanimoto_matrix(np.array([[1, 1, 0]]), np.array([[1, 0, 1]]))[0, 0]
+    cfg = FingerprintConfig(nbits=64)
+    exact_third = tanimoto_matrix([on_bit_vector([0, 1], cfg)], [on_bit_vector([0, 2], cfg)])[0, 0]
     ok = worst < 1e-12 and abs(exact_third - 1 / 3) < 1e-12
     report("C1 similarity formula exactness", ok, f"worst |diff| = {worst:.2e}")
 
@@ -190,9 +193,7 @@ def test_c08_clustering_recovery():
     cfg = FingerprintConfig(nbits=64)
 
     def vec(bits):
-        v = np.zeros(64, dtype=np.uint8)
-        v[list(bits)] = 1
-        return FingerprintVector(v, cfg)
+        return on_bit_vector(bits, cfg)
 
     blob1 = [vec(set(range(20)) | {30 + i}) for i in range(5)]
     blob2 = [vec(set(range(40, 60)) | {i}) for i in range(5)]

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screenforge import fingerprints
 from screenforge.chem_graph import AROMATIC, Atom, Bond, Molecule, parse_smiles
@@ -12,10 +14,11 @@ from screenforge.fingerprints import (
     circular_fingerprint,
     to_hex,
 )
+from screenforge.pdenet import FeatureSpec
 from screenforge.simcluster import hier_cluster
 
-from helpers import popcount, renumbered, same_vector
-from oracles import circular_fingerprint_oracle, from_hex_oracle
+from helpers import feature_row, on_bit_vector, popcount, renumbered, same_vector
+from oracles import circular_fingerprint_oracle, featurize_molecule_oracle, from_hex_oracle
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from gen import Generator  # noqa: E402
@@ -72,7 +75,7 @@ class TestCircularFingerprint:
         mol = parse_smiles("CC(=O)Oc1ccccc1C(=O)O")
         a = circular_fingerprint(mol, FingerprintConfig(hash_seed=0))
         b = circular_fingerprint(mol, FingerprintConfig(hash_seed=1))
-        assert not np.array_equal(a.bits, b.bits)
+        assert not np.array_equal(a.on_bits, b.on_bits)
 
     def test_stable_across_runs(self):
         # frozen at development time; a change means the hash is unstable
@@ -83,8 +86,8 @@ class TestCircularFingerprint:
 class TestPopcountAndSerialization:
     def test_popcount_zero_and_ones(self):
         cfg = FingerprintConfig(nbits=64)
-        assert popcount(FingerprintVector(np.zeros(64, dtype=np.uint8), cfg)) == 0
-        assert popcount(FingerprintVector(np.ones(64, dtype=np.uint8), cfg)) == 64
+        assert popcount(on_bit_vector([], cfg)) == 0
+        assert popcount(on_bit_vector(range(64), cfg)) == 64
 
     def test_hex_round_trip(self, corpus):
         cfg = FingerprintConfig(nbits=128, radius=2, hash_seed=5)
@@ -92,9 +95,39 @@ class TestPopcountAndSerialization:
             fp = circular_fingerprint(mol, cfg)
             assert same_vector(from_hex_oracle(to_hex(fp)), fp), name
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            FingerprintVector(np.zeros(32, dtype=np.uint8), FingerprintConfig(nbits=64))
+    def test_on_bit_beyond_nbits_rejected(self):
+        with pytest.raises(ValueError, match="on-bit beyond config.nbits"):
+            FingerprintVector(np.array([3, 64], dtype=np.uint8), FingerprintConfig(nbits=64))
+
+
+@pytest.fixture(scope="module")
+def smiles_pool(corpus):
+    return [smi for _, smi, _ in corpus] + Generator(4).grow(300)
+
+
+# Negative seeds and seeds of 2**64 and more key the hash with seed % 2**64.
+SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([-1, -(2**64), 2**64, 2**64 + 5]))
+
+
+class TestOnBitsProperties:
+    """The hasher's on-bits against the seed's dense fingerprint, and the
+    only two places that expand them: ``to_hex`` and the feature row."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_on_bits_hex_and_feature_row_match_the_oracles(self, smiles_pool, data):
+        mol = parse_smiles(data.draw(st.sampled_from(smiles_pool)))
+        cfg = FingerprintConfig(radius=data.draw(st.integers(0, 3)),
+                                nbits=2 ** data.draw(st.integers(6, 12)),
+                                hash_seed=data.draw(SEEDS))
+        fp = circular_fingerprint(mol, cfg)
+        assert np.array_equal(fp.on_bits, np.flatnonzero(circular_fingerprint_oracle(mol, cfg)))
+        assert fp.on_bits.dtype == np.min_scalar_type(cfg.nbits - 1)
+        assert (np.diff(fp.on_bits.astype(np.intp)) > 0).all()
+        assert not fp.on_bits.flags.writeable
+        assert same_vector(from_hex_oracle(to_hex(fp)), fp)
+        spec = FeatureSpec(fingerprint=cfg)
+        assert feature_row(mol, spec).tobytes() == featurize_molecule_oracle(mol, spec).tobytes()
 
 
 class TestConfigMismatch:
@@ -145,12 +178,12 @@ class TestEnvironmentMemo:
 
     @staticmethod
     def assert_exact(mols, cfg, mode):
-        expected = [circular_fingerprint_oracle(m, cfg).bits for m in mols]
+        expected = [np.flatnonzero(circular_fingerprint_oracle(m, cfg)) for m in mols]
         rounds = 2 if mode == "warm" else 1
         for _ in range(rounds):
-            for mol, bits in zip(mols, expected):
+            for mol, on_bits in zip(mols, expected):
                 got = fingerprints._circular_fingerprint(mol, cfg)
-                assert np.array_equal(got.bits, bits)
+                assert np.array_equal(got.on_bits, on_bits)
                 if mode == "cold":
                     fingerprints._ENV_IDS.clear()
         if mode == "capped":
@@ -171,8 +204,8 @@ class TestEnvironmentMemo:
         for cfg in (FingerprintConfig(radius=0), FingerprintConfig()):
             self.assert_exact(mols, cfg, mode)
         assert not np.array_equal(
-            circular_fingerprint_oracle(mols[0], FingerprintConfig(radius=0)).bits,
-            circular_fingerprint_oracle(mols[1], FingerprintConfig(radius=0)).bits,
+            circular_fingerprint_oracle(mols[0], FingerprintConfig(radius=0)),
+            circular_fingerprint_oracle(mols[1], FingerprintConfig(radius=0)),
         )
 
     def test_memo_stays_small(self, generated):

@@ -47,7 +47,7 @@ class TestConfigKeys:
         small = circular_fingerprint(mol, SMALL)
         assert same_vector(default, circular_fingerprint(parse_smiles(smiles)))
         assert same_vector(small, circular_fingerprint(parse_smiles(smiles), SMALL))
-        assert len(small.bits) == 64 and small.config == SMALL
+        assert small.on_bits.dtype == np.uint8 and small.config == SMALL
         assert circular_fingerprint(mol) is default
         assert circular_fingerprint(mol, SMALL) is small
 
@@ -151,9 +151,9 @@ class TestReadOnly:
     def test_cached_bits_reject_in_place_writes(self):
         fp = circular_fingerprint(parse_smiles("CCO"))
         with pytest.raises(ValueError):
-            fp.bits[0] = 1
+            fp.on_bits[0] = 1
         with pytest.raises(ValueError):
-            fp.bits |= 1
+            fp.on_bits |= 1
 
     def test_features_and_descriptors_are_immutable(self):
         mol = parse_smiles("OCCN")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import read_report_header, tanimoto_pair
-from oracles import distance_matrix, tanimoto_rows_oracle, tanimoto_set_oracle
+from oracles import dense_rows, distance_matrix, tanimoto_rows_oracle, tanimoto_set_oracle
 from screenforge import fingerprints, pdenet, screenctl
 from screenforge.chem_graph import canonical_smiles, parse_smiles
 from screenforge.descriptors import load_admet_thresholds
@@ -227,10 +227,10 @@ class TestCompareRoutes:
         cfg = FingerprintConfig()
         for i, ra in enumerate(a):
             sims = [
-                tanimoto_set_oracle(
-                    circular_fingerprint(parse_smiles(ra.canonical_smiles), cfg).bits,
-                    circular_fingerprint(parse_smiles(rb.canonical_smiles), cfg).bits,
-                )
+                tanimoto_set_oracle(*dense_rows([
+                    circular_fingerprint(parse_smiles(ra.canonical_smiles), cfg),
+                    circular_fingerprint(parse_smiles(rb.canonical_smiles), cfg),
+                ]))
                 for rb in b
             ]
             assert summary.max_sim[i] == pytest.approx(max(sims), abs=1e-12)
@@ -240,7 +240,7 @@ class TestCompareRoutes:
         records = self.records([smiles for _, smiles, _ in corpus])
         cfg = FingerprintConfig()
         fps = [circular_fingerprint(parse_smiles(r.canonical_smiles), cfg) for r in records]
-        pairwise = np.array([[tanimoto_pair(a.bits, b.bits) for b in fps] for a in fps])
+        pairwise = np.array([[tanimoto_pair(a, b) for b in fps] for a in fps])
         assert np.array_equal(distance_matrix(fps), 1.0 - pairwise)
         summary = compare_routes(records[:12], records)
         assert summary.max_sim == [float(x) for x in pairwise[:12].max(axis=1)]
@@ -248,8 +248,8 @@ class TestCompareRoutes:
 
     def test_tanimoto_summary_matches_unblocked_float64_kernel(self, corpus):
         records = self.records([smiles for _, smiles, _ in corpus])
-        rows = np.stack(
-            [circular_fingerprint(parse_smiles(r.canonical_smiles)).bits for r in records]
+        rows = dense_rows(
+            [circular_fingerprint(parse_smiles(r.canonical_smiles)) for r in records]
         ).astype(np.float64)
         for a, b in ((slice(0, 1), slice(None)), (slice(3, 40), slice(10, 55))):
             sims = tanimoto_rows_oracle(rows[a], rows[b])

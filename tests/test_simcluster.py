@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import tanimoto_pair
+from helpers import on_bit_vector, tanimoto_pair
 from oracles import (
     cluster_members,
+    dense_rows,
     distance_matrix,
     distance_matrix_oracle,
     distance_totals_oracle,
@@ -19,11 +20,7 @@ from oracles import (
     tanimoto_rows_oracle,
     tanimoto_set_oracle,
 )
-from screenforge.fingerprints import (
-    FingerprintConfig,
-    FingerprintVector,
-    circular_fingerprint,
-)
+from screenforge.fingerprints import FingerprintConfig, circular_fingerprint
 from screenforge.simcluster import (
     _BLOCK,
     _condensed_distances,
@@ -34,48 +31,41 @@ from screenforge.simcluster import (
 )
 
 
-def _vec(bits, nbits=64, cfg=None):
-    v = np.zeros(nbits, dtype=np.uint8)
-    v[list(bits)] = 1
-    return FingerprintVector(v, cfg or FingerprintConfig(nbits=nbits))
+def _vec(bits, nbits=64):
+    return on_bit_vector(bits, FingerprintConfig(nbits=nbits))
+
+
+def _fingerprints(rows):
+    """One fingerprint per dense 0/1 row."""
+    return [_vec(np.flatnonzero(row), rows.shape[1]) for row in rows]
 
 
 class TestTanimoto:
     def test_identical_nonzero_is_one(self):
         v = _vec({1, 5, 9})
-        assert tanimoto_pair(v.bits, v.bits) == 1.0
+        assert tanimoto_pair(v, v) == 1.0
 
     def test_disjoint_is_zero(self):
-        assert tanimoto_pair(_vec({0, 1}).bits, _vec({2, 3}).bits) == 0.0
+        assert tanimoto_pair(_vec({0, 1}), _vec({2, 3})) == 0.0
 
     def test_one_third_example(self):
-        assert tanimoto_pair(np.array([1, 1, 0]), np.array([1, 0, 1])) == pytest.approx(1 / 3)
+        assert tanimoto_pair(_vec({0, 1}), _vec({0, 2})) == pytest.approx(1 / 3)
 
     def test_both_zero_convention(self):
-        assert tanimoto_pair(_vec(set()).bits, _vec(set()).bits) == 1.0
+        assert tanimoto_pair(_vec(set()), _vec(set())) == 1.0
 
     def test_symmetry(self, rng):
         for _ in range(100):
             a = _vec({i for i in range(64) if rng.random() < 0.3})
             b = _vec({i for i in range(64) if rng.random() < 0.3})
-            assert tanimoto_pair(a.bits, b.bits) == tanimoto_pair(b.bits, a.bits)
+            assert tanimoto_pair(a, b) == tanimoto_pair(b, a)
 
     def test_matches_set_oracle_on_binary(self, rng):
         for _ in range(300):
             a = [rng.randint(0, 1) for _ in range(48)]
             b = [rng.randint(0, 1) for _ in range(48)]
-            ours = tanimoto_pair(np.array(a), np.array(b))
+            ours = tanimoto_pair(_vec(np.flatnonzero(a)), _vec(np.flatnonzero(b)))
             assert abs(ours - tanimoto_set_oracle(a, b)) < 1e-12
-
-    def test_bit_vectors_of_any_dtype(self, rng):
-        # A nonzero entry is a set bit, so every dtype gives the same float.
-        for _ in range(100):
-            pair = np.array([[rng.randint(0, 1) for _ in range(48)] for _ in range(2)])
-            a, b = pair[:1], pair[1:]
-            expected = tanimoto_rows_oracle(a.astype(float), b.astype(float))
-            for dtype in (np.uint8, bool, np.int64, np.float64):
-                ours = tanimoto_matrix(a.astype(dtype), b.astype(dtype))
-                assert ours.dtype == np.float64 and np.array_equal(ours, expected)
 
     def test_jaccard_distance_triangle_inequality(self, rng):
         for _ in range(200):
@@ -85,6 +75,7 @@ class TestTanimoto:
             ]
             if not any(v.any() for v in vs):
                 continue
+            vs = [_vec(np.flatnonzero(v)) for v in vs]
             d = [
                 1 - tanimoto_pair(vs[i], vs[j])
                 for i, j in ((0, 1), (1, 2), (0, 2))
@@ -148,7 +139,7 @@ class TestDistanceMatrix:
         sims = 1.0 - distance_matrix(items)
         for i, j in itertools.combinations(range(3), 2):
             assert sims[i, j] == pytest.approx(
-                tanimoto_set_oracle(items[i].bits, items[j].bits), abs=1e-12
+                tanimoto_set_oracle(*dense_rows([items[i], items[j]])), abs=1e-12
             )
 
     def test_config_mismatch(self):
@@ -168,9 +159,7 @@ def two_blob_fixture():
 
 
 def _random_rows(gen, n, nbits, density):
-    cfg = FingerprintConfig(nbits=nbits)
-    bits = (gen.random((n, nbits)) < density).astype(np.uint8)
-    return [FingerprintVector(row, cfg) for row in bits]
+    return _fingerprints((gen.random((n, nbits)) < density).astype(np.uint8))
 
 
 class TestHierCluster:
@@ -303,13 +292,12 @@ class TestHierClusterMatchesOracle:
 
     def test_duplicated_rows_force_zero_distance_runs(self, corpus):
         gen = np.random.default_rng(7)
-        base = np.stack([v.bits for v in _corpus_fps(corpus)])
+        base = dense_rows(_corpus_fps(corpus))
         pairs = gen.integers(0, len(base), (300, 2))
         unions = base[pairs[:, 0]] | base[pairs[:, 1]]
         rows = np.concatenate([base, unions])
         rows = np.concatenate([rows, rows[gen.integers(0, len(rows), 400 - len(rows))]])
-        cfg = FingerprintConfig()
-        fps = [FingerprintVector(row, cfg) for row in rows[gen.permutation(400)]]
+        fps = _fingerprints(rows[gen.permutation(400)])
         d = distance_matrix(fps)
         assert np.count_nonzero(np.triu(d == 0.0, 1)) >= 45
         for linkage in ("single", "complete", "average"):
@@ -329,12 +317,12 @@ def _library(corpus, n, nbits=2048, seed=0):
     of corpus pairs, with two all-zero rows and a run of duplicates."""
     gen = np.random.default_rng(seed)
     cfg = FingerprintConfig(nbits=nbits)
-    base = np.stack([circular_fingerprint(mol, cfg).bits for _, _, mol in corpus])
+    base = dense_rows([circular_fingerprint(mol, cfg) for _, _, mol in corpus])
     pairs = gen.integers(0, len(base), (max(n, len(base)), 2))
     rows = np.concatenate([base, base[pairs[:, 0]] | base[pairs[:, 1]]])[gen.permutation(n)]
     rows[gen.integers(0, n, 2)] = 0
     rows[gen.integers(0, n, n // 8)] = rows[0]
-    return [FingerprintVector(row, cfg) for row in rows]
+    return _fingerprints(rows)
 
 
 class TestBlockedKernelMatchesOracle:
@@ -355,7 +343,7 @@ class TestBlockedKernelMatchesOracle:
 
     def test_all_zero_and_duplicated_rows(self, corpus):
         fps = _library(corpus, 40, seed=3)
-        fps[5] = fps[9] = FingerprintVector(np.zeros(2048, dtype=np.uint8), fps[0].config)
+        fps[5] = fps[9] = _vec(set(), 2048)
         d = distance_matrix(fps)
         assert d[5, 9] == 0.0 and d[5, 5] == 0.0 and d[5, 0] == 1.0
         assert np.array_equal(d, distance_matrix_oracle(fps))
@@ -364,24 +352,25 @@ class TestBlockedKernelMatchesOracle:
                                        (_BLOCK + 1, 2 * _BLOCK + 3)])
     def test_cross_set_shapes(self, corpus, shape):
         fps = _library(corpus, sum(shape), seed=sum(shape))
-        rows = np.stack([v.bits for v in fps])
-        a, b = rows[: shape[0]], rows[shape[0] :]
-        sims = tanimoto_matrix(a, b)
+        rows = dense_rows(fps).astype(float)
+        sims = tanimoto_matrix(fps[: shape[0]], fps[shape[0] :])
         assert sims.shape == shape
-        assert np.array_equal(sims, tanimoto_rows_oracle(a.astype(float), b.astype(float)))
+        assert np.array_equal(sims, tanimoto_rows_oracle(rows[: shape[0]], rows[shape[0] :]))
 
-    def test_bit_rows_of_any_dtype(self, corpus):
-        # All-zero and copied rows, strips straddling _BLOCK, mixed dtypes.
-        rows = np.stack([v.bits for v in _library(corpus, 2 * _BLOCK + 3, seed=7)])
-        a, b = rows[: _BLOCK + 1], rows[_BLOCK + 1 :]
-        expected = tanimoto_rows_oracle(a.astype(float), b.astype(float))
-        dtypes = (np.uint8, bool, np.int64, np.float64)
-        for da, db in [(d, d) for d in dtypes] + [(np.uint8, bool), (np.float64, np.int64)]:
-            assert np.array_equal(tanimoto_matrix(a.astype(da), b.astype(db)), expected)
-
-    def test_rows_of_different_lengths_rejected(self):
-        with pytest.raises(ValueError, match="rows of different lengths"):
-            tanimoto_matrix(np.ones((2, 3), np.uint8), np.ones((2, 4), np.uint8))
+    @pytest.mark.parametrize("other", [FingerprintConfig(hash_seed=1), FingerprintConfig(radius=3),
+                                       FingerprintConfig(nbits=1024)])
+    def test_two_configs_rejected_in_every_use(self, corpus, other):
+        # Two configs can share nbits, and so the on-bits' dtype; a count
+        # across them is no Tanimoto, in whichever use of the kernel.
+        mols = [mol for _, _, mol in corpus[:6]]
+        fps = [circular_fingerprint(mol) for mol in mols]
+        mixed = fps[:3] + [circular_fingerprint(mol, other) for mol in mols[3:]]
+        for call in (lambda: tanimoto_matrix(fps[:3], mixed[3:]),
+                     lambda: tanimoto_matrix(mixed, fps),
+                     lambda: hier_cluster(mixed, "average", 2),
+                     lambda: _distance_totals(mixed)):
+            with pytest.raises(ValueError, match="all fingerprints must share one config"):
+                call()
 
     @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
     def test_clustering_is_unchanged(self, corpus, linkage):
@@ -426,7 +415,7 @@ class TestMedoids:
         # Bit for bit, also when the last slab is short.
         fps = _library(corpus, 700, seed=m)
         members = sorted(np.random.default_rng(m).choice(700, m, replace=False).tolist())
-        totals = _distance_totals(np.stack([fps[i].bits for i in members]))
+        totals = _distance_totals([fps[i] for i in members])
         assert np.array_equal(totals, distance_totals_oracle(members, distance_matrix_oracle(fps)))
 
     def test_central_point(self):
@@ -465,11 +454,6 @@ def bit_libraries(draw):
     return rows
 
 
-def _fingerprints(rows):
-    cfg = FingerprintConfig(nbits=rows.shape[1])
-    return [FingerprintVector(row, cfg) for row in rows]
-
-
 class TestKernelAndMergeProperties:
     """The kernel in its cross-set, full and upper modes, the medoid totals
     and the merge that retires clusters with inf, against the unblocked
@@ -487,23 +471,25 @@ class TestKernelAndMergeProperties:
     def test_tanimoto_matrix_equals_the_oracle(self, rows, data):
         split = data.draw(st.integers(1, len(rows)))
         a, b = rows[:split], rows[split - 1 :]
-        assert np.array_equal(tanimoto_matrix(a, b),
+        fps = _fingerprints(rows)
+        assert np.array_equal(tanimoto_matrix(fps[:split], fps[split - 1 :]),
                               tanimoto_rows_oracle(a.astype(float), b.astype(float)))
 
     @given(bit_libraries())
     @settings(max_examples=150, deadline=None)
     def test_full_and_upper_kernel_modes_agree(self, rows):
-        n = len(rows)
+        n, fps = len(rows), _fingerprints(rows)
         square = np.zeros((n, n))
-        square[np.triu_indices(n, 1)] = _condensed_distances(_fingerprints(rows))
+        square[np.triu_indices(n, 1)] = _condensed_distances(fps)
         square += square.T
-        assert np.array_equal(1.0 - tanimoto_matrix(rows, rows), square)
+        assert np.array_equal(1.0 - tanimoto_matrix(fps, fps), square)
 
     @given(bit_libraries())
     @settings(max_examples=150, deadline=None)
     def test_distance_totals_equal_the_oracle(self, rows):
-        dist = distance_matrix_oracle(_fingerprints(rows))
-        assert np.array_equal(_distance_totals(rows),
+        fps = _fingerprints(rows)
+        dist = distance_matrix_oracle(fps)
+        assert np.array_equal(_distance_totals(fps),
                               distance_totals_oracle(list(range(len(rows))), dist))
 
     @given(bit_libraries())
