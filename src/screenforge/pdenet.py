@@ -10,9 +10,12 @@ so prediction never depends on external state.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -31,9 +34,18 @@ DEFAULT_GATE_THRESHOLD = 5.7
 # the train/test fractions of the split (the rest is a holdout, counted
 # but not scored) and the hidden-layer activation of newly trained models.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# Adam updates each parameter this many flat elements at a time (256 KB of
-# float64 per scratch row), so its scratch stays in cache whatever the width.
-ADAM_CHUNK = 32768
+# Adam updates each parameter this many flat elements at a time, each thread
+# into two scratch rows of 224 KiB of float64 (896 KiB for both threads), so
+# its scratch does not grow with the layer width.
+ADAM_CHUNK = 28672
+# Threads that share an Adam step: the caller and, when the process may run on
+# a second CPU, one worker; numpy releases the GIL inside each ufunc, so both
+# run at once. A step of fewer than four full chunks stays on the caller:
+# sharing the two of a 1000-64-16-1 net saved nothing measurable on 2 cores.
+ADAM_PARTS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+# The worker's thread starts with the first step it shares and lives until exit.
+_ADAM_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adam")
 # Prediction featurizes and scores this many compounds at a time; each row
 # is its own GEMV, so a compound's pIC50 does not depend on its block.
 PREDICT_BLOCK = 64
@@ -252,6 +264,30 @@ def backprop(model: MlpModel, X: np.ndarray, y: np.ndarray,
     return grads, loss
 
 
+def _adam_update(pieces: list[list[np.ndarray]], scratch: np.ndarray, c1: float, c2: float,
+                 lr: float) -> None:
+    """m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, p -= (lr*(m/c1)) / (sqrt(v/c2) + eps),
+    operation by operation into m, v, p and the two rows of ``scratch``, for
+    each ``[g, p, m, v]`` piece of flat arrays: every element sees the same
+    operations, bit-identical to whole-array updates."""
+    for g, p, m, v in pieces:
+        a, b = scratch[0, :p.size], scratch[1, :p.size]
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1 - ADAM_BETA1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.multiply(g, 1 - ADAM_BETA2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, c1, out=a)
+        np.multiply(a, lr, out=a)
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, ADAM_EPS, out=b)
+        np.divide(a, b, out=a)
+        np.subtract(p, a, out=p)
+
+
 def adam_step(model: MlpModel, gradients: list[np.ndarray], lr: float) -> MlpModel:
     """Bias-corrected first/second-moment update, in place; returns model."""
     params = model.parameter_list()
@@ -271,29 +307,26 @@ def adam_step(model: MlpModel, gradients: list[np.ndarray], lr: float) -> MlpMod
             raise ValueError("adam_step needs C-contiguous parameters")
     state.t += 1
     c1, c2 = 1 - ADAM_BETA1**state.t, 1 - ADAM_BETA2**state.t
-    scratch = np.empty((2, min(ADAM_CHUNK, max(p.size for p in params))))
-    # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, p -= (lr*(m/c1)) / (sqrt(v/c2) + eps),
-    # operation by operation into m, v, p and two scratch rows, one chunk of the
-    # flat arrays at a time: every element sees the same operations, bit-identical.
+    pieces = []
     for arrays in zip(gradients, params, state.m, state.v):
         flat = [x.reshape(-1) for x in arrays]
-        for lo in range(0, flat[1].size, ADAM_CHUNK):
-            g, p, m, v = (x[lo:lo + ADAM_CHUNK] for x in flat)
-            a, b = scratch[0, :p.size], scratch[1, :p.size]
-            np.multiply(m, ADAM_BETA1, out=m)
-            np.multiply(g, 1 - ADAM_BETA1, out=a)
-            np.add(m, a, out=m)
-            np.multiply(v, ADAM_BETA2, out=v)
-            np.multiply(g, 1 - ADAM_BETA2, out=a)
-            np.multiply(a, g, out=a)
-            np.add(v, a, out=v)
-            np.divide(m, c1, out=a)
-            np.multiply(a, lr, out=a)
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            np.add(b, ADAM_EPS, out=b)
-            np.divide(a, b, out=a)
-            np.subtract(p, a, out=p)
+        pieces += ([x[lo:lo + ADAM_CHUNK] for x in flat]
+                   for lo in range(0, flat[1].size, ADAM_CHUNK))
+    full = [piece for piece in pieces if piece[1].size == ADAM_CHUNK]
+    if ADAM_PARTS == 1 or len(full) < 4:
+        parts = [pieces]
+    else:  # the worker takes every other full chunk, the caller all the rest
+        parts = [[piece for piece in pieces if piece[1].size < ADAM_CHUNK] + full[::2],
+                 full[1::2]]
+    scratch = np.empty((len(parts), 2, min(ADAM_CHUNK, max(p.size for p in params))))
+    # The worker runs in the caller's context, which holds numpy's error state.
+    shared = [_ADAM_WORKER.submit(contextvars.copy_context().run, _adam_update, part, rows,
+                                  c1, c2, lr) for part, rows in zip(parts[1:], scratch[1:])]
+    try:
+        _adam_update(parts[0], scratch[0], c1, c2, lr)
+    finally:
+        for future in shared:  # the model is the caller's again only once both are done
+            future.result()
     return model
 
 

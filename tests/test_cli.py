@@ -420,16 +420,32 @@ class TestTrainPredict:
         assert captured.err == message
         assert not out.exists()
 
-    def test_diverging_train_prints_one_error_line(self, tmp_path):
-        # In a child process, as a user runs it: numpy warnings would reach stderr.
+    @staticmethod
+    def _train_child(tmp_path, *options):
+        """``train`` on the bundled XO table in a child process, as a user
+        runs it: numpy warnings would reach its stderr."""
         data = resources.files("screenforge") / "data/xoi_ic50.csv"
         with resources.as_file(data) as csv_path:
-            proc = subprocess.run(
+            return subprocess.run(
                 [sys.executable, "-m", "screenforge.cli", "train", str(csv_path),
-                 "--target", "XO", "--epochs", "10", "--lr", "1e300", "--out", "xo.json"],
+                 "--target", "XO", "--epochs", "10", *options, "--out", "xo.json"],
                 cwd=tmp_path, capture_output=True, text=True, check=False,
                 env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
             )
+
+    def test_diverging_train_prints_one_error_line(self, tmp_path):
+        proc = self._train_child(tmp_path, "--lr", "1e300")
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == "error: training diverged at epoch 1\n"
+        assert not (tmp_path / "xo.json").exists()
+
+    def test_diverging_shared_adam_steps_print_one_error_line(self, tmp_path):
+        # The 139 x 1024 first layer holds four full Adam chunks, so the
+        # worker thread takes a share of each step. At this learning rate the
+        # first layer's gradients in the second step are finite, up to about
+        # 1e305, and squaring them overflows; at 1e300 they are already NaN,
+        # which raises no floating-point flag.
+        proc = self._train_child(tmp_path, "--hidden", "1024,8", "--lr", "1e60", "--batch", "4")
         assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr == "error: training diverged at epoch 1\n"
         assert not (tmp_path / "xo.json").exists()

@@ -212,6 +212,11 @@ COMMANDS = [Command(*c) for c in [
     ("train_activity",
      ["train", "activity.csv", "--target", "PDE4", "--epochs", "3", "--hidden", "8",
       "--batch", "4", "--out", "activity.json"], ["activity.json"], "platform"),
+    # Its 139 x 1024 first layer holds four full Adam chunks, so the worker
+    # thread takes a share of each step.
+    ("train_xo_wide",
+     ["train", "xoi_ic50.csv", "--target", "XO", "--epochs", "5", "--hidden", "1024,8",
+      "--out", "xo_wide.json"], ["xo_wide.json"], "platform"),
 ]]
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -328,6 +329,41 @@ class TestAdam:
             old.parameter_list() + old.adam_state.m + old.adam_state.v,
         ):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize(
+        "chunk, sizes",
+        [(pdenet.ADAM_CHUNK, [pdenet.ADAM_CHUNK // 32 * full + 100, 32, 1])
+         for full in (0, 1, 3, 4, 5, 10)] + [(1, [9, 6, 1]), (7, [40, 30, 1])],
+    )
+    def test_shared_steps_match_seed_oracle(self, chunk, sizes, parts, monkeypatch):
+        # At ADAM_CHUNK the first layer holds 0 to 10 full chunks and a partial
+        # one. With two parts the worker takes every other full chunk of a step
+        # that holds at least four; with one, or fewer chunks, the caller does all.
+        monkeypatch.setattr(pdenet, "ADAM_CHUNK", chunk)
+        monkeypatch.setattr(pdenet, "ADAM_PARTS", parts)
+        calls, update = [], pdenet._adam_update
+
+        def recorded_update(pieces, *args):
+            calls.append((threading.get_ident(), len(pieces)))
+            update(pieces, *args)
+
+        monkeypatch.setattr(pdenet, "_adam_update", recorded_update)
+        new, old = init_model(sizes, seed=4), init_model(sizes, seed=4)
+        rng = np.random.default_rng(sizes[0])
+        for _ in range(3):
+            grads = [rng.normal(size=p.shape) for p in new.parameter_list()]
+            adam_step(new, grads, lr=0.01)
+            adam_step_oracle(old, grads, lr=0.01)
+        assert new.adam_state.t == old.adam_state.t == 3
+        for a, b in zip(
+            new.parameter_list() + new.adam_state.m + new.adam_state.v,
+            old.parameter_list() + old.adam_state.m + old.adam_state.v,
+        ):
+            assert np.array_equal(a, b)
+        full = sum(p.size // chunk for p in new.parameter_list())
+        worker = [n for ident, n in calls if ident != threading.get_ident()]
+        assert worker == ([full // 2] * 3 if parts == 2 and full >= 4 else [])
 
     def test_non_contiguous_parameter_rejected(self):
         m = init_model([3, 3, 1])
