@@ -359,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a size the machine cannot hold
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     finally:

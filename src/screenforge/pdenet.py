@@ -10,6 +10,7 @@ so prediction never depends on external state.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import json
 import logging
@@ -39,13 +40,12 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # its scratch does not grow with the layer width.
 ADAM_CHUNK = 28672
 # Threads that share an Adam step: the caller and, when the process may run on
-# a second CPU, one worker; numpy releases the GIL inside each ufunc, so both
-# run at once. A step of fewer than four full chunks stays on the caller:
-# sharing the two of a 1000-64-16-1 net saved nothing measurable on 2 cores.
+# a second CPU, one worker that ``train`` starts for its run and joins at its
+# end; numpy releases the GIL inside each ufunc, so both run at once. A step of
+# fewer than four full chunks stays on the caller: sharing the two of a
+# 1000-64-16-1 net saved nothing measurable on 2 cores.
 ADAM_PARTS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
-# The worker's thread starts with the first step it shares and lives until exit.
-_ADAM_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adam")
 # Prediction featurizes and scores this many compounds at a time; each row
 # is its own GEMV, so a compound's pIC50 does not depend on its block.
 PREDICT_BLOCK = 64
@@ -199,22 +199,32 @@ def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(z, 0.0, out=out) if kind == "relu" else np.tanh(z, out=out)
 
 
-def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    return (z > 0).astype(float) if kind == "relu" else 1.0 - np.tanh(z) ** 2
+def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative, read from its output ``a``: the same
+    bits as from the pre-activation (``a > 0`` exactly where ``z > 0``)."""
+    return (a > 0).astype(float) if kind == "relu" else 1.0 - a**2
+
+
+def _layers(model: MlpModel, X: np.ndarray, rowwise: bool = False):
+    """Each layer's output for the rows of ``X`` in turn, the linear head's
+    last: ``a @ w.T + b``, activated in place. A layer is one GEMM, or
+    ``rowwise`` one GEMV per row, which gives a row the same bits whatever
+    shares its batch."""
+    a, last = X, len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = np.matmul(a[:, None, :], w.T)[:, 0] if rowwise else a @ w.T
+        a += b  # without a second temporary
+        yield a if i == last else _act(a, model.activation, out=a)
 
 
 def forward(model: MlpModel, X: np.ndarray, rowwise: bool = False) -> np.ndarray:
     """Affine-activation chain with a linear head: one prediction per row of
-    a batch of normalized features. A layer is one GEMM, or ``rowwise`` one
-    GEMV per row, which gives a row the same bits whatever shares its batch."""
+    a batch of normalized features, computed by ``_layers``."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.layer_sizes[0]:
         raise ValueError(f"input shape {X.shape} != (rows, {model.layer_sizes[0]})")
-    a, last = X, len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = np.matmul(a[:, None, :], w.T)[:, 0] if rowwise else a @ w.T
-        z += b  # a @ w.T + b, without a second temporary
-        a = z if i == last else _act(z, model.activation, out=z)
+    for a in _layers(model, X, rowwise):
+        pass
     return a[:, 0]
 
 
@@ -224,20 +234,6 @@ def mse_loss(predictions, targets) -> float:
     if p.shape != t.shape or p.size == 0:
         raise ValueError("predictions and targets must have equal nonzero length")
     return float(np.mean((p - t) ** 2))
-
-
-def _forward_pass(model, X):
-    """Returns (prediction, per-layer z, per-layer activations)."""
-    a = X
-    activations = [a]
-    zs = []
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        zs.append(z)
-        a = z if i == last else _act(z, model.activation)
-        activations.append(a)
-    return a[:, 0], zs, activations
 
 
 def backprop(model: MlpModel, X: np.ndarray, y: np.ndarray,
@@ -250,8 +246,8 @@ def backprop(model: MlpModel, X: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.shape[0] != y.shape[0]:
         raise ValueError("X rows and y length differ")
-    pred, zs, activations = _forward_pass(model, X)
-    batch = X.shape[0]
+    activations = [X, *_layers(model, X)]
+    pred, batch = activations[-1][:, 0], X.shape[0]
     loss = float(np.mean((pred - y) ** 2))
     delta = (2.0 * (pred - y) / batch)[:, None]
     grads = [np.empty_like(p) for p in model.parameter_list()] if out is None else out
@@ -260,7 +256,7 @@ def backprop(model: MlpModel, X: np.ndarray, y: np.ndarray,
         np.matmul(delta.T, activations[layer], out=grads[2 * layer])
         if layer > 0:
             delta = delta @ model.weights[layer]
-            delta = delta * _act_grad(zs[layer - 1], model.activation)
+            delta = delta * _act_grad(activations[layer], model.activation)
     return grads, loss
 
 
@@ -288,8 +284,10 @@ def _adam_update(pieces: list[list[np.ndarray]], scratch: np.ndarray, c1: float,
         np.subtract(p, a, out=p)
 
 
-def adam_step(model: MlpModel, gradients: list[np.ndarray], lr: float) -> MlpModel:
-    """Bias-corrected first/second-moment update, in place; returns model."""
+def adam_step(model: MlpModel, gradients: list[np.ndarray], lr: float,
+              worker: ThreadPoolExecutor | None = None) -> MlpModel:
+    """Bias-corrected first/second-moment update, in place; returns model.
+    Given a ``worker``, it takes a share of a step of four or more full chunks."""
     params = model.parameter_list()
     state = model.adam_state
     if state is None:
@@ -313,15 +311,15 @@ def adam_step(model: MlpModel, gradients: list[np.ndarray], lr: float) -> MlpMod
         pieces += ([x[lo:lo + ADAM_CHUNK] for x in flat]
                    for lo in range(0, flat[1].size, ADAM_CHUNK))
     full = [piece for piece in pieces if piece[1].size == ADAM_CHUNK]
-    if ADAM_PARTS == 1 or len(full) < 4:
+    if worker is None or len(full) < 4:
         parts = [pieces]
     else:  # the worker takes every other full chunk, the caller all the rest
         parts = [[piece for piece in pieces if piece[1].size < ADAM_CHUNK] + full[::2],
                  full[1::2]]
     scratch = np.empty((len(parts), 2, min(ADAM_CHUNK, max(p.size for p in params))))
     # The worker runs in the caller's context, which holds numpy's error state.
-    shared = [_ADAM_WORKER.submit(contextvars.copy_context().run, _adam_update, part, rows,
-                                  c1, c2, lr) for part, rows in zip(parts[1:], scratch[1:])]
+    shared = [worker.submit(contextvars.copy_context().run, _adam_update, part, rows,
+                            c1, c2, lr) for part, rows in zip(parts[1:], scratch[1:])]
     try:
         _adam_update(parts[0], scratch[0], c1, c2, lr)
     finally:
@@ -343,13 +341,14 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     grads = [np.empty_like(p) for p in model.parameter_list()]  # reused every step
     # A diverging run overflows before its epoch ends; it is reported below.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="adam") if ADAM_PARTS > 1
+          else contextlib.nullcontext()) as worker, np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(len(y))
             for start in range(0, len(y), cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
                 grads, _ = backprop(model, X[batch], y[batch], out=grads)
-                adam_step(model, grads, cfg.learning_rate)
+                adam_step(model, grads, cfg.learning_rate, worker)
             losses.append(mse_loss(forward(model, X), y))
             if not math.isfinite(losses[-1]):
                 raise ValueError(f"training diverged at epoch {epoch}")

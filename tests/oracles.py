@@ -44,8 +44,6 @@ from screenforge.pdenet import (
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
-    _act_grad,
-    _forward_pass,
     forward,
 )
 from screenforge.simcluster import tanimoto_matrix
@@ -260,6 +258,29 @@ def circular_fingerprint_oracle(mol: Molecule, cfg: FingerprintConfig) -> np.nda
     return bits
 
 
+def act_grad_oracle(z, kind: str):
+    """The seed's activation derivative, read from the pre-activation."""
+    return (z > 0).astype(float) if kind == "relu" else 1.0 - np.tanh(z) ** 2
+
+
+def forward_pass_oracle(model, X):
+    """The seed's training forward pass: ``(prediction, per-layer
+    pre-activations, per-layer activations)``, each a fresh array."""
+    a = X
+    activations = [a]
+    zs = []
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w.T + b
+        zs.append(z)
+        if i == last:
+            a = z
+        else:
+            a = np.maximum(z, 0.0) if model.activation == "relu" else np.tanh(z)
+        activations.append(a)
+    return a[:, 0], zs, activations
+
+
 def backprop_oracle(model, X, y):
     """The seed's backprop: a fresh gradient array per weight and bias,
     collected output layer first and reversed."""
@@ -267,7 +288,7 @@ def backprop_oracle(model, X, y):
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.shape[0] != y.shape[0]:
         raise ValueError("X rows and y length differ")
-    pred, zs, activations = _forward_pass(model, X)
+    pred, zs, activations = forward_pass_oracle(model, X)
     batch = X.shape[0]
     loss = float(np.mean((pred - y) ** 2))
     delta = (2.0 * (pred - y) / batch)[:, None]
@@ -278,7 +299,7 @@ def backprop_oracle(model, X, y):
         grads.append(delta.T @ a_prev)         # weight
         if layer > 0:
             delta = delta @ model.weights[layer]
-            delta = delta * _act_grad(zs[layer - 1], model.activation)
+            delta = delta * act_grad_oracle(zs[layer - 1], model.activation)
     grads.reverse()
     return grads, loss
 

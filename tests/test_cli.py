@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from screenforge import cli, descriptors, fingerprints
+from screenforge import cli, descriptors, fingerprints, pdenet
 from screenforge.chem_graph import canonical_smiles, parse_smiles
 from screenforge.cli import main
 from screenforge.pdenet import (
@@ -449,6 +449,56 @@ class TestTrainPredict:
         assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr == "error: training diverged at epoch 1\n"
         assert not (tmp_path / "xo.json").exists()
+
+    def test_allocation_the_machine_cannot_make_prints_one_error_line(
+        self, train_csv, tmp_path, monkeypatch, capsys
+    ):
+        # A stand-in for the weights of --hidden 1000000000, which numpy
+        # refuses only where the kernel refuses an 8 TiB request.
+        def init_model(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.34 TiB for an array with shape "
+                              "(1000000000, 1151) and data type float64")
+
+        monkeypatch.setattr(pdenet, "init_model", init_model)
+        out = tmp_path / "m.json"
+        code = main(["train", str(train_csv), "--target", "XO", "--hidden", "1000000000",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err == ("error: Unable to allocate 8.34 TiB for an array with shape "
+                                "(1000000000, 1151) and data type float64\n")
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_process_forked_after_training_trains_the_same_model(self, tmp_path):
+        # The child trains a model whose Adam steps a worker thread shares,
+        # then forks; the grandchild trains it again, with 20 s to do so.
+        data = resources.files("screenforge") / "data/xoi_ic50.csv"
+        script = """if True:
+            import os, signal, sys
+            from screenforge.cli import main
+            argv = ["train", sys.argv[1], "--target", "XO", "--epochs", "2",
+                    "--hidden", "1024,8"]
+            assert main(argv + ["--out", "parent.json"]) == 0
+            sys.stdout.flush()
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)
+                code = main(argv + ["--out", "forked.json"])
+                sys.stdout.flush()
+                os._exit(code)
+            print("forked status", os.waitpid(pid, 0)[1])
+        """
+        with resources.as_file(data) as csv_path:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(csv_path)], cwd=tmp_path,
+                capture_output=True, text=True, check=False, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "forked status 0", proc.stdout  # not SIGALRM (14)
+        parent = (tmp_path / "parent.json").read_bytes()
+        assert (tmp_path / "forked.json").read_bytes() == parent
 
 
 class TestPharm:

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,11 @@ import pytest
 
 from helpers import feature_row
 from oracles import (
+    act_grad_oracle,
     adam_step_oracle,
     backprop_oracle,
     featurize_records_oracle,
+    forward_pass_oracle,
     mlp_forward_oracle,
     norm_apply_oracle,
     predict_pic50_oracle,
@@ -198,7 +201,7 @@ class TestForward:
     def test_equals_the_training_pass_bit_for_bit(self, activation):
         m = init_model([40, 256, 64, 1], activation, seed=3)
         X = np.random.default_rng(3).normal(size=(300, 40))
-        assert np.array_equal(forward(m, X), pdenet._forward_pass(m, X)[0])
+        assert np.array_equal(forward(m, X), forward_pass_oracle(m, X)[0])
 
     def test_memory_holds_one_hidden_layer(self):
         # 2000 rows into a 256,64 net: the first hidden layer is one 2000 x
@@ -267,8 +270,11 @@ class TestAdam:
         def oracle_backprop(model, X, y, out):
             return backprop_oracle(model, X, y)
 
+        def oracle_step(model, gradients, lr, worker=None):
+            return adam_step_oracle(model, gradients, lr)
+
         runs = []
-        for step, grad in ((adam_step, backprop), (adam_step_oracle, oracle_backprop)):
+        for step, grad in ((adam_step, backprop), (oracle_step, oracle_backprop)):
             monkeypatch.setattr(pdenet, "adam_step", step)
             monkeypatch.setattr(pdenet, "backprop", grad)
             model = init_model([300, 120, 8, 1], seed=seed)
@@ -338,10 +344,10 @@ class TestAdam:
     )
     def test_shared_steps_match_seed_oracle(self, chunk, sizes, parts, monkeypatch):
         # At ADAM_CHUNK the first layer holds 0 to 10 full chunks and a partial
-        # one. With two parts the worker takes every other full chunk of a step
-        # that holds at least four; with one, or fewer chunks, the caller does all.
+        # one. Given a worker (two parts), it takes every other full chunk of a
+        # step that holds at least four; without one, or with fewer chunks, the
+        # caller does all.
         monkeypatch.setattr(pdenet, "ADAM_CHUNK", chunk)
-        monkeypatch.setattr(pdenet, "ADAM_PARTS", parts)
         calls, update = [], pdenet._adam_update
 
         def recorded_update(pieces, *args):
@@ -351,10 +357,11 @@ class TestAdam:
         monkeypatch.setattr(pdenet, "_adam_update", recorded_update)
         new, old = init_model(sizes, seed=4), init_model(sizes, seed=4)
         rng = np.random.default_rng(sizes[0])
-        for _ in range(3):
-            grads = [rng.normal(size=p.shape) for p in new.parameter_list()]
-            adam_step(new, grads, lr=0.01)
-            adam_step_oracle(old, grads, lr=0.01)
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            for _ in range(3):
+                grads = [rng.normal(size=p.shape) for p in new.parameter_list()]
+                adam_step(new, grads, lr=0.01, worker=executor if parts == 2 else None)
+                adam_step_oracle(old, grads, lr=0.01)
         assert new.adam_state.t == old.adam_state.t == 3
         for a, b in zip(
             new.parameter_list() + new.adam_state.m + new.adam_state.v,
@@ -364,6 +371,35 @@ class TestAdam:
         full = sum(p.size // chunk for p in new.parameter_list())
         worker = [n for ident, n in calls if ident != threading.get_ident()]
         assert worker == ([full // 2] * 3 if parts == 2 and full >= 4 else [])
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_worker_thread_lives_only_as_long_as_train(self, parts, monkeypatch):
+        # The first layer holds four full chunks, so with two parts the worker
+        # shares every step; with one, train starts no thread at all.
+        monkeypatch.setattr(pdenet, "ADAM_PARTS", parts)
+        runners, update = set(), pdenet._adam_update
+
+        def recorded_update(pieces, *args):
+            runners.add(threading.current_thread().name)
+            update(pieces, *args)
+
+        started, start = [], threading.Thread.start
+
+        def recorded_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(pdenet, "_adam_update", recorded_update)
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        sizes = [pdenet.ADAM_CHUNK // 32 * 4 + 100, 32, 1]
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(16, sizes[0])), rng.normal(size=16)
+        train(init_model(sizes, seed=0), (X, y), TrainConfig(epochs=2, batch_size=8))
+        caller = threading.current_thread().name
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("adam")]
+        assert [name for name in started if name.startswith("adam")] == (
+            ["adam_0"] if parts == 2 else [])
+        assert runners == ({caller, "adam_0"} if parts == 2 else {caller})
 
     def test_non_contiguous_parameter_rejected(self):
         m = init_model([3, 3, 1])
@@ -426,17 +462,40 @@ class TestGradients:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("rows", [32, 11])  # a full and a final partial batch
     def test_backprop_matches_seed_oracle_bitwise(self, activation, rows):
+        # The second input, its weights and its biases are integers, so some
+        # hidden pre-activations are exactly zero: there backprop reads the
+        # derivative from the activation (a > 0), the seed from z (z > 0).
         model = init_model([40, 24, 8, 1], activation, seed=3)
         rng = np.random.default_rng(rows)
         X, y = rng.normal(size=(rows, 40)), rng.normal(size=rows)
-        expected, expected_loss = backprop_oracle(model, X, y)
-        fresh, fresh_loss = backprop(model, X, y)
-        out = [np.full_like(p, np.nan) for p in model.parameter_list()]
-        written, written_loss = backprop(model, X, y, out=out)
-        assert written is out
-        assert fresh_loss == written_loss == expected_loss
-        for e, f, w in zip(expected, fresh, written):
-            assert np.array_equal(e, f) and np.array_equal(e, w)
+        integral = init_model([40, 24, 8, 1], activation, seed=3)
+        for p in integral.parameter_list():
+            p[...] = rng.integers(-2, 3, p.shape)
+        X_integral = rng.integers(-2, 3, (rows, 40)).astype(float)
+        for model, X in ((model, X), (integral, X_integral)):
+            expected, expected_loss = backprop_oracle(model, X, y)
+            fresh, fresh_loss = backprop(model, X, y)
+            out = [np.full_like(p, np.nan) for p in model.parameter_list()]
+            written, written_loss = backprop(model, X, y, out=out)
+            assert written is out
+            assert fresh_loss == written_loss == expected_loss
+            for e, f, w in zip(expected, fresh, written):
+                assert np.array_equal(e, f) and np.array_equal(e, w)
+        _, zs, activations = forward_pass_oracle(integral, X_integral)
+        assert (zs[0] == 0).any()
+        for z, a in zip(zs[:-1], activations[1:-1]):
+            ours = pdenet._act_grad(a, activation)
+            assert ours.tobytes() == act_grad_oracle(z, activation).tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_derivative_from_activation_matches_seed_at_edge_values(self, activation):
+        # No GEMM plus bias gave a -0.0 pre-activation, so the signed zeros
+        # are written out, with subnormals and non-finite values.
+        z = np.array([-0.0, 0.0, -5e-324, 5e-324, -1.5, 0.25, 30.0, -np.inf, np.inf, np.nan])
+        a = z.copy()
+        pdenet._act(a, activation, out=a)  # in place, as a layer is activated
+        ours = pdenet._act_grad(a, activation)
+        assert ours.tobytes() == act_grad_oracle(z, activation).tobytes()
 
 
 class TestTrain:
