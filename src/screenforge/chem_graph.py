@@ -251,37 +251,37 @@ def _hydrogen_counts(atoms: list[Atom], adj) -> tuple[list[int], list[int]]:
             if atoms[j].element == "H":
                 h_atoms += 1
         h = atom.explicit_h
-        valences = VALENCES.get(atom.element)
-        if h is None and valences is None:  # the parser gives bracket atoms a count
-            raise SmilesSyntaxError(f"atom {idx} ({atom.element}) needs an explicit H count")
         if h is None:
-            if atom.aromatic:
-                # One ring pi bond is assumed for aromatic C/B, and for
-                # two-connected aromatic N/P (pyridine-like). Aromatic O/S
-                # contribute a lone pair instead, as do three-connected N/P.
-                pi = 0
-                if sigma == len(adj[idx]):  # no double or triple bond
-                    if atom.element in ("C", "B"):
-                        pi = 1
-                    elif atom.element in ("N", "P") and len(adj[idx]) == 2:
-                        pi = 1
-                sigma += pi
-                candidates = (valences[0],)
-            else:
-                candidates = valences
-            h = -1
-            for v in candidates:
-                if v >= sigma:
-                    h = v - sigma
-                    break
-            if h < 0:
-                raise ValenceViolation(
-                    f"atom {idx} ({atom.element}): bond order sum {sigma} exceeds "
-                    f"allowed valences {candidates}"
-                )
+            if atom.element not in VALENCES:  # the parser gives bracket atoms a count
+                raise SmilesSyntaxError(f"atom {idx} ({atom.element}) needs an explicit H count")
+            try:
+                h = _implicit_h(atom, sigma, len(adj[idx]))
+            except ValenceViolation as exc:
+                raise ValenceViolation(f"atom {idx} ({atom.element}): {exc}") from None
         hydrogens.append(h)
         total_h.append(h + h_atoms)
     return hydrogens, total_h
+
+
+def _implicit_h(atom: Atom, sigma: int, degree: int) -> int:
+    """The hydrogens of ``atom`` when no bracket pins a count, given its
+    bond-order sum and neighbour count: the lowest standard valence that
+    covers the sum, less the sum. Raises ValenceViolation when none does.
+    """
+    valences = VALENCES[atom.element]
+    if atom.aromatic:
+        # One ring pi bond is assumed for aromatic C/B, and for
+        # two-connected aromatic N/P (pyridine-like). Aromatic O/S
+        # contribute a lone pair instead, as do three-connected N/P.
+        if sigma == degree and (  # no double or triple bond
+            atom.element in ("C", "B") or (atom.element in ("N", "P") and degree == 2)
+        ):
+            sigma += 1
+        valences = valences[:1]
+    for v in valences:
+        if v >= sigma:
+            return v - sigma
+    raise ValenceViolation(f"bond order sum {sigma} exceeds allowed valences {valences}")
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +579,31 @@ _ORGANIC_WRITABLE = set(ORGANIC_SUBSET)
 _AROMATIC_WRITABLE = {"B", "C", "N", "O", "P", "S"}
 
 
-def _atom_token(atom: Atom) -> str:
+def _unbracketed_h(atom: Atom, nbrs) -> int | None:
+    """The hydrogens the parser would give ``atom`` written without a
+    bracket, with the bonds of its (neighbour, bond) pairs ``nbrs``; None
+    when no standard valence covers those bonds."""
+    try:
+        return _implicit_h(atom, sum(BOND_ORDER_VALUE[b.order] for _, b in nbrs), len(nbrs))
+    except ValenceViolation:
+        return None
+
+
+def _atom_token(atom: Atom, nbrs) -> str:
+    """The atom's SMILES token; ``nbrs`` are its (neighbour, bond) pairs."""
     symbol = atom.element.lower() if atom.aromatic else atom.element
     needs_bracket = (
         atom.formal_charge != 0
         or atom.isotope is not None
         or atom.chirality is not None
-        or atom.explicit_h is not None
         or atom.element not in _ORGANIC_WRITABLE
         or (atom.aromatic and atom.element not in _AROMATIC_WRITABLE)
     )
-    if not needs_bracket:
+    # A pinned H count needs no bracket when the parser derives the same
+    # count for the bare symbol: [CH3]CO and CCO are one molecule.
+    if not needs_bracket and (
+        atom.explicit_h is None or atom.explicit_h == _unbracketed_h(atom, nbrs)
+    ):
         return symbol
     parts = ["["]
     if atom.isotope is not None:
@@ -677,7 +691,7 @@ def _write_fragment(mol: Molecule, ranked: list[list[tuple[int, Bond]]], start: 
     out: list[str] = []
     for here, u in enumerate(preorder):
         out.extend(lead[here])
-        out.append(_atom_token(mol.atoms[u]))
+        out.append(_atom_token(mol.atoms[u], mol._adjacency[u]))
         # Close digits first so a freed digit may be reopened on this atom.
         for bond in closes.get(here, ()):
             d = digit_of.pop(id(bond))

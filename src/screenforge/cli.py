@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 from . import __version__, fingerprints
@@ -69,6 +70,11 @@ def _load_records(path: str):
     for message in stats.errors:
         print(f"warning: {message}", file=sys.stderr)
     return records, stats
+
+
+def _check_threshold(threshold: float) -> None:
+    if not math.isfinite(threshold):
+        raise ValueError(f"--threshold {threshold} must be a finite number")
 
 
 def _writer():
@@ -163,7 +169,11 @@ def cmd_train(args) -> int:
     if not labeled:
         raise InputError("training csv has no rows with ic50_nm or pic50")
     seed = args.seed if args.seed is not None else default_seed()
-    hidden = tuple(int(x) for x in args.hidden.split(",") if x)
+    try:
+        hidden = tuple(int(x) for x in args.hidden.split(",") if x)
+    except ValueError:
+        raise ValueError(
+            f"--hidden {args.hidden!r} must be comma-separated positive integers") from None
     cfg = TrainConfig(
         learning_rate=args.lr,
         batch_size=args.batch,
@@ -182,6 +192,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_threshold(args.threshold)
     records, _ = _load_records(args.file)
     model = load_model(args.model)
     predictions = predict_and_gate(model, records, args.threshold)
@@ -244,6 +255,7 @@ def cmd_pharm_screen(args) -> int:
 
 
 def cmd_screen(args) -> int:
+    _check_threshold(args.threshold)
     thresholds = load_admet_thresholds(args.admet_constants)  # a bad table fails before any work
     records, _ = _load_records(args.file)
     models = {}

@@ -1,9 +1,14 @@
 import random
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from screenforge.chem_graph import iter_smi_lines, parse_smiles
+
+# benchmarks/gen.py grows the generated libraries that tests import.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 
 def corpus_entries():

@@ -63,38 +63,47 @@ def formula_weight(formula: str) -> float:
 def hydrogens_oracle(mol: Molecule) -> tuple[list[int], list[int]]:
     """``(hydrogens, total_h)`` re-derived from the bond list alone.
 
-    An atom's hydrogens are its bracket count if one is written; else, for
-    an element with standard valences, the lowest valence that covers its
-    bond-order sum minus that sum, where an aromatic atom tries only its
-    first valence and counts one ring pi bond when it has no double or
-    triple bond and is C or B, or a two-connected N or P; else none. Its
-    total adds the ``[H]`` atoms bonded to it.
+    An atom's hydrogens are its bracket count if one is written, else its
+    ``bare_hydrogens_oracle`` count. Its total adds the ``[H]`` atoms bonded
+    to it.
     """
     n = len(mol.atoms)
-    order_sum, degree, h_atoms = [0] * n, [0] * n, [0] * n
-    multiple = [False] * n
+    h_atoms = [0] * n
     for bond in mol.bonds:
         for u, v in ((bond.a, bond.b), (bond.b, bond.a)):
+            h_atoms[u] += mol.atoms[v].element == "H"
+    hydrogens = [a.explicit_h if a.explicit_h is not None else bare or 0
+                 for a, bare in zip(mol.atoms, bare_hydrogens_oracle(mol))]
+    return hydrogens, [h + k for h, k in zip(hydrogens, h_atoms)]
+
+
+def bare_hydrogens_oracle(mol: Molecule) -> list[int | None]:
+    """Per atom, the hydrogens of its symbol written without a bracket,
+    whatever count a bracket pins: for an element with standard valences,
+    the lowest valence that covers its bond-order sum minus that sum, where
+    an aromatic atom tries only its first valence and counts one ring pi
+    bond when it has no double or triple bond and is C or B, or a
+    two-connected N or P; None when no valence covers the sum or the element
+    has none.
+    """
+    n = len(mol.atoms)
+    order_sum, degree = [0] * n, [0] * n
+    multiple = [False] * n
+    for bond in mol.bonds:
+        for u in (bond.a, bond.b):
             order_sum[u] += BOND_ORDER_VALUE[bond.order]
             degree[u] += 1
             multiple[u] = multiple[u] or bond.order in (DOUBLE, TRIPLE)
-            h_atoms[u] += mol.atoms[v].element == "H"
-    hydrogens = []
+    bare = []
     for i, a in enumerate(mol.atoms):
-        if a.explicit_h is not None:
-            hydrogens.append(a.explicit_h)
-            continue
-        if a.element not in VALENCES:
-            hydrogens.append(0)
-            continue
-        valences, total = VALENCES[a.element], order_sum[i]
+        valences, total = VALENCES.get(a.element, ()), order_sum[i]
         if a.aromatic:
             valences = valences[:1]
             pi_capable = a.element in ("C", "B") or (a.element in ("N", "P") and degree[i] == 2)
             if pi_capable and not multiple[i]:
                 total += 1
-        hydrogens.append(min(v - total for v in valences if v >= total))
-    return hydrogens, [h + k for h, k in zip(hydrogens, h_atoms)]
+        bare.append(min((v - total for v in valences if v >= total), default=None))
+    return bare
 
 
 def _atom_keys(mol: Molecule) -> list[tuple]:
@@ -508,8 +517,27 @@ def least_squares_oracle(xs, ys):
 
 def canonical_smiles_oracle(mol: Molecule) -> str:
     """Canonical SMILES written by the recursive two-pass fragment writer
-    that the library's explicit-stack writer replaced."""
-    from screenforge.chem_graph import _atom_token, _bond_token, canonical_ranks
+    that the library's explicit-stack writer replaced. An uncharged,
+    untagged, non-isotopic organic-subset atom is written bare when it pins
+    no H count or pins its ``bare_hydrogens_oracle`` count; any other atom
+    is written in brackets."""
+    from screenforge.chem_graph import _bond_token, canonical_ranks
+
+    bare_h = bare_hydrogens_oracle(mol)
+
+    def atom_token(u: int) -> str:
+        a = mol.atoms[u]
+        symbol = a.element.lower() if a.aromatic else a.element
+        organic = AROMATIC_ORGANIC if a.aromatic else ORGANIC_SUBSET
+        if (symbol in organic and a.formal_charge == 0 and a.isotope is None
+                and a.chirality is None and a.explicit_h in (None, bare_h[u])):
+            return symbol
+        isotope = "" if a.isotope is None else str(a.isotope)
+        h = a.explicit_h or 0
+        count = "" if h == 0 else "H" if h == 1 else f"H{h}"
+        c = a.formal_charge
+        charge = "" if c == 0 else ("+" if c > 0 else "-") + (str(abs(c)) if abs(c) > 1 else "")
+        return f"[{isotope}{symbol}{a.chirality or ''}{count}{charge}]"
 
     ranks = canonical_ranks(mol)
 
@@ -545,7 +573,7 @@ def canonical_smiles_oracle(mol: Molecule) -> str:
             return str(d) if d < 10 else f"%{d:02d}"
 
         def emit(u):
-            out.append(_atom_token(mol.atoms[u]))
+            out.append(atom_token(u))
             for bond in closes.get(u, ()):
                 d = digit_of.pop(id(bond))
                 free_digits.append(d)

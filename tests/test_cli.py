@@ -401,6 +401,30 @@ class TestTrainPredict:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("hidden", ["abc", "64,x", "1.5", "8;8"])
+    def test_train_rejects_hidden_sizes_that_are_not_integers(self, train_csv, tmp_path, capsys,
+                                                              hidden):
+        out = tmp_path / "m.json"
+        code = main(["train", str(train_csv), "--target", "XO", "--hidden", hidden,
+                     "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == f"error: --hidden {hidden!r} must be comma-separated positive integers\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("command", ["predict", "screen"])
+    def test_non_finite_threshold_rejected(self, library, tmp_path, capsys, command, threshold):
+        model_path, out = tmp_path / "const.json", tmp_path / "r.csv"
+        save_model(constant_model(6.0), str(model_path))
+        argv = [command, str(library), "--model", str(model_path), f"--threshold={threshold}"]
+        if command == "screen":
+            argv += ["--clusters", "2", "--picks", "1", "--out", str(out)]
+        assert main(argv) == 4
+        value = float(threshold)
+        assert capsys.readouterr() == ("", f"error: --threshold {value} must be a finite number\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("lr, message", [
         ("nan", "error: learning_rate nan must be finite and positive\n"),
         ("inf", "error: learning_rate inf must be finite and positive\n"),

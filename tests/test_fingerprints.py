@@ -1,5 +1,4 @@
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +16,9 @@ from screenforge.fingerprints import (
 from screenforge.pdenet import FeatureSpec
 from screenforge.simcluster import hier_cluster
 
+from gen import Generator
 from helpers import feature_row, on_bit_vector, popcount, renumbered, same_vector
 from oracles import circular_fingerprint_oracle, featurize_molecule_oracle, from_hex_oracle
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-from gen import Generator  # noqa: E402
 
 
 class TestConfig:

@@ -71,6 +71,26 @@ CCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCC tetracontane
 OCC(O)C(O)C(O)C(O)C(O)CCCCCCCCCCCCCCCCCCCCCCCC hexol_tail
 OCC(O)C(O)C(O)C(O)C(O)C(O)C(O)C(O)C(O)C(O)CO dodecitol
 """
+# Bracket atoms: a bracket that pins the H count the bare symbol gets is
+# dropped, so the ethanols, the waters and the pyrroles are one molecule
+# each; the rest keep their brackets (a radical, an isotope, a charge, two
+# pentavalent carbons, one with more bonds than any valence, and an
+# aromatic carbon without its H).
+BRACKETS = """\
+CCO ethanol
+[CH3]CO ethanol_bracketed
+OC[CH2]C propanol_bracketed
+[OH2] water_bracketed
+O water
+c1cc[nH]c1 pyrrole
+[cH]1ccc[nH]1 pyrrole_bracketed
+C[CH2] ethyl_radical
+[13CH4] methane_13c
+[NH4+] ammonium
+[CH](C)(C)(C)C pentavalent_ch
+C[C](C)(C)(C)C pentavalent_c
+c1cc[c]cc1 phenyl_radical
+"""
 # Every compound carries three CH2OH on one carbon and is labelled pIC50 6,
 # so pharm train meets repeated candidates and fits that are all equal, and
 # train a test split with no variance. Rows give ic50_nm, pic50 or both;
@@ -179,6 +199,7 @@ COMMANDS = [Command(*c) for c in [
       "6", "--picks", "2", "--threshold", "1", "--linkage", "single", "--out", "report.md"],
      ["report.md"], "platform"),
     ("parse_edge", ["parse", "edge.smi"], [], "portable"),
+    ("parse_brackets", ["parse", "brackets.smi"], [], "portable"),
     ("descriptors_edge", ["descriptors", "edge.smi"], [], "portable"),
     ("descriptors_constants", ["descriptors", "edge.smi", "--admet-constants", "admet.txt"],
      [], "portable"),
@@ -243,6 +264,7 @@ def write_inputs(work: Path) -> dict[str, str]:
     (work / "classes.csv").write_text("\n".join(classes) + "\n", encoding="utf-8")
     write_smi(work / "library.smi", Generator(3).grow(60), "G")
     (work / "edge.smi").write_text(EDGE, encoding="utf-8")
+    (work / "brackets.smi").write_text(BRACKETS, encoding="utf-8")
     (work / "activity.csv").write_text(ACTIVITY, encoding="utf-8")
     features, pairs = HYPOTHESIS_NO_FIT["features"], HYPOTHESIS_NO_FIT["pair_constraints"]
     documents = {
@@ -261,7 +283,7 @@ def write_inputs(work: Path) -> dict[str, str]:
     constants = constants.replace("bioavail_default_fail 0.17", "bioavail_default_fail 0.2")
     (work / "admet.txt").write_text(constants, encoding="utf-8")
     names = ("corpus.smi", "salted.smi", "classes.csv", "xoi_ic50.csv", "library.smi",
-             "edge.smi", "activity.csv", *documents, "admet.txt")
+             "edge.smi", "brackets.smi", "activity.csv", *documents, "admet.txt")
     return {name: sha256((work / name).read_bytes()) for name in names}
 
 

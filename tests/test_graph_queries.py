@@ -4,13 +4,12 @@ edges, Tarjan's bridges, and the minima of the all-pairs path table."""
 
 import itertools
 import math
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gen import Generator
 from oracles import (
     _all_pairs_path_lengths,
     _cycle_basis,
@@ -25,9 +24,6 @@ from screenforge.pharmacophore import (
     detect_features,
     generate_hypotheses,
 )
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-from gen import Generator  # noqa: E402
 
 LONG = ["C" * 300, "C1" + "C" * 200 + "C1", "OC" * 150, "c1ccccc1" + "CC(O)" * 60 + "N"]
 LONG_IDS = ["chain-300", "ring-202", "ether-chain-300", "polyol-chain-187"]

@@ -2,16 +2,15 @@ import io
 import json
 import math
 import random
-import sys
 import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gen import Generator, descriptor_labels
 from helpers import feature_row
 from oracles import (
     act_grad_oracle,
@@ -49,9 +48,6 @@ from screenforge.pdenet import (
     train,
     train_pipeline,
 )
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-from gen import Generator, descriptor_labels  # noqa: E402
 
 
 def records_of(smiles: list[str], labels=None) -> list[DatasetRecord]:

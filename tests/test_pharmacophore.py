@@ -1,14 +1,13 @@
 import json
 import math
 import random
-import sys
 from importlib import resources
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gen import Generator, donor_labels
 from helpers import renumbered
 from oracles import (
     fit_value_oracle,
@@ -40,9 +39,6 @@ from screenforge.pharmacophore import (
     select_best,
 )
 from screenforge.screenctl import ingest
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-from gen import Generator, donor_labels  # noqa: E402
 
 SEED_5FEATURE = "OCCCC(N)=O"  # HBD x2 (O-H, N-H), HBA x2 (both O), hydrophobe
 

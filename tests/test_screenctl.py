@@ -1,12 +1,11 @@
 import functools
-import sys
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gen import Generator
 from helpers import read_report_header, tanimoto_pair
 from oracles import dense_rows, distance_matrix, tanimoto_rows_oracle, tanimoto_set_oracle
 from screenforge import fingerprints, pdenet, screenctl
@@ -34,9 +33,6 @@ from screenforge.simcluster import string_similarity
 
 # The funnel with the bundled ADME threshold table.
 run_screen = functools.partial(screenctl.run_screen, admet_thresholds=load_admet_thresholds())
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-from gen import Generator  # noqa: E402
 
 
 def constant_model(value: float, target: str = "PDE4") -> MlpModel:
