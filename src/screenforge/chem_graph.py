@@ -93,6 +93,15 @@ class Atom:
     explicit_h: int | None = None
     chirality: str | None = None
 
+    def __post_init__(self):
+        # The exact types the parser builds. Fingerprints key their memo by
+        # these values, where aromatic=1 would share the key of True but
+        # not its repr, and so not its hash.
+        if not (type(self.element) is str and type(self.formal_charge) is int
+                and type(self.aromatic) is bool and type(self.explicit_h) in (int, type(None))):
+            raise TypeError(f"{self!r}: element must be a str, formal_charge an int, "
+                            "aromatic a bool and explicit_h an int or None")
+
 
 class Bond(NamedTuple):
     a: int

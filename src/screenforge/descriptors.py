@@ -80,29 +80,29 @@ def _data_text(name: str) -> str:
     return resources.files("screenforge").joinpath(f"data/{name}").read_text("utf-8")
 
 
-def _keyvalue(text: str, source: str) -> dict[str, float]:
-    """``key value`` rows, each key once and each value a finite decimal
-    number in ASCII."""
+def _keyvalue(text: str, source: str, key_fields: int = 1) -> dict:
+    """Rows of a key and a value, each key once and each value a finite
+    decimal number in ASCII. A key of ``key_fields`` > 1 fields is the tuple
+    of its first field and the integers of the rest."""
     table = {}
     for lineno, line in text_lines(text):
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"{source}: line {lineno}: {len(fields)} fields, not 'key value'")
-        key, value = fields
+        *names, value = fields = line.split()
+        if len(fields) != key_fields + 1:
+            raise ValueError(f"{source}: line {lineno}: {len(fields)} fields, not " + (
+                "'key value'" if key_fields == 1 else f"{key_fields} key fields and a value"))
+        name = " ".join(names)
+        key = name if key_fields == 1 else (names[0], *map(int, names[1:]))
         if key in table:
-            raise ValueError(f"{source}: line {lineno}: key {key} repeated")
-        table[key] = decimal(value, f"constant {key}")
+            raise ValueError(f"{source}: line {lineno}: key {name} repeated")
+        table[key] = decimal(value, f"constant {name}")
     return table
 
 
 @lru_cache(maxsize=None)
 def load_tpsa_table() -> dict[tuple, float]:
-    table: dict[tuple, float] = {}
-    for _, line in text_lines(_data_text("tpsa_contributions.txt")):
-        fields = line.split()
-        element, rest = fields[0], [int(x) for x in fields[1:9]]
-        table[(element, *rest)] = decimal(fields[9], f"constant {' '.join(fields[:9])}")
-    return table
+    """``(element, aromatic, charge, hcount, singles, doubles, triples,
+    aromatic_bonds, ring3)``: contribution, as the bundled table lists them."""
+    return _keyvalue(_data_text("tpsa_contributions.txt"), "tpsa_contributions.txt", 9)
 
 
 @lru_cache(maxsize=None)

@@ -10,9 +10,9 @@ the hash is a keyed 64-bit blake2b digest, stable across runs and platforms.
 Each distinct environment is hashed once per run: a memo maps its flat key,
 ``(seed, *invariants)`` at radius 0 and ``(seed, id, label1, id1, ...)``
 after, to the digest of the same ``repr`` as ever. Key fields are exact
-``int``/``bool``/``str``, so equal keys have equal reprs (other radius-0
-types are keyed by their repr). It is cleared at ``_ENV_CAP`` keys and
-after each CLI command.
+``int``/``bool``/``str`` (``Atom`` accepts no other invariant types), so
+equal keys have equal reprs. It is cleared at ``_ENV_CAP`` keys and after
+each CLI command.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class FingerprintVector:
 
 _ENV_IDS: dict[tuple, int] = {}
 _ENV_CAP = 1 << 16
-_INVARIANT_TYPES = (str, int, bool, int, int)
 
 
 @functools.lru_cache(maxsize=8)
@@ -88,7 +87,7 @@ def _circular_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> FingerprintV
     ids = []
     for i, a in enumerate(frag.atoms):
         inv = (a.element, a.formal_charge, a.aromatic, frag.degree(i), frag.total_h[i])
-        key = (seed, *inv) if tuple(map(type, inv)) == _INVARIANT_TYPES else (seed, repr(inv))
+        key = (seed, *inv)
         ids.append(_ENV_IDS.get(key) or _new_env_id(key, repr(inv)))
     nbrs = [[(BOND_CODE[b.order], j) for j, b in frag.neighbors(i)] for i in range(len(ids))]
     all_ids = list(ids)

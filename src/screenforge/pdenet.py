@@ -18,7 +18,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -35,7 +35,7 @@ DEFAULT_GATE_THRESHOLD = 5.7
 # the train/test fractions of the split (the rest is a holdout, counted
 # but not scored) and the hidden-layer activation of newly trained models.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# Adam updates each parameter this many flat elements at a time, each thread
+# Adam updates the flat parameters this many elements at a time, each thread
 # into two scratch rows of 224 KiB of float64 (896 KiB for both threads), so
 # its scratch does not grow with the layer width.
 ADAM_CHUNK = 28672
@@ -147,23 +147,19 @@ class NormStats:
 
 
 @dataclass
-class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    t: int = 0
-
-
-@dataclass
 class MlpModel:
-    layer_sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activation: str = "relu"
     target: str = "custom"
     feature_spec: FeatureSpec | None = None
     norm_stats: NormStats | None = None
-    adam_state: AdamState | None = None
     train_meta: dict = field(default_factory=dict)
+
+    @property
+    def layer_sizes(self) -> list[int]:
+        """The input width, then each layer's output width, read from the weights."""
+        return [self.weights[0].shape[1], *(w.shape[0] for w in self.weights)]
 
     def parameter_list(self) -> list[np.ndarray]:
         out: list[np.ndarray] = []
@@ -176,8 +172,7 @@ def init_model(
     layer_sizes: list[int], activation: str = "relu", seed: int = 0, target: str = "custom"
 ) -> MlpModel:
     """Scaled-uniform weight init (half-width 1/sqrt(fan_in)) and zero
-    biases; byte-identical for a fixed seed. The optimizer state is left
-    unset: ``adam_step`` zero-initializes it on the first step."""
+    biases; byte-identical for a fixed seed."""
     if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
         raise ValueError("layer_sizes needs at least input and output sizes >= 1")
     rng = np.random.default_rng(seed)
@@ -186,13 +181,7 @@ def init_model(
         scale = 1.0 / math.sqrt(fan_in)
         weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(
-        layer_sizes=list(layer_sizes),
-        weights=weights,
-        biases=biases,
-        activation=activation,
-        target=target,
-    )
+    return MlpModel(weights=weights, biases=biases, activation=activation, target=target)
 
 
 def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
@@ -221,8 +210,9 @@ def forward(model: MlpModel, X: np.ndarray, rowwise: bool = False) -> np.ndarray
     """Affine-activation chain with a linear head: one prediction per row of
     a batch of normalized features, computed by ``_layers``."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.layer_sizes[0]:
-        raise ValueError(f"input shape {X.shape} != (rows, {model.layer_sizes[0]})")
+    width = model.weights[0].shape[1]
+    if X.ndim != 2 or X.shape[1] != width:
+        raise ValueError(f"input shape {X.shape} != (rows, {width})")
     for a in _layers(model, X, rowwise):
         pass
     return a[:, 0]
@@ -260,72 +250,56 @@ def backprop(model: MlpModel, X: np.ndarray, y: np.ndarray,
     return grads, loss
 
 
-def _adam_update(pieces: list[list[np.ndarray]], scratch: np.ndarray, c1: float, c2: float,
-                 lr: float) -> None:
+def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, starts: range,
+                 scratch: np.ndarray, c1: float, c2: float, lr: float) -> None:
     """m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, p -= (lr*(m/c1)) / (sqrt(v/c2) + eps),
     operation by operation into m, v, p and the two rows of ``scratch``, for
-    each ``[g, p, m, v]`` piece of flat arrays: every element sees the same
-    operations, bit-identical to whole-array updates."""
-    for g, p, m, v in pieces:
-        a, b = scratch[0, :p.size], scratch[1, :p.size]
-        np.multiply(m, ADAM_BETA1, out=m)
-        np.multiply(g, 1 - ADAM_BETA1, out=a)
-        np.add(m, a, out=m)
-        np.multiply(v, ADAM_BETA2, out=v)
-        np.multiply(g, 1 - ADAM_BETA2, out=a)
-        np.multiply(a, g, out=a)
-        np.add(v, a, out=v)
-        np.divide(m, c1, out=a)
+    the ADAM_CHUNK elements from each of ``starts``: every element sees the
+    same operations, bit-identical to whole-array updates."""
+    for lo in starts:
+        chunk = slice(lo, lo + ADAM_CHUNK)
+        pc, gc, mc, vc = p[chunk], g[chunk], m[chunk], v[chunk]
+        a, b = scratch[0, :pc.size], scratch[1, :pc.size]
+        np.multiply(mc, ADAM_BETA1, out=mc)
+        np.multiply(gc, 1 - ADAM_BETA1, out=a)
+        np.add(mc, a, out=mc)
+        np.multiply(vc, ADAM_BETA2, out=vc)
+        np.multiply(gc, 1 - ADAM_BETA2, out=a)
+        np.multiply(a, gc, out=a)
+        np.add(vc, a, out=vc)
+        np.divide(mc, c1, out=a)
         np.multiply(a, lr, out=a)
-        np.divide(v, c2, out=b)
+        np.divide(vc, c2, out=b)
         np.sqrt(b, out=b)
         np.add(b, ADAM_EPS, out=b)
         np.divide(a, b, out=a)
-        np.subtract(p, a, out=p)
+        np.subtract(pc, a, out=pc)
 
 
-def adam_step(model: MlpModel, gradients: list[np.ndarray], lr: float,
-              worker: ThreadPoolExecutor | None = None) -> MlpModel:
-    """Bias-corrected first/second-moment update, in place; returns model.
-    Given a ``worker``, it takes a share of a step of four or more full chunks."""
-    params = model.parameter_list()
-    state = model.adam_state
-    if state is None:
-        state = AdamState(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
-        model.adam_state = state
-    if len(gradients) != len(params):
-        raise ValueError("gradient count != parameter count")
-    for g, p in zip(gradients, params):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter {p.shape}")
-        if not p.flags.c_contiguous:  # the flat views below must not be copies
-            raise ValueError("adam_step needs C-contiguous parameters")
-    state.t += 1
-    c1, c2 = 1 - ADAM_BETA1**state.t, 1 - ADAM_BETA2**state.t
-    pieces = []
-    for arrays in zip(gradients, params, state.m, state.v):
-        flat = [x.reshape(-1) for x in arrays]
-        pieces += ([x[lo:lo + ADAM_CHUNK] for x in flat]
-                   for lo in range(0, flat[1].size, ADAM_CHUNK))
-    full = [piece for piece in pieces if piece[1].size == ADAM_CHUNK]
-    if worker is None or len(full) < 4:
-        parts = [pieces]
-    else:  # the worker takes every other full chunk, the caller all the rest
-        parts = [[piece for piece in pieces if piece[1].size < ADAM_CHUNK] + full[::2],
-                 full[1::2]]
-    scratch = np.empty((len(parts), 2, min(ADAM_CHUNK, max(p.size for p in params))))
+def adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, lr: float,
+              worker: ThreadPoolExecutor | None = None) -> None:
+    """Bias-corrected step ``t`` (counted from 1) of the flat float64
+    parameters ``p``, in place, from the gradients ``g`` and the moments
+    ``m`` and ``v``, four arrays of one length. Given a ``worker``, it takes
+    every other chunk of a step of four or more full chunks."""
+    c1, c2 = 1 - ADAM_BETA1**t, 1 - ADAM_BETA2**t
+    starts = range(0, p.size, ADAM_CHUNK)
+    parts = [starts] if worker is None or p.size < 4 * ADAM_CHUNK else [starts[::2], starts[1::2]]
+    scratch = np.empty((len(parts), 2, min(ADAM_CHUNK, p.size)))
     # The worker runs in the caller's context, which holds numpy's error state.
-    shared = [worker.submit(contextvars.copy_context().run, _adam_update, part, rows,
-                            c1, c2, lr) for part, rows in zip(parts[1:], scratch[1:])]
+    shared = [worker.submit(contextvars.copy_context().run, _adam_update, p, g, m, v, part,
+                            rows, c1, c2, lr) for part, rows in zip(parts[1:], scratch[1:])]
     try:
-        _adam_update(parts[0], scratch[0], c1, c2, lr)
+        _adam_update(p, g, m, v, parts[0], scratch[0], c1, c2, lr)
     finally:
-        for future in shared:  # the model is the caller's again only once both are done
+        for future in shared:  # the parameters are the caller's again only once both are done
             future.result()
-    return model
+
+
+def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one shaped like each array of ``like``."""
+    ends = [0, *accumulate(x.size for x in like)]
+    return [flat[lo:hi].reshape(x.shape) for lo, hi, x in zip(ends, ends[1:], like)]
 
 
 def train(
@@ -333,13 +307,22 @@ def train(
 ) -> list[float]:
     """Mini-batch training of ``model`` in place: per-epoch seeded shuffle,
     backprop, one optimizer step per batch. Returns the full-pass train MSE
-    of each epoch; an epoch whose MSE is not finite raises ValueError."""
+    of each epoch; an epoch whose MSE is not finite raises ValueError.
+
+    The weights and biases are copied into one flat buffer, and the model
+    keeps views of it. The gradients and Adam's two moments are three more
+    flat buffers of the same length, which live only for this call, so a
+    second call starts from zero moments."""
     X, y = np.asarray(train_data[0], dtype=float), np.asarray(train_data[1], dtype=float)
     if X.size == 0:
         raise ValueError("empty training set")
     losses = []
     rng = np.random.default_rng(cfg.seed)
-    grads = [np.empty_like(p) for p in model.parameter_list()]  # reused every step
+    p = np.concatenate([x.reshape(-1) for x in model.parameter_list()], dtype=float)
+    params = _views(p, model.parameter_list())
+    model.weights, model.biases = params[::2], params[1::2]  # the old arrays go here
+    g, m, v = np.empty_like(p), np.zeros_like(p), np.zeros_like(p)
+    grads, t = _views(g, params), 0  # backprop writes each step's gradients into g
     # A diverging run overflows before its epoch ends; it is reported below.
     with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="adam") if ADAM_PARTS > 1
           else contextlib.nullcontext()) as worker, np.errstate(over="ignore", invalid="ignore"):
@@ -347,8 +330,9 @@ def train(
             order = rng.permutation(len(y))
             for start in range(0, len(y), cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
-                grads, _ = backprop(model, X[batch], y[batch], out=grads)
-                adam_step(model, grads, cfg.learning_rate, worker)
+                backprop(model, X[batch], y[batch], out=grads)
+                t += 1
+                adam_step(p, g, m, v, t, cfg.learning_rate, worker)
             losses.append(mse_loss(forward(model, X), y))
             if not math.isfinite(losses[-1]):
                 raise ValueError(f"training diverged at epoch {epoch}")
@@ -565,7 +549,7 @@ def load_model(path: str) -> MlpModel:
         raise ValueError("norm_stats.std must be positive")
     meta = doc.get("train_meta")
     return MlpModel(
-        sizes, weights, biases, doc["activation"].one_of(("relu", "tanh")), doc["target"].text(),
+        weights, biases, doc["activation"].one_of(("relu", "tanh")), doc["target"].text(),
         feature_spec=spec, norm_stats=stats, train_meta={} if meta is None else meta.object(),
     )
 
@@ -597,6 +581,5 @@ def train_pipeline(
         "n_holdout": len(holdout_recs),
     }
     losses = train(model, (Xn_train, y_train), cfg)
-    model.adam_state = None  # save_model never writes the moments
     X_test, y_test = featurize_records(test_recs, spec)
     return model, losses, evaluate(model, stats.apply(X_test), y_test)

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from screenforge.pdenet import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    AdamState,
     forward,
 )
 from screenforge.simcluster import tanimoto_matrix
@@ -313,17 +313,23 @@ def backprop_oracle(model, X, y):
     return grads, loss
 
 
-def adam_step_oracle(model, gradients, lr: float):
-    """The seed's Adam step: fresh moment and parameter-sized temporaries
-    for every operation."""
-    params = model.parameter_list()
-    state = model.adam_state
+@dataclass
+class AdamStateOracle:
+    """The seed's optimizer state: a moment pair per parameter and the step count."""
+    m: list[np.ndarray]
+    v: list[np.ndarray]
+    t: int = 0
+
+
+def adam_step_oracle(params, gradients, lr: float, state: AdamStateOracle | None = None):
+    """The seed's Adam step on each parameter array of ``params`` in place:
+    fresh moment and parameter-sized temporaries for every operation.
+    Returns ``state``, or the zero state it starts from when that is None."""
     if state is None:
-        state = AdamState(
+        state = AdamStateOracle(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
         )
-        model.adam_state = state
     if len(gradients) != len(params):
         raise ValueError("gradient count != parameter count")
     for g, p in zip(gradients, params):
@@ -337,7 +343,23 @@ def adam_step_oracle(model, gradients, lr: float):
         m_hat = state.m[i] / (1 - ADAM_BETA1**t)
         v_hat = state.v[i] / (1 - ADAM_BETA2**t)
         p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return model
+    return state
+
+
+def train_oracle(model, X, y, cfg) -> tuple[list[float], AdamStateOracle]:
+    """The seed's training loop on the model's own arrays: a seeded shuffle
+    per epoch, the seed's backprop and Adam step per batch, and each
+    epoch's full-pass MSE. Returns the losses and the final Adam state."""
+    rng = np.random.default_rng(cfg.seed)
+    losses, state = [], None
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            grads, _ = backprop_oracle(model, X[batch], y[batch])
+            state = adam_step_oracle(model.parameter_list(), grads, cfg.learning_rate, state)
+        losses.append(float(np.mean((forward_pass_oracle(model, X)[0] - y) ** 2)))
+    return losses, state
 
 
 def featurize_molecule_oracle(mol, spec) -> np.ndarray:

@@ -144,11 +144,10 @@ def test_c04_gradient_check():
 
 def test_c05_optimizer_sanity():
     model = init_model([3, 2, 1], seed=1)
-    before = [p.copy() for p in model.parameter_list()]
-    adam_step(model, [np.zeros_like(p) for p in model.parameter_list()], lr=0.3)
-    fixed_point = all(
-        np.array_equal(a, b) for a, b in zip(before, model.parameter_list())
-    )
+    p = np.concatenate([x.reshape(-1) for x in model.parameter_list()])
+    before = p.copy()
+    adam_step(p, np.zeros_like(p), np.zeros_like(p), np.zeros_like(p), 1, lr=0.3)
+    fixed_point = np.array_equal(p, before)
 
     rng = np.random.default_rng(3)
     X = rng.uniform(-1, 1, size=(20, 3))

@@ -329,7 +329,8 @@ class TestAdmetConstantsFile:
         )
         model_path = tmp_path / "const.json"
         save_model(constant_model(6.0), str(model_path))
-        descriptors.load_logp_table()  # cached, so only threshold tables are read below
+        descriptors.load_logp_table()  # cached, like the next, so only threshold
+        descriptors.load_tpsa_table()  # tables are read below
         reads = []
         keyvalue = descriptors._keyvalue
         monkeypatch.setattr(descriptors, "_keyvalue",

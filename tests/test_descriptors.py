@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import formula_weight
+from screenforge import descriptors
 from screenforge.chem_graph import Atom, Bond, Molecule, UnknownElement, parse_smiles
 from screenforge.descriptors import (
     DescriptorSet,
@@ -83,6 +84,36 @@ class TestTpsa:
             bonds = list(mol.bonds) + [Bond(carbon, len(mol.atoms))]
             grown = Molecule(atoms, bonds)
             assert tpsa(grown) > tpsa(mol), name
+
+
+class TestTpsaTable:
+    """The bundled table read through the constants reader, and copies of it
+    with one more row, which the message names by its line."""
+
+    @pytest.fixture
+    def bundled(self):
+        yield descriptors._data_text("tpsa_contributions.txt")
+        descriptors.load_tpsa_table.cache_clear()  # the bundled table again, once unpatched
+
+    def read(self, monkeypatch, text):
+        monkeypatch.setattr(descriptors, "_data_text", lambda name: text)
+        descriptors.load_tpsa_table.cache_clear()
+        return descriptors.load_tpsa_table()
+
+    def test_bundled_rows(self, monkeypatch, bundled):
+        table = self.read(monkeypatch, bundled)
+        assert len(table) == 42
+        assert table[("N", 0, 0, 0, 3, 0, 0, 0, 0)] == 3.24
+
+    @pytest.mark.parametrize("row, message", [
+        # The key of the first row, its last field spelled 00.
+        ("N 0 0 0 3 0 0 0 00  5.0", "key N 0 0 0 3 0 0 0 00 repeated"),
+        ("N 0 0 0 3 0 0 0  3.24", "9 fields, not 9 key fields and a value"),
+    ], ids=["repeated", "short"])
+    def test_malformed_row_named_by_line(self, monkeypatch, bundled, row, message):
+        lineno = len(bundled.splitlines()) + 1
+        with pytest.raises(ValueError, match=rf"^tpsa_contributions.txt: line {lineno}: {message}$"):
+            self.read(monkeypatch, f"{bundled}{row}\n")
 
 
 class TestWlogp:

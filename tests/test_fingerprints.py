@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from screenforge import fingerprints
-from screenforge.chem_graph import AROMATIC, Atom, Bond, Molecule, parse_smiles
+from screenforge.chem_graph import Atom, parse_smiles
 from screenforge.fingerprints import (
     FingerprintConfig,
     FingerprintVector,
@@ -135,12 +135,6 @@ class TestConfigMismatch:
             hier_cluster([a, b])
 
 
-def _ring(aromatic, charge=0):
-    """Benzene built from parts, with the given aromatic and charge values."""
-    atoms = [Atom("C", formal_charge=charge, aromatic=aromatic) for _ in range(6)]
-    return Molecule(atoms, [Bond(i, (i + 1) % 6, AROMATIC) for i in range(6)])
-
-
 SALTS = [
     "CCO.[Na+]",
     "[Na+].[Cl-]",
@@ -194,16 +188,16 @@ class TestEnvironmentMemo:
     def test_radius_nbits_seed_grid(self, corpus, cfg, mode):
         self.assert_exact([m for _, _, m in corpus] + [parse_smiles(s) for s in SALTS], cfg, mode)
 
-    def test_aromatic_one_is_not_true(self, mode):
-        # Atom(aromatic=1) equals Atom(aromatic=True), but its repr, and so
-        # its hash, differs; likewise formal_charge=True against 1.
-        mols = [_ring(True), _ring(1), _ring(True, charge=1), _ring(1, charge=True)]
-        for cfg in (FingerprintConfig(radius=0), FingerprintConfig()):
-            self.assert_exact(mols, cfg, mode)
-        assert not np.array_equal(
-            circular_fingerprint_oracle(mols[0], FingerprintConfig(radius=0)),
-            circular_fingerprint_oracle(mols[1], FingerprintConfig(radius=0)),
-        )
+    @pytest.mark.parametrize("fields", [
+        {"aromatic": 1}, {"formal_charge": True}, {"formal_charge": np.int64(1)},
+        {"element": np.str_("C")}, {"explicit_h": 1.0},
+    ], ids=["aromatic-1", "charge-True", "charge-int64", "element-str_", "hydrogens-1.0"])
+    def test_atom_of_another_invariant_type_is_rejected(self, fields):
+        # Atom(aromatic=1) equals Atom(aromatic=True) and would share its
+        # memo key, but not its repr, and so not its hash. The parser builds
+        # only the exact types, and Atom rejects the rest.
+        with pytest.raises(TypeError, match="aromatic a bool"):
+            Atom(**{"element": "C", **fields})
 
     def test_memo_stays_small(self, generated):
         # Keys, ids and table as sys.getsizeof counts them (about 0.78 MB

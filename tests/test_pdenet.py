@@ -21,6 +21,7 @@ from oracles import (
     mlp_forward_oracle,
     norm_apply_oracle,
     predict_pic50_oracle,
+    train_oracle,
 )
 from screenforge import fingerprints, pdenet
 from screenforge.chem_graph import parse_smiles
@@ -139,6 +140,14 @@ class TestInitModel:
         assert m.weights[0].shape == (3, 4)
         assert m.weights[1].shape == (1, 3)
 
+    def test_layer_sizes_are_read_from_the_weights(self):
+        m = init_model([4, 3, 1])
+        assert m.layer_sizes == [4, 3, 1]
+        with pytest.raises(AttributeError):
+            m.layer_sizes = [4, 2, 1]
+        m.weights = [np.zeros((5, 4)), np.zeros((1, 5))]
+        assert m.layer_sizes == [4, 5, 1]
+
     def test_biases_zero(self):
         m = init_model([4, 3, 1])
         assert all(not b.any() for b in m.biases)
@@ -158,7 +167,6 @@ class TestForward:
 
     def test_identity_like_relu_passthrough(self):
         m = MlpModel(
-            layer_sizes=[1, 1, 1],
             weights=[np.array([[1.0]]), np.array([[1.0]])],
             biases=[np.zeros(1), np.zeros(1)],
             activation="relu",
@@ -185,7 +193,7 @@ class TestForward:
         for sizes in ([5, 4, 3, 1], [16, 8, 1], [3, 1]):
             weights = [gen.integers(-15, 16, (o, i)) / 8 for i, o in zip(sizes, sizes[1:])]
             biases = [gen.integers(-15, 16, o) / 8 for o in sizes[1:]]
-            m = MlpModel(layer_sizes=sizes, weights=weights, biases=biases, activation="relu")
+            m = MlpModel(weights=weights, biases=biases, activation="relu")
             X = gen.integers(-15, 16, (20, sizes[0])) / 8
             expected = [mlp_forward_oracle([w.tolist() for w in weights],
                                            [b.tolist() for b in biases], "relu", row)
@@ -242,19 +250,27 @@ class TestMseLoss:
             mse_loss([], [])
 
 
+def flat(arrays) -> np.ndarray:
+    """The arrays' elements end to end in one new float64 array."""
+    return np.concatenate([a.reshape(-1) for a in arrays])
+
+
+def adam_buffers(model: MlpModel):
+    """Flat parameters of ``model``, gradient space and zero moments."""
+    p = flat(model.parameter_list())
+    return p, np.empty_like(p), np.zeros_like(p), np.zeros_like(p)
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        m = init_model([3, 2, 1], seed=0)
-        before = [p.copy() for p in m.parameter_list()]
-        adam_step(m, [np.zeros_like(p) for p in m.parameter_list()], lr=0.5)
-        after = m.parameter_list()
-        assert all(np.array_equal(a, b) for a, b in zip(before, after))
-        assert all(not s.any() for s in m.adam_state.m)
-        assert all(not s.any() for s in m.adam_state.v)
-        assert m.adam_state.t == 1
+        p, g, m, v = adam_buffers(init_model([3, 2, 1], seed=0))
+        before, g[:] = p.copy(), 0.0
+        adam_step(p, g, m, v, 1, lr=0.5)
+        assert np.array_equal(p, before)
+        assert not m.any() and not v.any()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_in_place_step_matches_seed_oracle(self, seed, tmp_path, monkeypatch):
+    def test_in_place_step_matches_seed_oracle(self, seed, tmp_path):
         # The 300 x 120 first layer spans two Adam chunks, the second partial.
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(50, 300))
@@ -262,54 +278,34 @@ class TestAdam:
         cfg = TrainConfig(
             learning_rate=3e-3, batch_size=8, epochs=8, hidden_layers=(120, 8), seed=seed,
         )
-
-        def oracle_backprop(model, X, y, out):
-            return backprop_oracle(model, X, y)
-
-        def oracle_step(model, gradients, lr, worker=None):
-            return adam_step_oracle(model, gradients, lr)
-
-        runs = []
-        for step, grad in ((adam_step, backprop), (oracle_step, oracle_backprop)):
-            monkeypatch.setattr(pdenet, "adam_step", step)
-            monkeypatch.setattr(pdenet, "backprop", grad)
-            model = init_model([300, 120, 8, 1], seed=seed)
-            train(model, (X, y), cfg)
-            path = tmp_path / "model.json"
-            save_model(featurized(model), str(path))
-            runs.append((model, path.read_bytes()))
-        (new, new_bytes), (old, old_bytes) = runs
-        assert new.adam_state.t == old.adam_state.t == 8 * 7
-        for a, b in zip(
-            new.weights + new.biases + new.adam_state.m + new.adam_state.v,
-            old.weights + old.biases + old.adam_state.m + old.adam_state.v,
-        ):
+        new, old = init_model([300, 120, 8, 1], seed=seed), init_model([300, 120, 8, 1], seed=seed)
+        losses = train(new, (X, y), cfg)
+        old_losses, state = train_oracle(old, X, y, cfg)
+        assert state.t == 8 * 7
+        assert losses == old_losses
+        for a, b in zip(new.parameter_list(), old.parameter_list()):
             assert np.array_equal(a, b)
-        assert new_bytes == old_bytes
+        runs = []
+        for model in (new, old):
+            save_model(featurized(model), str(tmp_path / "model.json"))
+            runs.append((tmp_path / "model.json").read_bytes())
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("g", [3.0, -0.25])
     def test_first_step_is_signed_learning_rate(self, g):
-        m = init_model([2, 1], seed=0)
-        before = [p.copy() for p in m.parameter_list()]
-        adam_step(m, [np.full_like(p, g) for p in m.parameter_list()], lr=0.01)
-        for b, a in zip(before, m.parameter_list()):
-            update = a - b
-            assert np.allclose(update, -0.01 * np.sign(g), rtol=1e-6)
+        p, grads, m, v = adam_buffers(init_model([2, 1], seed=0))
+        before, grads[:] = p.copy(), g
+        adam_step(p, grads, m, v, 1, lr=0.01)
+        assert np.allclose(p - before, -0.01 * np.sign(g), rtol=1e-6)
 
     def test_identical_trajectories(self):
-        ms = [init_model([3, 2, 1], seed=9) for _ in range(2)]
-        rng = np.random.default_rng(0)
-        grads = [rng.normal(size=p.shape) for p in ms[0].parameter_list()]
-        for m in ms:
-            adam_step(m, [g.copy() for g in grads], lr=0.01)
-            adam_step(m, [g.copy() for g in grads], lr=0.01)
-        for pa, pb in zip(ms[0].parameter_list(), ms[1].parameter_list()):
-            assert np.array_equal(pa, pb)
-
-    def test_shape_mismatch(self):
-        m = init_model([3, 2, 1])
-        with pytest.raises(ValueError, match=r"gradient shape \(99,\) != parameter \(2, 3\)"):
-            adam_step(m, [np.zeros(99) for _ in m.parameter_list()], lr=0.1)
+        runs = [adam_buffers(init_model([3, 2, 1], seed=9)) for _ in range(2)]
+        grads = np.random.default_rng(0).normal(size=runs[0][0].size)
+        for p, g, m, v in runs:
+            for t in (1, 2):
+                g[:] = grads
+                adam_step(p, g, m, v, t, lr=0.01)
+        assert np.array_equal(runs[0][0], runs[1][0])
 
     @pytest.mark.parametrize(
         "chunk, sizes",
@@ -317,20 +313,20 @@ class TestAdam:
          (pdenet.ADAM_CHUNK, [1200, 300, 1])],
     )
     def test_chunked_steps_match_seed_oracle(self, chunk, sizes, monkeypatch):
-        # Every first layer spans several chunks and, past chunk 1, ends in a partial one.
-        assert sizes[0] * sizes[1] > chunk and (chunk == 1 or (sizes[0] * sizes[1]) % chunk)
+        # Every step spans several chunks and, past chunk 1, ends in a partial one.
+        old = init_model(sizes, seed=4).parameter_list()
+        p, g, m, v = adam_buffers(init_model(sizes, seed=4))
+        assert p.size > chunk and (chunk == 1 or p.size % chunk)
         monkeypatch.setattr(pdenet, "ADAM_CHUNK", chunk)
-        new, old = init_model(sizes, seed=4), init_model(sizes, seed=4)
-        rng = np.random.default_rng(chunk)
-        for _ in range(4):
-            grads = [rng.normal(size=p.shape) for p in new.parameter_list()]
-            adam_step(new, grads, lr=0.01)
-            adam_step_oracle(old, grads, lr=0.01)
-        for a, b in zip(
-            new.parameter_list() + new.adam_state.m + new.adam_state.v,
-            old.parameter_list() + old.adam_state.m + old.adam_state.v,
-        ):
-            assert np.array_equal(a, b)
+        rng, state = np.random.default_rng(chunk), None
+        for t in range(1, 5):
+            grads = [rng.normal(size=x.shape) for x in old]
+            g[:] = flat(grads)
+            adam_step(p, g, m, v, t, lr=0.01)
+            state = adam_step_oracle(old, grads, 0.01, state)
+        assert state.t == 4
+        for a, b in ((p, old), (m, state.m), (v, state.v)):
+            assert np.array_equal(a, flat(b))
 
     @pytest.mark.parametrize("parts", [1, 2])
     @pytest.mark.parametrize(
@@ -339,34 +335,33 @@ class TestAdam:
          for full in (0, 1, 3, 4, 5, 10)] + [(1, [9, 6, 1]), (7, [40, 30, 1])],
     )
     def test_shared_steps_match_seed_oracle(self, chunk, sizes, parts, monkeypatch):
-        # At ADAM_CHUNK the first layer holds 0 to 10 full chunks and a partial
-        # one. Given a worker (two parts), it takes every other full chunk of a
-        # step that holds at least four; without one, or with fewer chunks, the
-        # caller does all.
+        # At ADAM_CHUNK the parameters hold 0 to 10 full chunks and a partial
+        # one. Given a worker (two parts), it takes every other chunk of a
+        # step that holds at least four full ones; without one, or with
+        # fewer chunks, the caller does all.
         monkeypatch.setattr(pdenet, "ADAM_CHUNK", chunk)
         calls, update = [], pdenet._adam_update
 
-        def recorded_update(pieces, *args):
-            calls.append((threading.get_ident(), len(pieces)))
-            update(pieces, *args)
+        def recorded_update(p, g, m, v, starts, *args):
+            calls.append((threading.get_ident(), len(starts)))
+            update(p, g, m, v, starts, *args)
 
         monkeypatch.setattr(pdenet, "_adam_update", recorded_update)
-        new, old = init_model(sizes, seed=4), init_model(sizes, seed=4)
-        rng = np.random.default_rng(sizes[0])
+        old = init_model(sizes, seed=4).parameter_list()
+        p, g, m, v = adam_buffers(init_model(sizes, seed=4))
+        rng, state = np.random.default_rng(sizes[0]), None
         with ThreadPoolExecutor(max_workers=1) as executor:
-            for _ in range(3):
-                grads = [rng.normal(size=p.shape) for p in new.parameter_list()]
-                adam_step(new, grads, lr=0.01, worker=executor if parts == 2 else None)
-                adam_step_oracle(old, grads, lr=0.01)
-        assert new.adam_state.t == old.adam_state.t == 3
-        for a, b in zip(
-            new.parameter_list() + new.adam_state.m + new.adam_state.v,
-            old.parameter_list() + old.adam_state.m + old.adam_state.v,
-        ):
-            assert np.array_equal(a, b)
-        full = sum(p.size // chunk for p in new.parameter_list())
+            for t in range(1, 4):
+                grads = [rng.normal(size=x.shape) for x in old]
+                g[:] = flat(grads)
+                adam_step(p, g, m, v, t, lr=0.01, worker=executor if parts == 2 else None)
+                state = adam_step_oracle(old, grads, 0.01, state)
+        assert state.t == 3
+        for a, b in ((p, old), (m, state.m), (v, state.v)):
+            assert np.array_equal(a, flat(b))
+        chunks = -(-p.size // chunk)
         worker = [n for ident, n in calls if ident != threading.get_ident()]
-        assert worker == ([full // 2] * 3 if parts == 2 and full >= 4 else [])
+        assert worker == ([chunks // 2] * 3 if parts == 2 and p.size >= 4 * chunk else [])
 
     @pytest.mark.parametrize("parts", [1, 2])
     def test_worker_thread_lives_only_as_long_as_train(self, parts, monkeypatch):
@@ -375,9 +370,9 @@ class TestAdam:
         monkeypatch.setattr(pdenet, "ADAM_PARTS", parts)
         runners, update = set(), pdenet._adam_update
 
-        def recorded_update(pieces, *args):
+        def recorded_update(*args):
             runners.add(threading.current_thread().name)
-            update(pieces, *args)
+            update(*args)
 
         started, start = [], threading.Thread.start
 
@@ -397,25 +392,23 @@ class TestAdam:
             ["adam_0"] if parts == 2 else [])
         assert runners == ({caller, "adam_0"} if parts == 2 else {caller})
 
-    def test_non_contiguous_parameter_rejected(self):
-        m = init_model([3, 3, 1])
-        m.weights[0] = np.asfortranarray(m.weights[0])
-        with pytest.raises(ValueError, match="C-contiguous"):
-            adam_step(m, [np.zeros_like(p) for p in m.parameter_list()], lr=0.1)
-
     def test_train_step_memory_is_bounded(self):
         # One step of a 1112-256-64-1 net held about 5 MB of temporaries
         # when gradients and Adam scratch were parameter-sized.
         model = init_model([1112, 256, 64, 1], seed=0)
         rng = np.random.default_rng(0)
         X, y = rng.normal(size=(32, 1112)), rng.normal(size=32)
-        grads = [np.empty_like(p) for p in model.parameter_list()]
-        adam_step(model, backprop(model, X, y, out=grads)[0], lr=1e-3)  # warm-up
+        p, g, m, v = adam_buffers(model)
+        params = pdenet._views(p, model.parameter_list())
+        model.weights, model.biases = params[::2], params[1::2]
+        grads = pdenet._views(g, params)
+        backprop(model, X, y, out=grads)  # warm-up
+        adam_step(p, g, m, v, 1, lr=1e-3)
         tracemalloc.start()
         try:
-            for _ in range(5):
+            for t in range(2, 7):
                 backprop(model, X, y, out=grads)
-                adam_step(model, grads, lr=1e-3)
+                adam_step(p, g, m, v, t, lr=1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -529,15 +522,58 @@ class TestTrain:
         assert len(losses) == 5
         assert all(v >= 0 for v in losses)
 
-    def test_diverging_run_stops_at_first_non_finite_epoch(self):
+    def test_diverging_run_stops_at_first_non_finite_epoch(self, monkeypatch):
         X, y = self.overfit_fixture()
         model = init_model([3, 8, 1], seed=2)
+        steps, step = [], pdenet.adam_step
+        monkeypatch.setattr(pdenet, "adam_step", lambda p, g, m, v, t, *args: (
+            steps.append(t), step(p, g, m, v, t, *args)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning escapes
             with pytest.raises(ValueError, match="^training diverged at epoch 1$"):
                 train(model, (X, y), TrainConfig(learning_rate=1e300, epochs=10,
                                                  batch_size=8, seed=2))
-        assert model.adam_state.t == 3  # the three batches of epoch 1, no more
+        assert steps == [1, 2, 3]  # the three batches of epoch 1, no more
+
+    def test_parameters_are_views_of_one_buffer(self):
+        X, y = self.overfit_fixture()
+        model = init_model([3, 8, 4, 1], seed=2)
+        before = model.parameter_list()
+        train(model, (X, y), TrainConfig(epochs=2, batch_size=8, seed=2))
+        buffer = model.weights[0].base
+        assert buffer.ndim == 1 and buffer.flags.c_contiguous
+        assert buffer.size == sum(p.size for p in model.parameter_list())
+        for p, old in zip(model.parameter_list(), before):
+            assert p.base is buffer and np.shares_memory(p, buffer)
+            assert p.shape == old.shape and not np.shares_memory(p, old)
+        assert model.layer_sizes == [3, 8, 4, 1]
+
+    def test_second_call_starts_from_zero_moments(self, tmp_path):
+        # A second train on the same model writes the bytes of a fresh model
+        # built from the first call's weights: no state carries over.
+        X, y = self.overfit_fixture()
+        cfg = TrainConfig(learning_rate=0.01, epochs=3, batch_size=8, seed=4)
+        model = init_model([3, 8, 4, 1], "tanh", seed=4)
+        train(model, (X, y), cfg)
+        fresh = MlpModel([w.copy() for w in model.weights], [b.copy() for b in model.biases],
+                         "tanh")
+        curves = [train(m, (X, y), cfg) for m in (model, fresh)]
+        assert curves[0] == curves[1]
+        files = []
+        for n, m in enumerate((model, fresh)):
+            save_model(featurized(m), str(tmp_path / f"{n}.json"))
+            files.append((tmp_path / f"{n}.json").read_bytes())
+        assert files[0] == files[1]
+
+    def test_fortran_ordered_weights_train_like_c_ordered(self):
+        X, y = self.overfit_fixture()
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=2)
+        models = [init_model([3, 8, 1], seed=2) for _ in range(2)]
+        models[1].weights = [np.asfortranarray(w) for w in models[1].weights]
+        curves = [train(m, (X, y), cfg) for m in models]
+        assert curves[0] == curves[1]
+        for a, b in zip(models[0].parameter_list(), models[1].parameter_list()):
+            assert b.flags.c_contiguous and np.array_equal(a, b)
 
     def test_bit_identical_curves_for_fixed_seed(self):
         X, y = self.overfit_fixture()
@@ -583,7 +619,6 @@ def gate_model(nbits=2048):
     spec = FeatureSpec()
     heavy_idx = nbits + list(spec.descriptors).index("heavy_atoms")
     model = MlpModel(
-        layer_sizes=[1, 1],
         weights=[np.array([[1.0]])],
         biases=[np.zeros(1)],
         activation="relu",
@@ -717,14 +752,14 @@ class TestGate:
 
 class TestEvaluate:
     def test_perfect_predictor(self):
-        m = MlpModel([1, 1], [np.array([[1.0]])], [np.zeros(1)], activation="relu")
+        m = MlpModel([np.array([[1.0]])], [np.zeros(1)], activation="relu")
         X = np.array([[1.0], [2.0], [4.0]])
         y = np.array([1.0, 2.0, 4.0])
         result = evaluate(m, X, y)
         assert result.mse == 0.0 and result.r2 == 1.0
 
     def test_mean_predictor_r2_zero(self):
-        m = MlpModel([1, 1], [np.array([[0.0]])], [np.array([2.0])], activation="relu")
+        m = MlpModel([np.array([[0.0]])], [np.array([2.0])], activation="relu")
         X = np.array([[9.0], [9.0], [9.0], [9.0]])
         y = np.array([1.0, 2.0, 2.0, 3.0])
         assert evaluate(m, X, y).r2 == pytest.approx(0.0)
@@ -886,4 +921,3 @@ class TestTrainPipeline:
         param_bytes = sum(p.nbytes for p in model.parameter_list())
         normalized_bytes = model.train_meta["n_train"] * model.layer_sizes[0] * 8
         assert peak < 1.3 * (4 * param_bytes + normalized_bytes)
-        assert model.adam_state is None  # save_model never writes the moments

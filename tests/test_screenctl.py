@@ -38,7 +38,6 @@ run_screen = functools.partial(screenctl.run_screen, admet_thresholds=load_admet
 def constant_model(value: float, target: str = "PDE4") -> MlpModel:
     """Predicts ``value`` for every molecule."""
     return MlpModel(
-        layer_sizes=[1, 1],
         weights=[np.array([[0.0]])],
         biases=[np.array([float(value)])],
         activation="relu",
@@ -53,7 +52,6 @@ def heavy_atom_model(target: str = "PDE4") -> MlpModel:
     spec = FeatureSpec()
     heavy_idx = spec.fingerprint.nbits + list(spec.descriptors).index("heavy_atoms")
     return MlpModel(
-        layer_sizes=[1, 1],
         weights=[np.array([[0.5]])],
         biases=[np.zeros(1)],
         activation="relu",
